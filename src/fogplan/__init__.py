@@ -1,14 +1,7 @@
 """Availability-aware fog service placement with multiobjective EAs."""
 
-from .fsdp import (
-    Deployment,
-    ObjectiveVector,
-    ProblemInstance,
-    ViolationVector,
-    evaluate,
-    is_feasible,
-)
-from .model import Application, Colony, Landscape, Resource, Service, Tier
+from .fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate, is_feasible
+from .model import Application, Colony, Landscape, Resource, Service
 from .moea import ALGORITHMS, AlgoParams, ParetoArchive, select_compromise
 from .scenario import ScenarioSpec, paper_scenario, scaled_scenario
 
@@ -19,7 +12,6 @@ __all__ = [
     "AlgoParams",
     "Application",
     "Colony",
-    "Deployment",
     "Landscape",
     "ObjectiveVector",
     "ParetoArchive",
@@ -27,7 +19,6 @@ __all__ = [
     "Resource",
     "ScenarioSpec",
     "Service",
-    "Tier",
     "ViolationVector",
     "evaluate",
     "is_feasible",

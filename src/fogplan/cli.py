@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 import time
@@ -24,6 +25,7 @@ from .timing import response_time_report
 SAT_MARKER = "SAT"
 
 _PARAM_FIELDS = {f.name: f.type for f in fields(AlgoParams)}
+_FLOAT_PARAMS = {name for name, annotation in _PARAM_FIELDS.items() if "float" in str(annotation)}
 
 
 class ConfigError(FogplanError):
@@ -65,7 +67,7 @@ def _algo_params(cfg: RunConfig, seed: int) -> AlgoParams:
     overrides["max_evaluations"] = cfg.max_evaluations
     try:
         return AlgoParams(**overrides)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -233,14 +235,14 @@ def _parse_params(pairs: list[str]) -> dict:
             number = float(value)
         except ValueError as exc:
             raise ConfigError(f"--param {key}: expected a number, got {value!r}") from exc
-        out[key] = int(number) if number == int(number) and key not in (
-            "inertia",
-            "cognitive",
-            "social",
-            "mutation_rate",
-            "crossover_prob",
-            "mutation_prob",
-        ) else number
+        if not math.isfinite(number):
+            raise ConfigError(f"--param {key}: expected a finite number, got {value!r}")
+        if key in _FLOAT_PARAMS:
+            out[key] = number
+        elif number.is_integer():
+            out[key] = int(number)
+        else:
+            raise ConfigError(f"--param {key}: expected an integer, got {value!r}")
     return out
 
 

@@ -31,13 +31,6 @@ from .model import (
 SATURATION_PENALTY = 10.0
 
 
-@dataclass(frozen=True)
-class Deployment:
-    """Genotype: resource id per global service index."""
-
-    assignment: tuple[int, ...]
-
-
 @dataclass(frozen=True, slots=True)
 class ObjectiveVector:
     fog_utilization: float
@@ -121,14 +114,16 @@ class ProblemInstance:
         )
 
     def as_assignment(self, dep) -> np.ndarray:
-        arr = np.asarray(getattr(dep, "assignment", dep), dtype=np.int64)
+        arr = np.asarray(dep)
         if arr.shape != (self.n_services,):
             raise LengthMismatch(
                 f"assignment length {arr.shape} != number of services {self.n_services}"
             )
+        if self.n_services and arr.dtype.kind not in "iu":
+            raise LengthMismatch(f"assignment must hold integer resource ids, got {arr.dtype}")
         if self.n_services and (arr.min() < 0 or arr.max() >= self.n_resources):
             raise LengthMismatch("assignment references unknown resource ids")
-        return arr
+        return arr.astype(np.int64, copy=False)
 
 
 def fog_utilization(dep, prob: ProblemInstance) -> float:
@@ -139,29 +134,14 @@ def fog_utilization(dep, prob: ProblemInstance) -> float:
     return float(np.count_nonzero(prob.is_fog[a])) / prob.n_services
 
 
-def service_availability_score(service, resource) -> int:
-    """1 iff the host's up-probability meets the service requirement."""
-    return int(service.availability_req <= resource.up_probability)
-
-
 def _availability_numerator(a: np.ndarray, prob: ProblemInstance) -> int:
     """Sum over apps of met_app * (L / k_app), L the lcm of app sizes."""
     met = prob.service_avail_req <= prob.up_probability[a]
     return int(prob.service_avail_weight[met].sum())
 
 
-def availability_raw(dep, prob: ProblemInstance) -> float:
-    """Per-app-normalized availability score sum (range [0, m]).
-
-    Computed as one integer numerator over the lcm L of the app sizes,
-    so equal scores give identical floats, free of summation noise.
-    """
-    a = prob.as_assignment(dep)
-    return _availability_numerator(a, prob) / prob.availability_lcm
-
-
 def availability_objective(dep, prob: ProblemInstance) -> float:
-    """Availability score normalized to [0, 1] (raw score over app count).
+    """Mean over apps of the share of services whose host meets the requirement.
 
     One division of integers, (sum of met weights) / (L * m): the
     correctly rounded float of the exact ratio.

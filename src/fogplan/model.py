@@ -14,25 +14,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CycleDetected, DanglingEdge, UnknownColony, UnknownResource
+from .errors import CycleDetected, DanglingEdge, UnknownColony
 
 
 class ResourceKind(Enum):
     CLOUD = "cloud"
     FCM = "fcm"
     FC = "fc"
-
-
-class Tier(Enum):
-    """Placement tier of a host relative to an application's source colony."""
-
-    FCM = "fcm"
-    FC = "fc"
-    NFC = "nfc"
-    CLOUD = "cloud"
-
-
-FOG_TIERS = frozenset({Tier.FCM, Tier.FC, Tier.NFC})
 
 
 @dataclass(frozen=True)
@@ -92,23 +80,18 @@ class Landscape:
                     raise ValueError(f"colony {colony.id} references unknown resource {rid}")
             if self.resources[colony.fcm].kind is not ResourceKind.FCM:
                 raise ValueError(f"colony {colony.id}: fcm field must reference an FCM resource")
-
-    def resource(self, rid: int) -> Resource:
-        if not 0 <= rid < len(self.resources):
-            raise UnknownResource(rid)
-        return self.resources[rid]
+            if colony.id not in self.cloud_latency:
+                raise ValueError(f"colony {colony.id}: no cloud latency")
+        for i, ca in enumerate(self.colonies):
+            for cb in self.colonies[i + 1:]:
+                if cb.id not in ca.neighbor_latency and ca.id not in cb.neighbor_latency:
+                    raise ValueError(f"colonies {ca.id} and {cb.id}: no neighbor latency")
 
     def colony(self, cid: int) -> Colony:
         for colony in self.colonies:
             if colony.id == cid:
                 return colony
         raise UnknownColony(cid)
-
-
-class ServiceRole(Enum):
-    SENSE = "sense"
-    PROCESS = "process"
-    ACTUATE = "actuate"
 
 
 @dataclass(frozen=True)
@@ -118,7 +101,6 @@ class Service:
     ram_req: float
     storage_req: float
     availability_req: float
-    kind: ServiceRole = ServiceRole.PROCESS
 
     def __post_init__(self):
         if self.workload_cpu <= 0 or self.ram_req <= 0 or self.storage_req <= 0:
@@ -134,7 +116,6 @@ class Application:
     edges: tuple[tuple[int, int], ...]
     deadline: float  # seconds
     request_rate: float  # requests / second
-    source_colony: int
 
     def __post_init__(self):
         if self.deadline <= 0:
@@ -198,45 +179,6 @@ def topological_order(app: Application) -> list[int]:
     return order
 
 
-def tier_of(landscape: Landscape, resource_id: int, source_colony: int) -> Tier:
-    """Placement tier of a resource as seen from an app's source colony."""
-    res = landscape.resource(resource_id)
-    colony = landscape.colony(source_colony)
-    if res.kind is ResourceKind.CLOUD:
-        return Tier.CLOUD
-    if res.colony_id == colony.id:
-        return Tier.FCM if res.kind is ResourceKind.FCM else Tier.FC
-    return Tier.NFC
-
-
-def rank_neighbors(
-    landscape: Landscape,
-    colony_id: int,
-    w_latency: float = 0.5,
-    w_failure: float = 0.5,
-) -> list[int]:
-    """Order neighbor colonies for offloading.
-
-    Score blends FCM-to-FCM latency (min-max normalized over the
-    neighbor set) with the neighbor FCM's failure probability; lower is
-    better, ties break on colony id.
-    """
-    if w_latency < 0 or w_failure < 0 or (w_latency == 0 and w_failure == 0):
-        raise ValueError("weights must be non-negative and not both zero")
-    colony = landscape.colony(colony_id)
-    neighbors = sorted(colony.neighbor_latency)
-    if not neighbors:
-        return []
-    lats = np.array([colony.neighbor_latency[c] for c in neighbors], dtype=float)
-    span = lats.max() - lats.min()
-    norm = (lats - lats.min()) / span if span > 0 else np.zeros_like(lats)
-    fails = np.array(
-        [landscape.resource(landscape.colony(c).fcm).failure_probability for c in neighbors]
-    )
-    scores = w_latency * norm + w_failure * fails
-    return [c for _, c in sorted(zip(scores, neighbors))]
-
-
 def _hop_to_fcm(landscape: Landscape, rid: int) -> float:
     res = landscape.resources[rid]
     if res.kind is ResourceKind.FCM:
@@ -258,12 +200,15 @@ def latency_ms(landscape: Landscape, a: int, b: int) -> float:
             return 0.0
         fog = b if ra.kind is ResourceKind.CLOUD else a
         res = landscape.resources[fog]
-        return _hop_to_fcm(landscape, fog) + landscape.cloud_latency.get(res.colony_id, 0.0)
+        return _hop_to_fcm(landscape, fog) + landscape.cloud_latency[res.colony_id]
     if ra.colony_id == rb.colony_id:
         return _hop_to_fcm(landscape, a) + _hop_to_fcm(landscape, b)
     ca = landscape.colony(ra.colony_id)
     cb = landscape.colony(rb.colony_id)
-    inter = ca.neighbor_latency.get(cb.id, cb.neighbor_latency.get(ca.id, 0.0))
+    if cb.id in ca.neighbor_latency:
+        inter = ca.neighbor_latency[cb.id]
+    else:
+        inter = cb.neighbor_latency[ca.id]
     return _hop_to_fcm(landscape, a) + inter + _hop_to_fcm(landscape, b)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class Solution:
 
 
 def make_solution(assignment, prob: ProblemInstance) -> Solution:
-    a = np.asarray(assignment, dtype=np.int64)
+    a = np.asarray(assignment)
     objectives, violations = evaluate(a, prob)
     return Solution(genotype=tuple(a.tolist()), objectives=objectives, violations=violations)
 
@@ -223,15 +223,14 @@ class AlgoParams:
             raise ValueError("population_size must be >= 4 and even")
         if min(self.inertia, self.cognitive, self.social) < 0:
             raise ValueError("inertia, cognitive and social must be >= 0 (MOPSO move weights)")
+        if min(self.archive_capacity, self.grid_divisions, self.neighborhood_size) < 1:
+            raise ValueError("archive_capacity, grid_divisions and neighborhood_size must be >= 1")
 
     def check_budget(self):
         if self.max_evaluations < self.population_size:
             raise BudgetTooSmall(
                 f"max_evaluations {self.max_evaluations} < population {self.population_size}"
             )
-
-    def with_overrides(self, **kwargs) -> "AlgoParams":
-        return replace(self, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -23,15 +23,16 @@ from .model import (
     Resource,
     ResourceKind,
     Service,
-    ServiceRole,
 )
 
 SCHEMA_VERSION = 1
 
+SERVICE_KINDS = ("sense", "process", "actuate")
+
 
 @dataclass(frozen=True)
 class ServiceTemplate:
-    kind: str  # sense | process | actuate
+    kind: str  # one of SERVICE_KINDS: a label of the schema, read by no objective
     cpu: float
     ram: float
     size: float
@@ -39,6 +40,8 @@ class ServiceTemplate:
     availability_hi: float
 
     def __post_init__(self):
+        if self.kind not in SERVICE_KINDS:
+            raise ParseError("service_templates", f"kind {self.kind!r} not one of {SERVICE_KINDS}")
         if not 0.0 <= self.availability_lo <= self.availability_hi <= 1.0:
             raise ParseError("service_templates", "availability range must satisfy 0 <= lo <= hi <= 1")
 
@@ -159,13 +162,6 @@ def build_landscape(spec: ScenarioSpec) -> Landscape:
     )
 
 
-_ROLES = {
-    "sense": ServiceRole.SENSE,
-    "process": ServiceRole.PROCESS,
-    "actuate": ServiceRole.ACTUATE,
-}
-
-
 def build_instance(spec: ScenarioSpec) -> ProblemInstance:
     """Instantiate the spec deterministically from its embedded seed."""
     rng = np.random.default_rng(spec.seed)
@@ -184,7 +180,6 @@ def build_instance(spec: ScenarioSpec) -> ProblemInstance:
                     availability_req=float(
                         rng.uniform(template.availability_lo, template.availability_hi)
                     ),
-                    kind=_ROLES[template.kind],
                 )
             )
         edges = tuple((j, j + 1) for j in range(spec.services_per_app - 1))
@@ -195,7 +190,6 @@ def build_instance(spec: ScenarioSpec) -> ProblemInstance:
                 edges=edges,
                 deadline=spec.deadlines[i % len(spec.deadlines)],
                 request_rate=spec.request_rates[i % len(spec.request_rates)],
-                source_colony=i % spec.colonies,
             )
         )
     return ProblemInstance(landscape, apps, reserve_fraction=spec.reserve_fraction)

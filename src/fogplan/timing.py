@@ -35,10 +35,6 @@ class Md1Queue:
 @dataclass(frozen=True)
 class ResponseTimeReport:
     app_rt: dict[int, float | None]  # app id -> seconds, None when saturated
-    resource_rho: dict[int, float]  # resource id -> utilization
-
-    def saturated_apps(self) -> list[int]:
-        return [aid for aid, rt in self.app_rt.items() if rt is None]
 
 
 def md1_sojourn(queue: Md1Queue) -> float:
@@ -71,11 +67,11 @@ def resource_load(dep, prob, resource_id: int) -> tuple[float, float, float]:
     return lam, d, lam * d
 
 
-def _per_resource_sojourn(a: np.ndarray, prob) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _per_resource_sojourn(a: np.ndarray, prob) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sojourn times for every resource under a deployment.
 
-    Returns (sojourn seconds, rho, saturated mask); sojourn is 0 for
-    empty resources and undefined where saturated.
+    Returns (sojourn seconds, saturated mask); sojourn is 0 for empty
+    resources and undefined where saturated.
     """
     n = prob.n_resources
     lam = np.bincount(a, weights=prob.service_rate, minlength=n)
@@ -89,21 +85,7 @@ def _per_resource_sojourn(a: np.ndarray, prob) -> tuple[np.ndarray, np.ndarray, 
     sojourn = np.zeros(n)
     stable = occupied & ~saturated
     sojourn[stable] = d[stable] + lam[stable] * d[stable] ** 2 / (2.0 * (1.0 - rho[stable]))
-    return sojourn, rho, saturated
-
-
-def response_time(dep, prob, app) -> float:
-    """Critical-path response time of one application, in seconds.
-
-    Raises Saturated when any host on the app's path is overloaded.
-    """
-    a = prob.as_assignment(dep)
-    sojourn, _, saturated = _per_resource_sojourn(a, prob)
-    app_idx = prob.apps.index(app)
-    rt = _app_response_time(a, prob, app_idx, sojourn, saturated)
-    if rt is None:
-        raise Saturated(f"app {app.id} touches a saturated resource")
-    return rt
+    return sojourn, saturated
 
 
 def _app_response_time(a, prob, app_idx, sojourn, saturated) -> float | None:
@@ -128,11 +110,10 @@ def _app_response_time(a, prob, app_idx, sojourn, saturated) -> float | None:
 
 
 def response_time_report(dep, prob) -> ResponseTimeReport:
-    """Per-app response times and per-resource utilizations."""
+    """Critical-path response time of every app, None where saturated."""
     a = prob.as_assignment(dep)
-    sojourn, rho, saturated = _per_resource_sojourn(a, prob)
+    sojourn, saturated = _per_resource_sojourn(a, prob)
     app_rt = {}
     for idx, app in enumerate(prob.apps):
         app_rt[app.id] = _app_response_time(a, prob, idx, sojourn, saturated)
-    resource_rho = {rid: float(rho[rid]) for rid in range(prob.n_resources)}
-    return ResponseTimeReport(app_rt=app_rt, resource_rho=resource_rho)
+    return ResponseTimeReport(app_rt=app_rt)

@@ -35,7 +35,7 @@ def make_service(app_idx, svc_idx, cpu=10.0, ram=10.0, storage=10.0, avail=0.5):
     )
 
 
-def chain_app(app_idx, services, deadline=100.0, rate=0.1, source_colony=0):
+def chain_app(app_idx, services, deadline=100.0, rate=0.1):
     edges = tuple((j, j + 1) for j in range(len(services) - 1))
     return Application(
         id=app_idx,
@@ -43,7 +43,6 @@ def chain_app(app_idx, services, deadline=100.0, rate=0.1, source_colony=0):
         edges=edges,
         deadline=deadline,
         request_rate=rate,
-        source_colony=source_colony,
     )
 
 
@@ -74,8 +73,8 @@ def two_colony_landscape():
 def small_problem(two_colony_landscape):
     """2 apps x 2 services; everything fits everywhere."""
     apps = [
-        chain_app(0, [make_service(0, j, avail=0.5) for j in range(2)], source_colony=0),
-        chain_app(1, [make_service(1, j, avail=0.5) for j in range(2)], source_colony=1),
+        chain_app(0, [make_service(0, j, avail=0.5) for j in range(2)]),
+        chain_app(1, [make_service(1, j, avail=0.5) for j in range(2)]),
     ]
     return ProblemInstance(two_colony_landscape, apps, reserve_fraction=0.1)
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from fogplan.cli import main
+from fogplan.cli import ConfigError, _parse_params, main
 from fogplan.scenario import ScenarioSpec, save
 
 
@@ -116,3 +116,24 @@ class TestParamOverrides:
     def test_bad_seeds_exits_2(self, tmp_path):
         rc = main(["--algo", "nsga2", "--seeds", "zero", "--out", str(tmp_path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("pair", [
+        "population_size=3",
+        "archive_capacity=0",
+        "neighborhood_size=0",
+        "grid_divisions=2.5",
+        "inertia=nan",
+    ])
+    def test_bad_param_value_exits_2(self, tmp_path, capsys, pair):
+        rc = main(["--algo", "all", "--seeds", "0", "--evals", "40",
+                   "--param", pair, "--out", str(tmp_path)])
+        assert rc == 2
+        assert pair.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "evolution.csv").exists()
+
+    def test_param_types_follow_annotations(self):
+        parsed = _parse_params(["population_size=40.0", "inertia=1", "mutation_prob=0.5"])
+        assert parsed == {"population_size": 40, "inertia": 1.0, "mutation_prob": 0.5}
+        assert type(parsed["population_size"]) is int and type(parsed["inertia"]) is float
+        with pytest.raises(ConfigError, match="integer"):
+            _parse_params(["weight_resolution=7.5"])

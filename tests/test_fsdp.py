@@ -7,15 +7,14 @@ from fogplan.fsdp import (
     ProblemInstance,
     audit_capacity,
     availability_objective,
-    availability_raw,
     capacity_violation,
     deadline_violation,
     evaluate,
     fog_utilization,
     is_feasible,
-    service_availability_score,
 )
 from fogplan.model import Colony, Landscape, ResourceKind
+from fogplan.moea import make_solution
 from fogplan.scenario import paper_scenario
 
 
@@ -56,17 +55,20 @@ class TestFogUtilization:
 
 
 class TestAvailabilityScore:
+    """One service on the single-colony landscape: cloud 0, FCM 1, FC 2."""
+
+    def _score(self, host, avail):
+        apps = [chain_app(0, [make_service(0, 0, avail=avail)])]
+        return availability_objective([host], ProblemInstance(single_colony_landscape(), apps))
+
     def test_req_085_on_fc_fails(self):
-        fc = make_resource(2, ResourceKind.FC, colony=0, failure=0.20)
-        assert service_availability_score(make_service(0, 0, avail=0.85), fc) == 0
+        assert self._score(2, 0.85) == 0.0  # FC up 0.80
 
     def test_boundary_equality_satisfies(self):
-        fcm = make_resource(1, ResourceKind.FCM, colony=0, failure=0.10)
-        assert service_availability_score(make_service(0, 0, avail=0.90), fcm) == 1
+        assert self._score(1, 0.90) == 1.0  # FCM up 0.90
 
     def test_cloud_covers_097(self):
-        cloud = make_resource(0, ResourceKind.CLOUD, failure=0.00001)
-        assert service_availability_score(make_service(0, 0, avail=0.97), cloud) == 1
+        assert self._score(0, 0.97) == 1.0  # cloud up 0.99999
 
 
 class TestAvailabilityObjective:
@@ -84,12 +86,11 @@ class TestAvailabilityObjective:
         # app B: 2 services req 0.5, both score -> (1/2)(2/4 + 2/2) = 0.75
         apps = [
             chain_app(0, [make_service(0, j, avail=0.85) for j in range(4)]),
-            chain_app(1, [make_service(1, j, avail=0.5) for j in range(2)], source_colony=1),
+            chain_app(1, [make_service(1, j, avail=0.5) for j in range(2)]),
         ]
         prob = ProblemInstance(two_colony_landscape, apps)
         dep = [1, 1, 2, 3, 5, 5]
         assert availability_objective(dep, prob) == pytest.approx(0.75)
-        assert availability_raw(dep, prob) == pytest.approx(1.5)
 
     def test_exact_count_ratio_bit_for_bit(self):
         from fractions import Fraction
@@ -108,7 +109,6 @@ class TestAvailabilityObjective:
                     )
                     exact += Fraction(met, len(app.services))
                 assert availability_objective(dep, prob) == float(exact / len(prob.apps))
-                assert availability_raw(dep, prob) == float(exact)
 
     def test_monotone_under_host_upgrade(self, paper_problem):
         rng = np.random.default_rng(11)
@@ -186,6 +186,17 @@ class TestEvaluate:
         assert objectives.availability == 1.0  # seed 0: all draws below 0.99999
         assert violations.is_zero()
         assert is_feasible(dep, paper_problem)
+
+    def test_non_integer_genotype_rejected(self, paper_problem):
+        n = paper_problem.n_services
+        for genotype in ([0.9] * n, [1.7] * n, np.ones(n), np.ones(n, dtype=bool)):
+            with pytest.raises(LengthMismatch, match="integer"):
+                evaluate(genotype, paper_problem)
+            with pytest.raises(LengthMismatch, match="integer"):
+                make_solution(genotype, paper_problem)
+        assert evaluate(np.zeros(n, dtype=np.int32), paper_problem) == evaluate(
+            [0] * n, paper_problem
+        )
 
     def test_deterministic(self, paper_problem):
         rng = np.random.default_rng(3)

@@ -1,16 +1,14 @@
-import itertools
-
 import numpy as np
 import pytest
 
-from conftest import chain_app, make_service
-from fogplan.errors import CycleDetected, DanglingEdge, UnknownColony, UnknownResource
+from conftest import chain_app, make_resource, make_service
+from fogplan.errors import CycleDetected, DanglingEdge, UnknownColony
 from fogplan.model import (
     Application,
-    Tier,
+    Colony,
+    Landscape,
+    ResourceKind,
     latency_ms,
-    rank_neighbors,
-    tier_of,
     validate_dag,
 )
 from fogplan.scenario import paper_scenario
@@ -32,7 +30,6 @@ class TestValidateDag:
             edges=((0, 1), (1, 0)),
             deadline=10.0,
             request_rate=0.1,
-            source_colony=0,
         )
         with pytest.raises(CycleDetected) as exc:
             validate_dag(app)
@@ -45,102 +42,43 @@ class TestValidateDag:
             edges=((0, 5),),
             deadline=10.0,
             request_rate=0.1,
-            source_colony=0,
         )
         with pytest.raises(DanglingEdge):
             validate_dag(app)
 
 
-class TestTierOf:
-    def test_cloud_is_cloud_tier(self, two_colony_landscape):
-        for colony in (0, 1):
-            assert tier_of(two_colony_landscape, 0, colony) is Tier.CLOUD
+def three_colony_landscape(cloud_latency, neighbor_latency):
+    """Cloud plus three FCM-only colonies with the given latency maps."""
+    resources = (make_resource(0, ResourceKind.CLOUD, failure=0.0),) + tuple(
+        make_resource(c + 1, ResourceKind.FCM, colony=c) for c in range(3)
+    )
+    colonies = tuple(
+        Colony(id=c, fcm=c + 1, cells=(), neighbor_latency=neighbor_latency.get(c, {}))
+        for c in range(3)
+    )
+    return Landscape(cloud=0, colonies=colonies, resources=resources, cloud_latency=cloud_latency)
 
-    def test_own_fcm(self, two_colony_landscape):
-        assert tier_of(two_colony_landscape, 1, 0) is Tier.FCM
 
-    def test_neighbor_cell_is_nfc(self, two_colony_landscape):
-        assert tier_of(two_colony_landscape, 5, 0) is Tier.NFC
-        assert tier_of(two_colony_landscape, 2, 1) is Tier.NFC
-
-    def test_partition_over_all_pairs(self, two_colony_landscape):
-        # exactly one tier per (resource, source colony) pair
-        for rid, cid in itertools.product(range(6), (0, 1)):
-            tier = tier_of(two_colony_landscape, rid, cid)
-            assert isinstance(tier, Tier)
-
-    def test_unknown_resource(self, two_colony_landscape):
-        with pytest.raises(UnknownResource):
-            tier_of(two_colony_landscape, 99, 0)
-
+class TestLandscape:
     def test_unknown_colony(self, two_colony_landscape):
         with pytest.raises(UnknownColony):
-            tier_of(two_colony_landscape, 0, 7)
+            two_colony_landscape.colony(7)
 
-
-class TestRankNeighbors:
-    def test_pure_latency_ordering(self, two_colony_landscape):
-        # colony 0 has a single neighbor here; build a richer map inline
-        from conftest import make_resource
-        from fogplan.model import Colony, Landscape, ResourceKind
-
-        resources = (
-            make_resource(0, ResourceKind.CLOUD, failure=0.0),
-            make_resource(1, ResourceKind.FCM, colony=0, failure=0.1),
-            make_resource(2, ResourceKind.FCM, colony=1, failure=0.1),
-            make_resource(3, ResourceKind.FCM, colony=2, failure=0.1),
+    def test_one_direction_of_each_pair_suffices(self):
+        scape = three_colony_landscape(
+            {0: 100.0, 1: 90.0, 2: 80.0}, {0: {1: 5.0, 2: 7.0}, 2: {1: 3.0}}
         )
-        colonies = (
-            Colony(id=0, fcm=1, cells=(), neighbor_latency={1: 20.0, 2: 5.0}),
-            Colony(id=1, fcm=2, cells=(), neighbor_latency={}),
-            Colony(id=2, fcm=3, cells=(), neighbor_latency={}),
-        )
-        scape = Landscape(cloud=0, colonies=colonies, resources=resources)
-        assert rank_neighbors(scape, 0, w_latency=1.0, w_failure=0.0) == [2, 1]
+        assert latency_ms(scape, 1, 2) == latency_ms(scape, 2, 1) == 5.0
+        assert latency_ms(scape, 2, 3) == 3.0
+        assert latency_ms(scape, 3, 0) == 80.0
 
-    def test_pure_failure_ordering(self):
-        from conftest import make_resource
-        from fogplan.model import Colony, Landscape, ResourceKind
+    def test_missing_neighbor_latency_rejected(self):
+        with pytest.raises(ValueError, match="colonies 1 and 2"):
+            three_colony_landscape({0: 100.0, 1: 100.0, 2: 100.0}, {0: {1: 5.0, 2: 7.0}})
 
-        resources = (
-            make_resource(0, ResourceKind.CLOUD, failure=0.0),
-            make_resource(1, ResourceKind.FCM, colony=0, failure=0.1),
-            make_resource(2, ResourceKind.FCM, colony=1, failure=0.30),
-            make_resource(3, ResourceKind.FCM, colony=2, failure=0.10),
-        )
-        colonies = (
-            Colony(id=0, fcm=1, cells=(), neighbor_latency={1: 5.0, 2: 5.0}),
-            Colony(id=1, fcm=2, cells=(), neighbor_latency={}),
-            Colony(id=2, fcm=3, cells=(), neighbor_latency={}),
-        )
-        scape = Landscape(cloud=0, colonies=colonies, resources=resources)
-        assert rank_neighbors(scape, 0, w_latency=0.0, w_failure=1.0) == [2, 1]
-
-    def test_tie_breaks_on_colony_id(self):
-        from conftest import make_resource
-        from fogplan.model import Colony, Landscape, ResourceKind
-
-        resources = (
-            make_resource(0, ResourceKind.CLOUD, failure=0.0),
-            make_resource(1, ResourceKind.FCM, colony=0, failure=0.1),
-            make_resource(2, ResourceKind.FCM, colony=1, failure=0.2),
-            make_resource(3, ResourceKind.FCM, colony=2, failure=0.2),
-        )
-        colonies = (
-            Colony(id=0, fcm=1, cells=(), neighbor_latency={1: 7.0, 2: 7.0}),
-            Colony(id=1, fcm=2, cells=(), neighbor_latency={}),
-            Colony(id=2, fcm=3, cells=(), neighbor_latency={}),
-        )
-        scape = Landscape(cloud=0, colonies=colonies, resources=resources)
-        assert rank_neighbors(scape, 0) == [1, 2]
-
-    def test_output_is_permutation(self, two_colony_landscape):
-        order = rank_neighbors(two_colony_landscape, 0)
-        assert sorted(order) == [1]
-
-    def test_rejects_zero_weights(self, two_colony_landscape):
-        with pytest.raises(ValueError):
-            rank_neighbors(two_colony_landscape, 0, w_latency=0.0, w_failure=0.0)
+    def test_missing_cloud_latency_rejected(self):
+        with pytest.raises(ValueError, match="colony 2: no cloud latency"):
+            three_colony_landscape({0: 100.0, 1: 100.0}, {0: {1: 5.0, 2: 7.0}, 1: {2: 1.0}})
 
 
 class TestLandscapeAvailability:

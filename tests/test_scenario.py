@@ -71,11 +71,6 @@ class TestScaledScenario:
         assert prob.n_services == 100
         assert len(prob.landscape.colonies) == 8
 
-    def test_round_robin_sources(self):
-        prob = scaled_scenario(ScenarioSpec(), 2)
-        sources = [app.source_colony for app in prob.apps]
-        assert set(sources) == set(range(4))
-
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -103,6 +98,15 @@ class TestSerialization:
         doc["resources"]["fc"]["failure"] = -0.1
         path.write_text(yaml.safe_dump(doc))
         with pytest.raises(ParseError):
+            load(path)
+
+    def test_unknown_service_kind_rejected(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        save(ScenarioSpec(), path)
+        doc = yaml.safe_load(path.read_text())
+        doc["service_templates"][0]["kind"] = "sensor"
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ParseError, match="sensor"):
             load(path)
 
     def test_unknown_version(self, tmp_path):

@@ -9,10 +9,13 @@ from fogplan.timing import (
     Md1Queue,
     md1_sojourn,
     resource_load,
-    response_time,
     response_time_report,
 )
 from test_fsdp import single_colony_landscape
+
+
+def app_rt(dep, prob, app_id=0):
+    return response_time_report(dep, prob).app_rt[app_id]
 
 
 class TestMd1Sojourn:
@@ -71,7 +74,7 @@ class TestResponseTime:
         apps = [chain_app(0, [make_service(0, 0, cpu=200)], rate=0.5)]
         prob = ProblemInstance(scape, apps)
         # D = 0.8, rho = 0.4: 0.8 + 0.5 * 0.64 / (2 * 0.6)
-        assert response_time([2], prob, apps[0]) == pytest.approx(16.0 / 15.0)
+        assert app_rt([2], prob) == pytest.approx(16.0 / 15.0)
 
     def test_chain_on_one_resource_sums_sojourns(self):
         scape = single_colony_landscape()
@@ -80,7 +83,7 @@ class TestResponseTime:
         dep = [1, 1, 1]
         lam, d, rho = resource_load(dep, prob, 1)
         sojourn = md1_sojourn(Md1Queue(lam, d))
-        assert response_time(dep, prob, apps[0]) == pytest.approx(3 * sojourn)
+        assert app_rt(dep, prob) == pytest.approx(3 * sojourn)
 
     def test_parallel_branches_take_slower(self):
         scape = single_colony_landscape()
@@ -97,12 +100,11 @@ class TestResponseTime:
             edges=((0, 1), (0, 2), (1, 3), (2, 3)),
             deadline=100.0,
             request_rate=0.1,
-            source_colony=0,
         )
         prob = ProblemInstance(scape, [app])
         # light services on cloud, heavy service alone on the FCM
         dep = [0, 0, 1, 0]
-        rt = response_time(dep, prob, app)
+        rt = app_rt(dep, prob)
         heavy = md1_sojourn(Md1Queue(*resource_load(dep, prob, 1)[:2]))
         cloud_sojourn = md1_sojourn(Md1Queue(*resource_load(dep, prob, 0)[:2]))
         lat = prob.latency_s[0, 1]
@@ -114,8 +116,9 @@ class TestResponseTime:
         scape = single_colony_landscape()
         apps = [chain_app(0, [make_service(0, 0, cpu=250)], rate=5.0)]
         prob = ProblemInstance(scape, apps)
+        assert app_rt([2], prob) is None
         with pytest.raises(Saturated):
-            response_time([2], prob, apps[0])
+            md1_sojourn(Md1Queue(*resource_load([2], prob, 2)[:2]))
 
     def test_monotone_in_workload(self):
         scape = single_colony_landscape()
@@ -125,16 +128,14 @@ class TestResponseTime:
             apps = [chain_app(0, [make_service(0, j, cpu=cpu) for j in range(3)], rate=0.2)]
             heavier = [chain_app(0, [make_service(0, j, cpu=cpu * 1.5) for j in range(3)], rate=0.2)]
             dep = list(rng.integers(0, 3, 3))
-            rt1 = response_time(dep, ProblemInstance(scape, apps), apps[0])
-            rt2 = response_time(dep, ProblemInstance(scape, heavier), heavier[0])
+            rt1 = app_rt(dep, ProblemInstance(scape, apps))
+            rt2 = app_rt(dep, ProblemInstance(scape, heavier))
             assert rt2 >= rt1
 
 
 class TestReport:
-    def test_report_covers_all_apps_and_resources(self, paper_problem):
+    def test_report_covers_all_apps(self, paper_problem):
         dep = [paper_problem.landscape.cloud] * paper_problem.n_services
         report = response_time_report(dep, paper_problem)
         assert set(report.app_rt) == {app.id for app in paper_problem.apps}
-        assert set(report.resource_rho) == set(range(paper_problem.n_resources))
-        assert report.saturated_apps() == []
-        assert all(rt >= 0 for rt in report.app_rt.values())
+        assert all(rt is not None and rt >= 0 for rt in report.app_rt.values())
