@@ -22,7 +22,7 @@ from .model import (
     Landscape,
     ResourceKind,
     latency_matrix,
-    topological_order,
+    service_levels,
 )
 
 #: deadline_excess contributed by each application whose critical path
@@ -66,52 +66,85 @@ class ProblemInstance:
 
         res = landscape.resources
         self.n_resources = len(res)
-        self.cpu_capacity = np.array([r.cpu_capacity for r in res])
-        self.ram_capacity = np.array([r.ram_capacity for r in res])
-        self.storage_capacity = np.array([r.storage_capacity for r in res])
-        self.up_probability = np.array([r.up_probability for r in res])
+        if self.n_resources > 1 << 16:
+            # genotypes store 16-bit ids; the R x R latency matrix alone would take 34 GB
+            raise ValueError("at most 65536 resources")
+        resource_rows = np.array([
+            [r.cpu_capacity for r in res],
+            [r.ram_capacity for r in res],
+            [r.storage_capacity for r in res],
+            [r.up_probability for r in res],
+        ])
+        self.cpu_capacity, self.ram_capacity, self.storage_capacity, self.up_probability = (
+            resource_rows
+        )
         self.is_fog = np.array([r.kind is not ResourceKind.CLOUD for r in res])
         self.latency_s = latency_matrix(landscape) / 1000.0
 
-        keep = 1.0 - reserve_fraction
-        self.effective_cpu = keep * self.cpu_capacity
-        self.effective_ram = keep * self.ram_capacity
-        self.effective_storage = keep * self.storage_capacity
+        # rows cpu, ram, storage
+        self.effective_capacity = (1.0 - reserve_fraction) * resource_rows[:3]
+        self.effective_cpu, self.effective_ram, self.effective_storage = self.effective_capacity
+        self.capacity_total = self.effective_capacity.sum(axis=1)
 
-        self.app_offsets = []
+        app_offsets = []
         svc_cpu, svc_ram, svc_sto, svc_req, svc_rate = [], [], [], [], []
-        self._topo = []
-        self._preds = []
+        levels, preds = [], []
         offset = 0
         for app in self.apps:
-            self.app_offsets.append(offset)
+            app_offsets.append(offset)
             for svc in app.services:
                 svc_cpu.append(svc.workload_cpu)
                 svc_ram.append(svc.ram_req)
                 svc_sto.append(svc.storage_req)
                 svc_req.append(svc.availability_req)
                 svc_rate.append(app.request_rate)
-            self._topo.append(topological_order(app))
-            preds = {i: [] for i in range(len(app.services))}
+            levels.extend(service_levels(app))
+            app_preds = [[] for _ in app.services]
             for u, v in app.edges:
-                preds[v].append(u)
-            self._preds.append(preds)
+                app_preds[v].append(offset + u)
+            preds.extend(app_preds)
             offset += len(app.services)
         self.n_services = offset
-        self.service_cpu = np.array(svc_cpu)
-        self.service_ram = np.array(svc_ram)
-        self.service_storage = np.array(svc_sto)
-        self.service_avail_req = np.array(svc_req)
-        self.service_rate = np.array(svc_rate)
+        self.app_offsets = np.array(app_offsets, dtype=np.int64)
+        self.app_deadline = np.array([app.deadline for app in self.apps])
+        service_rows = np.array(
+            [svc_cpu, svc_ram, svc_sto, svc_rate, [1.0] * offset, svc_req], dtype=float
+        )
+        self.service_cpu, self.service_ram, self.service_storage, self.service_rate = (
+            service_rows[:4]
+        )
+        self.service_avail_req = service_rows[5]
+        # resource_loads weighs five stacked copies of the assignment by these rows
+        self._load_weights = service_rows[:5].ravel()
+        self._load_rows = np.arange(0, 5 * self.n_resources, self.n_resources)[:, None]
 
         # availability as one integer count ratio: a met service of an app
         # with k services weighs L / k, L the lcm of the app sizes, so the
         # objective is (sum of met weights) / (L * m) with a single division
         sizes = [len(app.services) for app in self.apps]
-        self.availability_lcm = math.lcm(*(k for k in sizes if k))
+        self.availability_lcm = math.lcm(*sizes)
         self.service_avail_weight = np.array(
             [self.availability_lcm // k for k in sizes for _ in range(k)], dtype=np.int64
         )
+
+        # critical-path DP by global topological level: level_nodes lists
+        # the services of levels 1, 2, ... in turn, and row k of
+        # level_preds their k-th predecessors, padded by repeating the first
+        # (a max ignores repeats)
+        order = sorted(range(offset), key=levels.__getitem__)[levels.count(0):]
+        height = max(map(len, preds), default=0)
+        level_rows = np.array(
+            [order] + [[preds[v][min(k, len(preds[v]) - 1)] for v in order] for k in range(height)],
+            dtype=np.int64,
+        )
+        self.level_nodes, self.level_preds = level_rows[0], level_rows[1:]
+        self.level_steps = []
+        hi = 0
+        for lv in range(1, max(levels, default=0) + 1):
+            lo, hi = hi, hi + levels.count(lv)
+            self.level_steps.append(
+                (self.level_nodes[lo:hi], self.level_preds[:, lo:hi], slice(lo, hi))
+            )
 
     def as_assignment(self, dep) -> np.ndarray:
         arr = np.asarray(dep)
@@ -125,47 +158,60 @@ class ProblemInstance:
             raise LengthMismatch("assignment references unknown resource ids")
         return arr.astype(np.int64, copy=False)
 
+    def resource_loads(self, a: np.ndarray) -> np.ndarray:
+        """Per-resource sums under a validated assignment, one row each:
+        cpu work, ram, storage, arrival rate and number of services."""
+        index = (a + self._load_rows).ravel()
+        return np.bincount(index, self._load_weights, 5 * self.n_resources).reshape(5, -1)
+
+
+def evaluate(dep, prob: ProblemInstance) -> tuple[ObjectiveVector, ViolationVector]:
+    """Objectives and violations of one deployment, in one pass over it.
+
+    The genotype is validated once and the per-resource sums are taken
+    once: the cpu work feeds both the capacity overshoot and the M/D/1
+    service times.
+    """
+    a = prob.as_assignment(dep)
+    m = len(prob.apps)
+    if m == 0:
+        return ObjectiveVector(0.0, 0.0), ViolationVector(0.0, 0.0, 0.0, 0.0)
+    met = prob.service_avail_req <= prob.up_probability[a]
+    objectives = ObjectiveVector(
+        fog_utilization=float(np.count_nonzero(prob.is_fog[a])) / prob.n_services,
+        # one division of integers: the correctly rounded float of the exact ratio
+        availability=int(prob.service_avail_weight[met].sum()) / (prob.availability_lcm * m),
+    )
+    load = prob.resource_loads(a)
+    overshoot = np.maximum(0.0, load[:3] - prob.effective_capacity).sum(axis=1)
+    cpu, ram, sto = (overshoot / prob.capacity_total).tolist()
+    rt = timing.app_response_times(a, prob, load)
+    excess = np.maximum(0.0, rt - prob.app_deadline) / prob.app_deadline
+    excess[rt == np.inf] = SATURATION_PENALTY
+    violations = ViolationVector(
+        cpu_excess=cpu,
+        ram_excess=ram,
+        storage_excess=sto,
+        # a left fold in app order: np.sum's pairwise order would move the last bit
+        deadline_excess=float(np.add.accumulate(excess)[-1]),
+    )
+    return objectives, violations
+
 
 def fog_utilization(dep, prob: ProblemInstance) -> float:
     """Fraction of services hosted on fog-tier resources (not cloud)."""
-    a = prob.as_assignment(dep)
-    if prob.n_services == 0:
-        return 0.0
-    return float(np.count_nonzero(prob.is_fog[a])) / prob.n_services
-
-
-def _availability_numerator(a: np.ndarray, prob: ProblemInstance) -> int:
-    """Sum over apps of met_app * (L / k_app), L the lcm of app sizes."""
-    met = prob.service_avail_req <= prob.up_probability[a]
-    return int(prob.service_avail_weight[met].sum())
+    return evaluate(dep, prob)[0].fog_utilization
 
 
 def availability_objective(dep, prob: ProblemInstance) -> float:
-    """Mean over apps of the share of services whose host meets the requirement.
-
-    One division of integers, (sum of met weights) / (L * m): the
-    correctly rounded float of the exact ratio.
-    """
-    m = len(prob.apps)
-    if m == 0:
-        return 0.0
-    a = prob.as_assignment(dep)
-    return _availability_numerator(a, prob) / (prob.availability_lcm * m)
+    """Mean over apps of the share of services whose host meets the requirement."""
+    return evaluate(dep, prob)[0].availability
 
 
 def capacity_violation(dep, prob: ProblemInstance) -> tuple[float, float, float]:
     """Normalized capacity overshoot (cpu, ram, storage) over all resources."""
-    a = prob.as_assignment(dep)
-    out = []
-    for demand, capacity in (
-        (prob.service_cpu, prob.effective_cpu),
-        (prob.service_ram, prob.effective_ram),
-        (prob.service_storage, prob.effective_storage),
-    ):
-        usage = np.bincount(a, weights=demand, minlength=prob.n_resources)
-        overshoot = np.maximum(0.0, usage - capacity).sum()
-        out.append(float(overshoot / capacity.sum()))
-    return tuple(out)
+    v = evaluate(dep, prob)[1]
+    return v.cpu_excess, v.ram_excess, v.storage_excess
 
 
 def deadline_violation(dep, prob: ProblemInstance) -> float:
@@ -174,31 +220,7 @@ def deadline_violation(dep, prob: ProblemInstance) -> float:
     Applications whose critical path touches a saturated queue
     contribute SATURATION_PENALTY each.
     """
-    report = timing.response_time_report(dep, prob)
-    excess = 0.0
-    for app in prob.apps:
-        rt = report.app_rt[app.id]
-        if rt is None:
-            excess += SATURATION_PENALTY
-        else:
-            excess += max(0.0, rt - app.deadline) / app.deadline
-    return excess
-
-
-def evaluate(dep, prob: ProblemInstance) -> tuple[ObjectiveVector, ViolationVector]:
-    a = prob.as_assignment(dep)
-    objectives = ObjectiveVector(
-        fog_utilization=fog_utilization(a, prob),
-        availability=availability_objective(a, prob),
-    )
-    cpu, ram, sto = capacity_violation(a, prob)
-    violations = ViolationVector(
-        cpu_excess=cpu,
-        ram_excess=ram,
-        storage_excess=sto,
-        deadline_excess=deadline_violation(a, prob),
-    )
-    return objectives, violations
+    return evaluate(dep, prob)[1].deadline_excess
 
 
 def is_feasible(dep, prob: ProblemInstance) -> bool:

@@ -9,6 +9,7 @@ and a deadline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -57,8 +58,10 @@ class Colony:
     def __post_init__(self):
         if self.id in self.neighbor_latency:
             raise ValueError(f"colony {self.id}: latency entry to itself")
-        if any(v < 0 for v in self.neighbor_latency.values()):
-            raise ValueError(f"colony {self.id}: negative neighbor latency")
+        if not all(0 <= v < math.inf for v in self.neighbor_latency.values()):
+            raise ValueError(f"colony {self.id}: neighbor latency negative or not finite")
+        if not 0 <= self.cell_latency < math.inf:
+            raise ValueError(f"colony {self.id}: cell latency negative or not finite")
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,8 @@ class Landscape:
                 raise ValueError(f"colony {colony.id}: fcm field must reference an FCM resource")
             if colony.id not in self.cloud_latency:
                 raise ValueError(f"colony {colony.id}: no cloud latency")
+            if not 0 <= self.cloud_latency[colony.id] < math.inf:
+                raise ValueError(f"colony {colony.id}: cloud latency negative or not finite")
         for i, ca in enumerate(self.colonies):
             for cb in self.colonies[i + 1:]:
                 if cb.id not in ca.neighbor_latency and ca.id not in cb.neighbor_latency:
@@ -122,6 +127,8 @@ class Application:
             raise ValueError(f"app {self.id}: deadline must be positive")
         if self.request_rate <= 0:
             raise ValueError(f"app {self.id}: request rate must be positive")
+        if not self.services:
+            raise ValueError(f"app {self.id}: no services")
 
 
 def validate_dag(app: Application) -> None:
@@ -161,22 +168,32 @@ def validate_dag(app: Application) -> None:
                 iters.append(iter(succ[nxt]))
 
 
-def topological_order(app: Application) -> list[int]:
-    """Topological order of the app's services (validates the DAG)."""
-    validate_dag(app)
+def service_levels(app: Application) -> list[int]:
+    """Depth of each service: the most edges on a path from a source.
+
+    Raises DanglingEdge or CycleDetected as ``validate_dag`` does.
+    """
     n = len(app.services)
     indeg = [0] * n
-    succ = {i: [] for i in range(n)}
+    succ = [[] for _ in range(n)]
     for u, v in app.edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise DanglingEdge((u, v))
         succ[u].append(v)
         indeg[v] += 1
-    order = [i for i in range(n) if indeg[i] == 0]
+    level = [0] * n
+    order = [i for i in range(n) if not indeg[i]]
     for u in order:
+        below = level[u] + 1
         for v in succ[u]:
+            if level[v] < below:
+                level[v] = below
             indeg[v] -= 1
-            if indeg[v] == 0:
+            if not indeg[v]:
                 order.append(v)
-    return order
+    if len(order) < n:
+        validate_dag(app)  # names one cycle
+    return level
 
 
 def _hop_to_fcm(landscape: Landscape, rid: int) -> float:
@@ -213,10 +230,38 @@ def latency_ms(landscape: Landscape, a: int, b: int) -> float:
 
 
 def latency_matrix(landscape: Landscape) -> np.ndarray:
-    """Full pairwise resource latency matrix in milliseconds."""
+    """Full pairwise resource latency matrix in milliseconds.
+
+    The vector form of ``latency_ms``, bit for bit: entry (i, j) adds
+    the same terms in the same order as ``latency_ms(landscape, min(i, j),
+    max(i, j))``.  The cloud takes the last colony index, so its link to
+    colony c is the hop-free ``inter[-1, c]``; a colony's link to itself is 0.
+    Up to five resources, the pairwise loop is cheaper than numpy's fixed
+    cost per call.
+    """
     n = len(landscape.resources)
-    mat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[i, j] = mat[j, i] = latency_ms(landscape, i, j)
+    if n <= 5:
+        mat = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                mat[i, j] = mat[j, i] = latency_ms(landscape, i, j)
+        return mat
+    colonies = landscape.colonies
+    cloud = len(colonies)
+    inter = np.zeros((cloud + 1, cloud + 1))
+    for p, ca in enumerate(colonies):
+        inter[p, cloud] = inter[cloud, p] = landscape.cloud_latency[ca.id]
+        for q, cb in enumerate(colonies):
+            if p != q:
+                inter[p, q] = ca.neighbor_latency.get(cb.id, cb.neighbor_latency.get(ca.id))
+    index = {c.id: k for k, c in enumerate(colonies)}
+    col = [cloud if r.colony_id is None else index[r.colony_id] for r in landscape.resources]
+    hop = np.array([
+        colonies[c].cell_latency if r.kind is ResourceKind.FC else 0.0
+        for r, c in zip(landscape.resources, col)
+    ])
+    mat = hop[:, None] + inter.take(col, 0).take(col, 1) + hop
+    ids = np.arange(n)
+    mat = np.where(ids[:, None] < ids, mat, mat.T)
+    mat[ids, ids] = 0.0
     return mat

@@ -3,6 +3,7 @@
 from .common import (
     AlgoParams,
     GenerationStats,
+    Genotype,
     ParetoArchive,
     Solution,
     constrained_dominates,
@@ -28,6 +29,7 @@ __all__ = [
     "ALGORITHMS",
     "AlgoParams",
     "GenerationStats",
+    "Genotype",
     "ParetoArchive",
     "Solution",
     "constrained_dominates",

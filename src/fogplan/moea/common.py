@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,9 +12,30 @@ from ..errors import BudgetTooSmall, EmptyArchive, EmptyFront
 from ..fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate
 
 
+class Genotype(array):
+    """A resource id per service, packed two bytes each (ids below 65536).
+
+    Indexes, iterates, orders and hashes like the tuple of ids, and
+    numpy reads it without a copy loop.  A tuple of Python ints costs
+    eight bytes per service, and archives hold many genotypes.  Treat it
+    as immutable: it is hashed by content.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ids):
+        return super().__new__(cls, "H", np.asarray(ids).astype(np.uint16).tobytes())
+
+    def __hash__(self):
+        return hash(self.tobytes())
+
+    def __repr__(self):
+        return f"Genotype({self.tolist()})"
+
+
 @dataclass(frozen=True, slots=True)
 class Solution:
-    genotype: tuple[int, ...]
+    genotype: Sequence[int]  # a Genotype from make_solution
     objectives: ObjectiveVector
     violations: ViolationVector
     # stored: dominance checks read these millions of times per run
@@ -27,7 +50,7 @@ class Solution:
 def make_solution(assignment, prob: ProblemInstance) -> Solution:
     a = np.asarray(assignment)
     objectives, violations = evaluate(a, prob)
-    return Solution(genotype=tuple(a.tolist()), objectives=objectives, violations=violations)
+    return Solution(genotype=Genotype(a), objectives=objectives, violations=violations)
 
 
 def pareto_dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -225,6 +248,9 @@ class AlgoParams:
             raise ValueError("inertia, cognitive and social must be >= 0 (MOPSO move weights)")
         if min(self.archive_capacity, self.grid_divisions, self.neighborhood_size) < 1:
             raise ValueError("archive_capacity, grid_divisions and neighborhood_size must be >= 1")
+        probabilities = (self.crossover_prob, self.mutation_rate, self.mutation_prob)
+        if not all(p is None or 0.0 <= p <= 1.0 for p in probabilities):
+            raise ValueError("crossover_prob, mutation_rate and mutation_prob must lie in [0, 1]")
 
     def check_budget(self):
         if self.max_evaluations < self.population_size:
@@ -280,7 +306,7 @@ def greedy_anchors(prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     fog = np.flatnonzero(prob.is_fog)
     fog = fog[np.argsort(prob.up_probability[fog], kind="stable")]  # least available first
     up = prob.up_probability[fog]
-    capacity = np.stack([prob.effective_cpu, prob.effective_ram, prob.effective_storage], axis=1)[fog]
+    capacity = prob.effective_capacity.T[fog]
     demand = np.stack([prob.service_cpu, prob.service_ram, prob.service_storage], axis=1)
     used = np.zeros_like(capacity)
     order = np.argsort(-prob.service_cpu, kind="stable")

@@ -9,6 +9,7 @@ versioned YAML file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -99,6 +100,9 @@ class ScenarioSpec:
                 raise ParseError(name, "count must be >= 1")
         if not self.deadlines or not self.request_rates:
             raise ParseError("deadlines", "deadlines and request_rates must be non-empty")
+        for name in ("fc_fcm_latency_ms", "fcm_fcm_latency_ms", "fcm_cloud_latency_ms"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ParseError(name, "latency must be finite and >= 0")
 
 
 def build_landscape(spec: ScenarioSpec) -> Landscape:
@@ -164,29 +168,33 @@ def build_landscape(spec: ScenarioSpec) -> Landscape:
 
 def build_instance(spec: ScenarioSpec) -> ProblemInstance:
     """Instantiate the spec deterministically from its embedded seed."""
-    rng = np.random.default_rng(spec.seed)
     landscape = build_landscape(spec)
+    templates = [
+        spec.service_templates[j % len(spec.service_templates)]
+        for j in range(spec.services_per_app)
+    ]
+    lo = np.array([t.availability_lo for t in templates] * spec.apps)
+    hi = np.array([t.availability_hi for t in templates] * spec.apps)
+    # one draw per service in app order, lo + (hi - lo) * u as Generator.uniform computes it
+    rng = np.random.default_rng(spec.seed)
+    required = iter((lo + (hi - lo) * rng.random(lo.size)).tolist())
     apps = []
     for i in range(spec.apps):
-        services = []
-        for j in range(spec.services_per_app):
-            template = spec.service_templates[j % len(spec.service_templates)]
-            services.append(
-                Service(
-                    id=(i, j),
-                    workload_cpu=template.cpu,
-                    ram_req=template.ram,
-                    storage_req=template.size,
-                    availability_req=float(
-                        rng.uniform(template.availability_lo, template.availability_hi)
-                    ),
-                )
+        services = tuple(
+            Service(
+                id=(i, j),
+                workload_cpu=template.cpu,
+                ram_req=template.ram,
+                storage_req=template.size,
+                availability_req=next(required),
             )
+            for j, template in enumerate(templates)
+        )
         edges = tuple((j, j + 1) for j in range(spec.services_per_app - 1))
         apps.append(
             Application(
                 id=i,
-                services=tuple(services),
+                services=services,
                 edges=edges,
                 deadline=spec.deadlines[i % len(spec.deadlines)],
                 request_rate=spec.request_rates[i % len(spec.request_rates)],

@@ -9,6 +9,7 @@ edges cost the configured latency between the two hosts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,53 +68,44 @@ def resource_load(dep, prob, resource_id: int) -> tuple[float, float, float]:
     return lam, d, lam * d
 
 
-def _per_resource_sojourn(a: np.ndarray, prob) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sojourn times for every resource under a deployment.
+def sojourn_times(prob, load: np.ndarray) -> np.ndarray:
+    """Mean sojourn time of every resource's M/D/1 queue, inf where saturated.
 
-    Returns (sojourn seconds, saturated mask); sojourn is 0 for empty
-    resources and undefined where saturated.
+    ``load`` is ``prob.resource_loads`` of the deployment; an empty
+    resource has sojourn 0.
     """
-    n = prob.n_resources
-    lam = np.bincount(a, weights=prob.service_rate, minlength=n)
-    count = np.bincount(a, minlength=n)
-    work = np.bincount(a, weights=prob.service_cpu, minlength=n)
-    occupied = count > 0
-    d = np.zeros(n)
-    d[occupied] = (work[occupied] / count[occupied]) / prob.cpu_capacity[occupied]
+    work, lam, count = load[0], load[3], load[4]
+    d = work / np.maximum(count, 1.0) / prob.cpu_capacity
     rho = lam * d
-    saturated = rho >= 1.0
-    sojourn = np.zeros(n)
-    stable = occupied & ~saturated
-    sojourn[stable] = d[stable] + lam[stable] * d[stable] ** 2 / (2.0 * (1.0 - rho[stable]))
-    return sojourn, saturated
+    wait = np.divide(
+        lam * d ** 2, 2.0 * (1.0 - rho), out=np.full(prob.n_resources, np.inf), where=rho < 1.0
+    )
+    return d + wait
 
 
-def _app_response_time(a, prob, app_idx, sojourn, saturated) -> float | None:
-    offset = prob.app_offsets[app_idx]
-    topo = prob._topo[app_idx]
-    preds = prob._preds[app_idx]
-    lat = prob.latency_s
-    if not topo:
-        return 0.0
-    dist = {}
-    for v in topo:
-        hv = a[offset + v]
-        if saturated[hv]:
-            return None
-        best = 0.0
-        for u in preds[v]:
-            cand = dist[u] + lat[a[offset + u], hv]
-            if cand > best:
-                best = cand
-        dist[v] = best + sojourn[hv]
-    return max(dist.values())
+def app_response_times(a: np.ndarray, prob, load: np.ndarray) -> np.ndarray:
+    """Critical-path response time of every app, inf where a service is saturated.
+
+    A DP over global topological levels: a service's distance is its
+    host's sojourn plus the largest predecessor distance plus link
+    latency.  Latencies are non-negative (the model rejects others), so
+    a source's distance is its sojourn alone.  A saturated host's inf
+    sojourn reaches its app's max.
+    """
+    dist = sojourn_times(prob, load)[a]
+    lat = prob.latency_s[a[prob.level_preds], a[prob.level_nodes]]
+    for nodes, preds, cols in prob.level_steps:
+        best = dist[preds[0]] + lat[0, cols]
+        for k in range(1, len(preds)):
+            best = np.maximum(best, dist[preds[k]] + lat[k, cols])
+        dist[nodes] += best
+    return np.maximum.reduceat(dist, prob.app_offsets)
 
 
 def response_time_report(dep, prob) -> ResponseTimeReport:
     """Critical-path response time of every app, None where saturated."""
     a = prob.as_assignment(dep)
-    sojourn, saturated = _per_resource_sojourn(a, prob)
-    app_rt = {}
-    for idx, app in enumerate(prob.apps):
-        app_rt[app.id] = _app_response_time(a, prob, idx, sojourn, saturated)
-    return ResponseTimeReport(app_rt=app_rt)
+    rt = app_response_times(a, prob, prob.resource_loads(a)).tolist()
+    return ResponseTimeReport(
+        app_rt={app.id: None if t == math.inf else t for app, t in zip(prob.apps, rt)}
+    )

@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import os
 
 import pytest
+import yaml
 
 from fogplan.cli import ConfigError, _parse_params, main
 from fogplan.scenario import ScenarioSpec, save
@@ -50,6 +52,16 @@ class TestEvolutionExperiment:
         assert main(args) == 0
         assert (tmp_path / "evolution.csv").read_bytes() == serial
 
+    def test_paper_csv_bytes_pinned(self, tmp_path, monkeypatch):
+        # Pins the results, not only their repeatability: a change that
+        # alters results on purpose re-pins this digest and says why in
+        # CHANGES.md; a speed-up must leave it alone.
+        monkeypatch.setenv("FOGPLAN_WORKERS", "1")
+        assert main(["--experiment", "evolution", "--algo", "all", "--seeds", "0",
+                     "--evals", "200", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
+        assert digest == "ef0832644a6a41be0f7e46ae0775d5d6eabd81b80ed34f969d2243f1ab750d43"
+
     def test_budget_below_population_exits_2(self, tmp_path, capsys):
         rc = main(["--algo", "nsga2", "--seeds", "0", "--evals", "10",
                    "--out", str(tmp_path)])
@@ -84,6 +96,18 @@ class TestDeadlineExperiment:
             assert row[5] in ("true", "false")
             if row[3] != "SAT":
                 float(row[3])
+
+    @pytest.mark.parametrize("key, value", [("fcm_fcm_ms", -10), ("fcm_cloud_ms", -100)])
+    def test_negative_latency_scenario_exits_2(self, tmp_path, capsys, key, value):
+        scenario_path = tmp_path / "bad.yaml"
+        save(ScenarioSpec(), scenario_path)
+        doc = yaml.safe_load(scenario_path.read_text())
+        doc["latencies"][key] = value
+        scenario_path.write_text(yaml.safe_dump(doc))
+        rc = main(["--experiment", "deadline", "--algo", "nsga2", "--scenario",
+                   str(scenario_path), "--seeds", "0", "--evals", "40", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "latency" in capsys.readouterr().err
 
 
 class TestScalingExperiment:
@@ -123,6 +147,9 @@ class TestParamOverrides:
         "neighborhood_size=0",
         "grid_divisions=2.5",
         "inertia=nan",
+        "crossover_prob=-3",
+        "mutation_rate=5",
+        "mutation_prob=1.5",
     ])
     def test_bad_param_value_exits_2(self, tmp_path, capsys, pair):
         rc = main(["--algo", "all", "--seeds", "0", "--evals", "40",

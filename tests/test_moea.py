@@ -1,3 +1,6 @@
+import pickle
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from fogplan.fsdp import ObjectiveVector, ViolationVector, audit_capacity
 from fogplan.moea import (
     ALGORITHMS,
     AlgoParams,
+    Genotype,
     ParetoArchive,
     Solution,
     constrained_dominates,
@@ -38,6 +42,30 @@ def infeas(u, a, violation=0.5):
         objectives=ObjectiveVector(u, a),
         violations=ViolationVector(violation, 0.0, 0.0, 0.0),
     )
+
+
+class TestGenotype:
+    def test_behaves_like_the_tuple_of_ids(self):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            a, b = rng.integers(0, 300, (2, 6))
+            k = rng.integers(0, 7)
+            b[:k] = a[:k]  # a shared prefix; equal genotypes when k == 6
+            ga, gb, ta, tb = Genotype(a), Genotype(b), tuple(a.tolist()), tuple(b.tolist())
+            assert list(ga) == list(ta) and len(ga) == len(ta) and ga[2] == ta[2]
+            assert (ga < gb, ga == gb, ga > gb) == (ta < tb, ta == tb, ta > tb)
+            assert hash(ga) == hash(Genotype(ta)) and ga == Genotype(ta)
+            assert np.array_equal(np.array(ga, dtype=np.int64), a)
+        clone = pickle.loads(pickle.dumps(ga))
+        assert type(clone) is Genotype and clone == ga
+
+    def test_packs_two_bytes_per_service(self):
+        ids = range(400)
+        assert sys.getsizeof(Genotype(ids)) < sys.getsizeof(tuple(ids)) / 3
+
+    def test_make_solution_stores_one(self, paper_problem):
+        sol = make_solution([0] * paper_problem.n_services, paper_problem)
+        assert type(sol.genotype) is Genotype and list(sol.genotype) == [0] * 25
 
 
 class TestConstrainedDominance:

@@ -109,6 +109,21 @@ class TestSerialization:
         with pytest.raises(ParseError, match="sensor"):
             load(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("fcm_fcm_ms", -10.0),
+        ("fcm_cloud_ms", -100.0),
+        ("fc_fcm_ms", float("inf")),
+        ("fcm_cloud_ms", float("nan")),
+    ])
+    def test_bad_latency_rejected(self, tmp_path, key, value):
+        path = tmp_path / "scenario.yaml"
+        save(ScenarioSpec(), path)
+        doc = yaml.safe_load(path.read_text())
+        doc["latencies"][key] = value
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ParseError, match="latency"):
+            load(path)
+
     def test_unknown_version(self, tmp_path):
         spec = ScenarioSpec()
         path = tmp_path / "scenario.yaml"
