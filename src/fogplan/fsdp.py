@@ -88,7 +88,7 @@ class ProblemInstance:
 
         app_offsets = []
         svc_cpu, svc_ram, svc_sto, svc_req, svc_rate = [], [], [], [], []
-        levels, preds = [], []
+        preds, by_level = [], {}
         offset = 0
         for app in self.apps:
             app_offsets.append(offset)
@@ -98,11 +98,12 @@ class ProblemInstance:
                 svc_sto.append(svc.storage_req)
                 svc_req.append(svc.availability_req)
                 svc_rate.append(app.request_rate)
-            levels.extend(service_levels(app))
-            app_preds = [[] for _ in app.services]
+            for v, level in enumerate(service_levels(app), offset):
+                preds.append([])
+                if level:
+                    by_level.setdefault(level, []).append(v)
             for u, v in app.edges:
-                app_preds[v].append(offset + u)
-            preds.extend(app_preds)
+                preds[offset + v].append(offset + u)
             offset += len(app.services)
         self.n_services = offset
         self.app_offsets = np.array(app_offsets, dtype=np.int64)
@@ -127,24 +128,27 @@ class ProblemInstance:
             [self.availability_lcm // k for k in sizes for _ in range(k)], dtype=np.int64
         )
 
-        # critical-path DP by global topological level: level_nodes lists
-        # the services of levels 1, 2, ... in turn, and row k of
-        # level_preds their k-th predecessors, padded by repeating the first
-        # (a max ignores repeats)
-        order = sorted(range(offset), key=levels.__getitem__)[levels.count(0):]
-        height = max(map(len, preds), default=0)
-        level_rows = np.array(
-            [order] + [[preds[v][min(k, len(preds[v]) - 1)] for v in order] for k in range(height)],
-            dtype=np.int64,
-        )
-        self.level_nodes, self.level_preds = level_rows[0], level_rows[1:]
-        self.level_steps = []
-        hi = 0
-        for lv in range(1, max(levels, default=0) + 1):
-            lo, hi = hi, hi + levels.count(lv)
-            self.level_steps.append(
-                (self.level_nodes[lo:hi], self.level_preds[:, lo:hi], slice(lo, hi))
-            )
+        # critical-path DP by global topological level.  level_links holds
+        # (predecessor, service) links of the services of levels 1, 2, ...:
+        # a level takes one row of links per in-edge rank up to its own
+        # largest fan-in, and a service with fewer in-edges repeats its
+        # first (a max ignores repeats)
+        src, dst, spans = [], [], []
+        for level in range(1, len(by_level) + 1):
+            nodes = by_level[level]
+            ranks = []
+            for k in range(max(len(preds[v]) for v in nodes)):
+                ranks.append(slice(len(src), len(src) + len(nodes)))
+                src += [preds[v][min(k, len(preds[v]) - 1)] for v in nodes]
+                dst += nodes
+            spans.append(ranks)
+        self.level_links = src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+        # per level: its services, then (predecessors, slice of level_links)
+        # of its first rank and of each further one
+        self.level_steps = [
+            (dst[first], src[first], first, tuple((src[r], r) for r in joins))
+            for first, *joins in spans
+        ]
 
     def as_assignment(self, dep) -> np.ndarray:
         arr = np.asarray(dep)

@@ -234,34 +234,28 @@ def latency_matrix(landscape: Landscape) -> np.ndarray:
 
     The vector form of ``latency_ms``, bit for bit: entry (i, j) adds
     the same terms in the same order as ``latency_ms(landscape, min(i, j),
-    max(i, j))``.  The cloud takes the last colony index, so its link to
-    colony c is the hop-free ``inter[-1, c]``; a colony's link to itself is 0.
-    Up to five resources, the pairwise loop is cheaper than numpy's fixed
-    cost per call.
+    max(i, j))``.  Colony links come from a table whose last row and
+    column are the cloud's; a colony's link to itself is 0, and a cell
+    adds its hop to its own FCM at each end.
     """
-    n = len(landscape.resources)
-    if n <= 5:
-        mat = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                mat[i, j] = mat[j, i] = latency_ms(landscape, i, j)
-        return mat
     colonies = landscape.colonies
-    cloud = len(colonies)
-    inter = np.zeros((cloud + 1, cloud + 1))
-    for p, ca in enumerate(colonies):
-        inter[p, cloud] = inter[cloud, p] = landscape.cloud_latency[ca.id]
-        for q, cb in enumerate(colonies):
-            if p != q:
-                inter[p, q] = ca.neighbor_latency.get(cb.id, cb.neighbor_latency.get(ca.id))
+    cloud = [landscape.cloud_latency[c.id] for c in colonies]
+    inter = np.array([
+        [
+            0.0 if ca is cb else ca.neighbor_latency.get(cb.id, cb.neighbor_latency.get(ca.id))
+            for cb in colonies
+        ] + [up]
+        for ca, up in zip(colonies, cloud)
+    ] + [cloud + [0.0]])
     index = {c.id: k for k, c in enumerate(colonies)}
-    col = [cloud if r.colony_id is None else index[r.colony_id] for r in landscape.resources]
+    res = landscape.resources
+    col = [len(colonies) if r.colony_id is None else index[r.colony_id] for r in res]
     hop = np.array([
-        colonies[c].cell_latency if r.kind is ResourceKind.FC else 0.0
-        for r, c in zip(landscape.resources, col)
+        colonies[c].cell_latency if r.kind is ResourceKind.FC else 0.0 for r, c in zip(res, col)
     ])
-    mat = hop[:, None] + inter.take(col, 0).take(col, 1) + hop
-    ids = np.arange(n)
-    mat = np.where(ids[:, None] < ids, mat, mat.T)
-    mat[ids, ids] = 0.0
-    return mat
+    col = np.array(col)
+    mat = hop[:, None] + inter[col[:, None], col] + hop
+    # keep the upper triangle, latency_ms(i, j) for i < j, and mirror it
+    ids = np.arange(len(col))
+    mat = np.where(ids[:, None] < ids, mat, 0.0)
+    return mat + mat.T

@@ -3,7 +3,6 @@
 from .common import (
     AlgoParams,
     GenerationStats,
-    Genotype,
     ParetoArchive,
     Solution,
     constrained_dominates,
@@ -29,7 +28,6 @@ __all__ = [
     "ALGORITHMS",
     "AlgoParams",
     "GenerationStats",
-    "Genotype",
     "ParetoArchive",
     "Solution",
     "constrained_dominates",

@@ -8,23 +8,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import BudgetTooSmall, EmptyArchive, EmptyFront
+from ..errors import BudgetTooSmall, EmptyArchive, EmptyFront, LengthMismatch
 from ..fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate
 
 
 class Genotype(array):
     """A resource id per service, packed two bytes each (ids below 65536).
 
-    Indexes, iterates, orders and hashes like the tuple of ids, and
-    numpy reads it without a copy loop.  A tuple of Python ints costs
-    eight bytes per service, and archives hold many genotypes.  Treat it
-    as immutable: it is hashed by content.
+    ``make_solution`` stores these rather than tuples of ids, which cost
+    eight bytes per service, so that the archives a run hands back hold
+    less memory.  A Genotype indexes, iterates and orders like the tuple
+    of its ids, and numpy reads it without a copy loop, but it is not
+    equal to that tuple: compare genotypes with genotypes.  It is hashed
+    by content, so treat it as immutable.
     """
 
     __slots__ = ()
 
     def __new__(cls, ids):
-        return super().__new__(cls, "H", np.asarray(ids).astype(np.uint16).tobytes())
+        arr = np.asarray(ids)
+        # a negative id, or one of 65536 or more, sets a bit from bit 16 up
+        if arr.size and np.bitwise_or.reduce(arr, axis=None) >> 16:
+            raise LengthMismatch("genotype ids must lie in [0, 65536)")
+        return super().__new__(cls, "H", arr.astype(np.uint16).tobytes())
 
     def __hash__(self):
         return hash(self.tobytes())

@@ -173,11 +173,9 @@ def build_instance(spec: ScenarioSpec) -> ProblemInstance:
         spec.service_templates[j % len(spec.service_templates)]
         for j in range(spec.services_per_app)
     ]
-    lo = np.array([t.availability_lo for t in templates] * spec.apps)
-    hi = np.array([t.availability_hi for t in templates] * spec.apps)
-    # one draw per service in app order, lo + (hi - lo) * u as Generator.uniform computes it
+    # one draw per service in app order, used as lo + (hi - lo) * u like Generator.uniform
     rng = np.random.default_rng(spec.seed)
-    required = iter((lo + (hi - lo) * rng.random(lo.size)).tolist())
+    draws = iter(rng.random(spec.apps * spec.services_per_app).tolist())
     apps = []
     for i in range(spec.apps):
         services = tuple(
@@ -186,7 +184,8 @@ def build_instance(spec: ScenarioSpec) -> ProblemInstance:
                 workload_cpu=template.cpu,
                 ram_req=template.ram,
                 storage_req=template.size,
-                availability_req=next(required),
+                availability_req=template.availability_lo
+                + (template.availability_hi - template.availability_lo) * next(draws),
             )
             for j, template in enumerate(templates)
         )

@@ -93,11 +93,12 @@ def app_response_times(a: np.ndarray, prob, load: np.ndarray) -> np.ndarray:
     sojourn reaches its app's max.
     """
     dist = sojourn_times(prob, load)[a]
-    lat = prob.latency_s[a[prob.level_preds], a[prob.level_nodes]]
-    for nodes, preds, cols in prob.level_steps:
-        best = dist[preds[0]] + lat[0, cols]
-        for k in range(1, len(preds)):
-            best = np.maximum(best, dist[preds[k]] + lat[k, cols])
+    src, dst = prob.level_links
+    lat = prob.latency_s[a[src], a[dst]]
+    for nodes, preds, links, joins in prob.level_steps:
+        best = dist[preds] + lat[links]
+        for preds, links in joins:
+            best = np.maximum(best, dist[preds] + lat[links])
         dist[nodes] += best
     return np.maximum.reduceat(dist, prob.app_offsets)
 

@@ -188,3 +188,21 @@ def test_many_apps_match_reference():
         assert [report.app_rt[app.id] for app in prob.apps] == reference_response_times(
             genotype, prob
         )
+
+
+def test_each_level_steps_over_its_own_fan_in():
+    # one join of eight sources next to a chain of four: the join's level
+    # takes eight predecessor rows, the chain's deeper levels one each
+    def app(i, k, edges):
+        services = tuple(Service((i, j), 10.0, 10.0, 10.0, 0.5) for j in range(k))
+        return Application(i, services, tuple(edges), deadline=1.0, request_rate=0.5)
+
+    join = app(0, 9, [(u, 8) for u in range(8)])
+    chain = app(1, 4, [(0, 1), (1, 2), (2, 3)])
+    landscape = build_landscape(ScenarioSpec(colonies=2, cells_per_colony=2))
+    prob = ProblemInstance(landscape, [join, chain])
+    assert [1 + len(joins) for *_, joins in prob.level_steps] == [8, 1, 1]
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        genotype = rng.integers(0, prob.n_resources, prob.n_services)
+        assert evaluate(genotype, prob) == reference_evaluate(genotype, prob)

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import random_solutions, tiny_instance
-from fogplan.errors import BadLattice, BudgetTooSmall, EmptyArchive, EmptyFront
+from fogplan.errors import BadLattice, BudgetTooSmall, EmptyArchive, EmptyFront, LengthMismatch
 from fogplan.fsdp import ObjectiveVector, ViolationVector, audit_capacity
 from fogplan.moea import (
     ALGORITHMS,
     AlgoParams,
-    Genotype,
     ParetoArchive,
     Solution,
     constrained_dominates,
@@ -25,7 +24,7 @@ from fogplan.moea import (
     simplex_lattice_weights,
     tchebycheff,
 )
-from fogplan.moea.common import greedy_anchors, initial_population
+from fogplan.moea.common import Genotype, greedy_anchors, initial_population
 from fogplan.scenario import paper_scenario
 
 ZERO_V = ViolationVector(0.0, 0.0, 0.0, 0.0)
@@ -45,7 +44,7 @@ def infeas(u, a, violation=0.5):
 
 
 class TestGenotype:
-    def test_behaves_like_the_tuple_of_ids(self):
+    def test_orders_like_the_tuple_of_ids(self):
         rng = np.random.default_rng(4)
         for _ in range(300):
             a, b = rng.integers(0, 300, (2, 6))
@@ -58,6 +57,17 @@ class TestGenotype:
             assert np.array_equal(np.array(ga, dtype=np.int64), a)
         clone = pickle.loads(pickle.dumps(ga))
         assert type(clone) is Genotype and clone == ga
+
+    def test_is_not_equal_to_a_tuple(self):
+        assert Genotype([1, 2]) != (1, 2)
+
+    @pytest.mark.parametrize("ids", [[0, -1], [65536], [3, 70000, 2]])
+    def test_rejects_ids_outside_16_bits(self, ids):
+        with pytest.raises(LengthMismatch):
+            Genotype(ids)
+
+    def test_keeps_the_16_bit_ends(self):
+        assert list(Genotype([0, 65535])) == [0, 65535] and len(Genotype([])) == 0
 
     def test_packs_two_bytes_per_service(self):
         ids = range(400)
