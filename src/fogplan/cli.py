@@ -73,14 +73,13 @@ def _algo_params(cfg: RunConfig, seed: int) -> AlgoParams:
 
 def _run_one(job):
     """Worker entry: one (algorithm, seed) optimization run."""
-    algo, spec, seed, cfg_params, max_evaluations = job
+    algo, spec, params = job
     prob = scenario_mod.build_instance(spec)
-    params = AlgoParams(seed=seed, max_evaluations=max_evaluations, **cfg_params)
     trace = []
     archive = ALGORITHMS[algo](prob, params, trace_hook=trace.append)
     compromise = select_compromise(archive) if len(archive) else None
     report = response_time_report(compromise.genotype, prob) if compromise else None
-    return algo, seed, trace, compromise, report
+    return algo, params.seed, trace, compromise, report
 
 
 def _worker_count() -> int:
@@ -94,9 +93,8 @@ def _worker_count() -> int:
 
 def _run_all(cfg: RunConfig):
     spec = _scenario_spec(cfg)
-    _algo_params(cfg, cfg.seeds[0]).check_budget()
     jobs = [
-        (algo, spec, seed, cfg.params, cfg.max_evaluations)
+        (algo, spec, _algo_params(cfg, seed))
         for algo in cfg.algorithms
         for seed in cfg.seeds
     ]
@@ -187,12 +185,11 @@ def run_scaling_experiment(cfg: RunConfig, factors: list[int]) -> str:
     if not factors or any(f < 1 for f in factors):
         raise ConfigError("factors must be a non-empty list of integers >= 1")
     base = _scenario_spec(cfg)
+    params = _algo_params(cfg, cfg.seeds[0])
     rows = []
     for algo in cfg.algorithms:
         for factor in factors:
             prob = scenario_mod.scaled_scenario(base, factor)
-            params = _algo_params(cfg, cfg.seeds[0])
-            params.check_budget()
             start = time.perf_counter()
             ALGORITHMS[algo](prob, params)
             elapsed = time.perf_counter() - start

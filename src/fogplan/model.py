@@ -131,47 +131,11 @@ class Application:
             raise ValueError(f"app {self.id}: no services")
 
 
-def validate_dag(app: Application) -> None:
-    """Check that the app's edge relation is acyclic with valid endpoints.
-
-    Raises DanglingEdge or CycleDetected (naming one cycle) otherwise.
-    """
-    n = len(app.services)
-    for edge in app.edges:
-        u, v = edge
-        if not (0 <= u < n and 0 <= v < n):
-            raise DanglingEdge(edge)
-    succ = {i: [] for i in range(n)}
-    for u, v in app.edges:
-        succ[u].append(v)
-    # iterative DFS with colors; stack holds the current path for cycle reporting
-    color = [0] * n  # 0 white, 1 on path, 2 done
-    for root in range(n):
-        if color[root]:
-            continue
-        path = [root]
-        iters = [iter(succ[root])]
-        color[root] = 1
-        while path:
-            try:
-                nxt = next(iters[-1])
-            except StopIteration:
-                color[path.pop()] = 2
-                iters.pop()
-                continue
-            if color[nxt] == 1:
-                cycle = path[path.index(nxt):] + [nxt]
-                raise CycleDetected(cycle)
-            if color[nxt] == 0:
-                color[nxt] = 1
-                path.append(nxt)
-                iters.append(iter(succ[nxt]))
-
-
 def service_levels(app: Application) -> list[int]:
     """Depth of each service: the most edges on a path from a source.
 
-    Raises DanglingEdge or CycleDetected as ``validate_dag`` does.
+    Raises DanglingEdge for an edge to an unknown service, and
+    CycleDetected naming one cycle when the edges are not acyclic.
     """
     n = len(app.services)
     indeg = [0] * n
@@ -192,7 +156,17 @@ def service_levels(app: Application) -> list[int]:
             if not indeg[v]:
                 order.append(v)
     if len(order) < n:
-        validate_dag(app)  # names one cycle
+        # every service left over has a predecessor left over: walk back
+        # through them until one repeats
+        done = set(order)
+        path, seen = [], {}
+        v = next(i for i in range(n) if i not in done)
+        while v not in seen:
+            seen[v] = len(path)
+            path.append(v)
+            v = next(u for u, w in app.edges if w == v and u not in done)
+        cycle = path[seen[v]:][::-1]
+        raise CycleDetected(cycle + cycle[:1])
     return level
 
 

@@ -257,8 +257,6 @@ class AlgoParams:
         probabilities = (self.crossover_prob, self.mutation_rate, self.mutation_prob)
         if not all(p is None or 0.0 <= p <= 1.0 for p in probabilities):
             raise ValueError("crossover_prob, mutation_rate and mutation_prob must lie in [0, 1]")
-
-    def check_budget(self):
         if self.max_evaluations < self.population_size:
             raise BudgetTooSmall(
                 f"max_evaluations {self.max_evaluations} < population {self.population_size}"
@@ -295,6 +293,43 @@ def generation_stats(archive: ParetoArchive, population: list[Solution], evaluat
         hypervolume=hv,
         feasible_fraction=feas,
     )
+
+
+class Search:
+    """What every optimizer's run shares: one random stream, the external
+    archive, the evaluation budget and the trace report.
+
+    The optimizers draw from ``rng``, score genotypes only through
+    ``evaluate``, and stop when ``left`` reaches 0.
+    """
+
+    def __init__(self, prob: ProblemInstance, params: AlgoParams, trace_hook=None,
+                 archive_capacity: int | None = None):
+        self.prob = prob
+        self.rng = np.random.default_rng(params.seed)
+        self.archive = ParetoArchive(capacity=archive_capacity or params.archive_capacity)
+        self.evaluations = 0
+        self.max_evaluations = params.max_evaluations
+        self.trace_hook = trace_hook
+        self.mutation_prob = params.mutation_prob
+        if self.mutation_prob is None:
+            self.mutation_prob = 1.0 / max(1, prob.n_services)
+
+    @property
+    def left(self) -> int:
+        """Evaluations still allowed."""
+        return self.max_evaluations - self.evaluations
+
+    def evaluate(self, genome) -> Solution:
+        """Score one genotype, count it and offer it to the archive."""
+        sol = make_solution(genome, self.prob)
+        self.evaluations += 1
+        self.archive.add(sol)
+        return sol
+
+    def report(self, population: list[Solution]) -> None:
+        if self.trace_hook:
+            self.trace_hook(generation_stats(self.archive, population, self.evaluations))
 
 
 def greedy_anchors(prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:

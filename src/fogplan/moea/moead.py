@@ -19,10 +19,9 @@ from ..fsdp import ProblemInstance
 from .common import (
     AlgoParams,
     ParetoArchive,
+    Search,
     Solution,
-    generation_stats,
     initial_population,
-    make_solution,
     reset_mutation,
     uniform_crossover,
 )
@@ -36,9 +35,13 @@ def simplex_lattice_weights(resolution: int) -> np.ndarray:
     return np.column_stack([steps, 1.0 - steps])
 
 
-def tchebycheff(objectives: tuple[float, float], weights: np.ndarray, ideal: np.ndarray) -> float:
-    """Scalarized distance to the ideal point (lower is better)."""
-    return float(np.max(weights * np.abs(ideal - np.asarray(objectives))))
+def tchebycheff(objectives, weights, ideal) -> float:
+    """Scalarized distance to the ideal point (lower is better).
+
+    Plain float arithmetic: MOEA/D calls this twice for each neighbour
+    of every child, on two-element sequences.
+    """
+    return max(w * abs(i - o) for w, i, o in zip(weights, ideal, objectives))
 
 
 def _better(child: Solution, incumbent: Solution, weights, ideal) -> bool:
@@ -52,7 +55,6 @@ def _better(child: Solution, incumbent: Solution, weights, ideal) -> bool:
 
 
 def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
-    params.check_budget()
     resolution = params.weight_resolution
     if resolution is None:
         resolution = params.population_size - 1
@@ -64,45 +66,26 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         )
     n_sub = len(weights)
 
-    rng = np.random.default_rng(params.seed)
+    run = Search(prob, params, trace_hook)
+    rng = run.rng
     t_size = min(params.neighborhood_size, n_sub)
     dist = np.linalg.norm(weights[:, None, :] - weights[None, :, :], axis=2)
     neighborhoods = np.argsort(dist, axis=1, kind="stable")[:, :t_size]
-
-    archive = ParetoArchive(capacity=params.archive_capacity)
-    evaluations = 0
-    ideal = np.array([-np.inf, -np.inf])
-
-    def evaluate(genome) -> Solution:
-        nonlocal evaluations, ideal
-        sol = make_solution(genome, prob)
-        evaluations += 1
-        archive.add(sol)
-        if sol.feasible:
-            ideal = np.maximum(ideal, np.array(sol.objectives.as_tuple()))
-        return sol
+    weight_rows = weights.tolist()
 
     population = sorted(
-        (evaluate(g) for g in initial_population(prob, n_sub, rng)),
+        (run.evaluate(g) for g in initial_population(prob, n_sub, rng)),
         key=lambda s: s.objectives.fog_utilization,
     )
-    if not np.isfinite(ideal).all():
-        ideal = np.array(
-            [
-                max(s.objectives.fog_utilization for s in population),
-                max(s.objectives.availability for s in population),
-            ]
-        )
-    if trace_hook:
-        trace_hook(generation_stats(archive, population, evaluations))
+    # the best value of each objective among feasible solutions, or
+    # among all of them until one is feasible
+    anchor = [s for s in population if s.feasible] or population
+    ideal = [max(values) for values in zip(*(s.objectives.as_tuple() for s in anchor))]
+    run.report(population)
 
-    mut_rate = params.mutation_prob
-    if mut_rate is None:
-        mut_rate = 1.0 / max(1, prob.n_services)
-
-    while evaluations < params.max_evaluations:
+    while run.left:
         for i in range(n_sub):
-            if evaluations >= params.max_evaluations:
+            if not run.left:
                 break
             mates = neighborhoods[i][rng.permutation(t_size)[:2]]
             if len(mates) < 2:
@@ -110,12 +93,13 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
             g1 = np.array(population[mates[0]].genotype, dtype=np.int64)
             g2 = np.array(population[mates[1]].genotype, dtype=np.int64)
             child, _ = uniform_crossover(g1, g2, rng)
-            child = reset_mutation(child, mut_rate, prob.n_resources, rng)
-            sol = evaluate(child)
+            child = reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
+            sol = run.evaluate(child)
+            if sol.feasible:
+                ideal = [max(best, got) for best, got in zip(ideal, sol.objectives.as_tuple())]
             for j in neighborhoods[i]:
-                if _better(sol, population[j], weights[j], ideal):
+                if _better(sol, population[j], weight_rows[j], ideal):
                     population[j] = sol
-        if trace_hook:
-            trace_hook(generation_stats(archive, population, evaluations))
+        run.report(population)
 
-    return archive
+    return run.archive

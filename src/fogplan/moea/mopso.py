@@ -20,11 +20,10 @@ from ..fsdp import ProblemInstance
 from .common import (
     AlgoParams,
     ParetoArchive,
+    Search,
     Solution,
     constrained_dominates,
-    generation_stats,
     initial_population,
-    make_solution,
 )
 
 
@@ -47,33 +46,23 @@ def _grid_select(members: list[Solution], divisions: int, rng: np.random.Generat
 
 
 def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
-    params.check_budget()
-    rng = np.random.default_rng(params.seed)
+    run = Search(prob, params, trace_hook)
+    rng = run.rng
     n = prob.n_services
     swarm = params.population_size
     pull = np.array([params.inertia, params.cognitive, params.social], dtype=float)
     pull = pull / pull.sum() if pull.sum() > 0 else None
 
-    archive = ParetoArchive(capacity=params.archive_capacity)
-    evaluations = 0
-
-    def evaluate(genome) -> Solution:
-        nonlocal evaluations
-        sol = make_solution(genome, prob)
-        evaluations += 1
-        archive.add(sol)
-        return sol
-
-    current = [evaluate(g) for g in initial_population(prob, swarm, rng)]
+    current = [run.evaluate(g) for g in initial_population(prob, swarm, rng)]
     pbest = list(current)
-    if trace_hook:
-        trace_hook(generation_stats(archive, current, evaluations))
+    run.report(current)
 
-    while evaluations < params.max_evaluations:
+    while run.left:
         for i in range(swarm):
-            if evaluations >= params.max_evaluations:
+            if not run.left:
                 break
-            guide = _grid_select(archive.members, params.grid_divisions, rng) if archive.members else pbest[i]
+            members = run.archive.members
+            guide = _grid_select(members, params.grid_divisions, rng) if members else pbest[i]
             hosts = np.array([current[i].genotype, pbest[i].genotype, guide.genotype], dtype=np.int64)
             if pull is None:
                 child = hosts[0]
@@ -81,13 +70,12 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
                 child = hosts[rng.choice(3, size=n, p=pull), np.arange(n)]
             if rng.random() < params.mutation_rate:
                 child[rng.integers(0, n)] = rng.integers(0, prob.n_resources)
-            sol = evaluate(child)
+            sol = run.evaluate(child)
             current[i] = sol
             if constrained_dominates(sol, pbest[i]) or (
                 not constrained_dominates(pbest[i], sol) and rng.random() < 0.5
             ):
                 pbest[i] = sol
-        if trace_hook:
-            trace_hook(generation_stats(archive, current, evaluations))
+        run.report(current)
 
-    return archive
+    return run.archive

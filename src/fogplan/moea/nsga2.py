@@ -13,99 +13,75 @@ from ..fsdp import ProblemInstance
 from .common import (
     AlgoParams,
     ParetoArchive,
+    Search,
     Solution,
-    constrained_dominates,
     crowding_distance,
     fast_nondominated_sort,
-    generation_stats,
     initial_population,
-    make_solution,
+    make_solution,  # noqa: F401 - perfbench/selftest.py reads this binding
     reset_mutation,
     uniform_crossover,
 )
 
 
 def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
-    params.check_budget()
-    rng = np.random.default_rng(params.seed)
     pop_size = params.population_size
-    mut_rate = params.mutation_prob
-    if mut_rate is None:
-        mut_rate = 1.0 / max(1, prob.n_services)
+    run = Search(prob, params, trace_hook, archive_capacity=max(params.archive_capacity, pop_size))
+    rng = run.rng
 
-    archive = ParetoArchive(capacity=max(params.archive_capacity, pop_size))
-    evaluations = 0
+    population = [run.evaluate(g) for g in initial_population(prob, pop_size, rng)]
+    _, standing = _environmental_selection(population, pop_size)
+    run.report(population)
 
-    def evaluate_batch(genomes):
-        nonlocal evaluations
-        out = []
-        for g in genomes:
-            out.append(make_solution(g, prob))
-            evaluations += 1
-        for s in out:
-            archive.add(s)
-        return out
-
-    population = evaluate_batch(initial_population(prob, pop_size, rng))
-    rank, dist = _rank_and_distance(population)
-    if trace_hook:
-        trace_hook(generation_stats(archive, population, evaluations))
-
-    while evaluations < params.max_evaluations:
-        budget = params.max_evaluations - evaluations
+    while run.left:
+        brood = min(pop_size, run.left)
         offspring_genomes = []
-        while len(offspring_genomes) < min(pop_size, budget):
-            p1 = _tournament(population, rank, dist, rng)
-            p2 = _tournament(population, rank, dist, rng)
+        while len(offspring_genomes) < brood:
+            p1 = _tournament(population, standing, rng)
+            p2 = _tournament(population, standing, rng)
             g1 = np.array(p1.genotype, dtype=np.int64)
             g2 = np.array(p2.genotype, dtype=np.int64)
             if rng.random() < params.crossover_prob:
                 g1, g2 = uniform_crossover(g1, g2, rng)
             for child in (g1, g2):
-                if len(offspring_genomes) < min(pop_size, budget):
+                if len(offspring_genomes) < brood:
                     offspring_genomes.append(
-                        reset_mutation(child, mut_rate, prob.n_resources, rng)
+                        reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
                     )
-        offspring = evaluate_batch(offspring_genomes)
-        population = _environmental_selection(population + offspring, pop_size)
-        rank, dist = _rank_and_distance(population)
-        if trace_hook:
-            trace_hook(generation_stats(archive, population, evaluations))
+        offspring = [run.evaluate(g) for g in offspring_genomes]
+        population, standing = _environmental_selection(population + offspring, pop_size)
+        run.report(population)
 
-    return archive
+    return run.archive
 
 
-def _rank_and_distance(population):
-    rank, dist = {}, {}
-    for level, front in enumerate(fast_nondominated_sort(population)):
-        distances = crowding_distance(front)
-        for sol, d in zip(front, distances):
-            rank[id(sol)] = level
-            dist[id(sol)] = d
-    return rank, dist
-
-
-def _tournament(population, rank, dist, rng) -> Solution:
+def _tournament(population, standing, rng) -> Solution:
+    """The lower front wins, then the larger crowding distance, then ``a``."""
     i, j = rng.integers(0, len(population), size=2)
     a, b = population[i], population[j]
-    if rank[id(a)] != rank[id(b)]:
-        return a if rank[id(a)] < rank[id(b)] else b
-    if dist[id(a)] != dist[id(b)]:
-        return a if dist[id(a)] > dist[id(b)] else b
-    return a
+    return b if standing[id(b)] < standing[id(a)] else a
 
 
 def _environmental_selection(combined, pop_size):
-    survivors = []
-    for front in fast_nondominated_sort(combined):
-        if len(survivors) + len(front) <= pop_size:
-            survivors.extend(front)
-        else:
-            distances = crowding_distance(front)
+    """The ``pop_size`` best of ``combined``, and each one's (front, -crowding).
+
+    One sort serves both: every front but the last one reached is kept
+    whole, so its members keep the front index and crowding distance of
+    that sort.  The last front is cut to its least crowded members, whose
+    distances are then taken among themselves.
+    """
+    survivors, standing = [], {}
+    for level, front in enumerate(fast_nondominated_sort(combined)):
+        distances = crowding_distance(front)
+        need = pop_size - len(survivors)
+        if len(front) > need:
             order = sorted(
                 range(len(front)), key=lambda i: (-distances[i], front[i].genotype)
             )
-            need = pop_size - len(survivors)
-            survivors.extend(front[i] for i in order[:need])
+            front = [front[i] for i in order[:need]]
+            distances = crowding_distance(front)
+        survivors.extend(front)
+        standing.update((id(s), (level, -d)) for s, d in zip(front, distances))
+        if len(survivors) == pop_size:
             break
-    return survivors
+    return survivors, standing

@@ -100,6 +100,11 @@ class ScenarioSpec:
                 raise ParseError(name, "count must be >= 1")
         if not self.deadlines or not self.request_rates:
             raise ParseError("deadlines", "deadlines and request_rates must be non-empty")
+        for name in ("deadlines", "request_rates"):
+            if not all(0.0 < v < math.inf for v in getattr(self, name)):
+                raise ParseError(name, "values must be finite and > 0")
+        if not 0.0 <= self.reserve_fraction < 1.0:
+            raise ParseError("reserve_fraction", "must lie in [0, 1)")
         for name in ("fc_fcm_latency_ms", "fcm_fcm_latency_ms", "fcm_cloud_latency_ms"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ParseError(name, "latency must be finite and >= 0")

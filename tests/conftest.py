@@ -13,6 +13,16 @@ from fogplan.model import (
 from fogplan.scenario import ScenarioSpec, build_instance
 
 
+#: (field, YAML value) pairs that a scenario file must be rejected for
+BAD_SCENARIO_FIELDS = [
+    pytest.param("request_rates", [-0.5], id="request_rates--0.5"),
+    pytest.param("deadlines", [-60.0], id="deadlines--60.0"),
+    pytest.param("reserve_fraction", 1.5, id="reserve_fraction-1.5"),
+    pytest.param("deadlines", [float("nan")], id="deadlines-nan"),
+    pytest.param("request_rates", [float("inf")], id="request_rates-inf"),
+]
+
+
 def make_resource(rid, kind, colony=None, cpu=1000.0, ram=1000.0, storage=1000.0, failure=0.1):
     return Resource(
         id=rid,

@@ -5,6 +5,7 @@ import os
 import pytest
 import yaml
 
+from conftest import BAD_SCENARIO_FIELDS
 from fogplan.cli import ConfigError, _parse_params, main
 from fogplan.scenario import ScenarioSpec, save
 
@@ -97,17 +98,20 @@ class TestDeadlineExperiment:
             if row[3] != "SAT":
                 float(row[3])
 
-    @pytest.mark.parametrize("key, value", [("fcm_fcm_ms", -10), ("fcm_cloud_ms", -100)])
+    @pytest.mark.parametrize("key, value", [
+        ("fcm_fcm_ms", -10), ("fcm_cloud_ms", -100), *BAD_SCENARIO_FIELDS,
+    ])
     def test_negative_latency_scenario_exits_2(self, tmp_path, capsys, key, value):
         scenario_path = tmp_path / "bad.yaml"
         save(ScenarioSpec(), scenario_path)
         doc = yaml.safe_load(scenario_path.read_text())
-        doc["latencies"][key] = value
+        # a latency key sits under "latencies", any other at the top level
+        (doc["latencies"] if key in doc["latencies"] else doc)[key] = value
         scenario_path.write_text(yaml.safe_dump(doc))
         rc = main(["--experiment", "deadline", "--algo", "nsga2", "--scenario",
                    str(scenario_path), "--seeds", "0", "--evals", "40", "--out", str(tmp_path)])
         assert rc == 2
-        assert "latency" in capsys.readouterr().err
+        assert ("latency" if key.endswith("_ms") else key) in capsys.readouterr().err
 
 
 class TestScalingExperiment:

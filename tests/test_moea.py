@@ -328,6 +328,9 @@ class TestAlgorithms:
         prob = tiny_instance(1)
         with pytest.raises(BudgetTooSmall):
             ALGORITHMS[name](prob, AlgoParams(population_size=40, max_evaluations=10))
+        # the parameters themselves refuse it, before any algorithm runs
+        with pytest.raises(BudgetTooSmall):
+            AlgoParams(population_size=40, max_evaluations=10)
 
     def test_archive_feasible_and_hv_monotone(self, name):
         prob = tiny_instance(2)
@@ -344,6 +347,23 @@ class TestAlgorithms:
         front = exact_pareto(prob, cap=5000)
         archive = ALGORITHMS[name](prob, AlgoParams(seed=0, max_evaluations=2000))
         assert front.objective_set() <= archive.objective_set()
+
+
+def test_nsga2_sorts_once_per_generation(monkeypatch):
+    import fogplan.moea.nsga2 as nsga2
+
+    sorts = []
+
+    def counting_sort(population):
+        sorts.append(len(population))
+        return fast_nondominated_sort(population)
+
+    monkeypatch.setattr(nsga2, "fast_nondominated_sort", counting_sort)
+    reports = []
+    nsga2.nsga2_run(tiny_instance(1), AlgoParams(max_evaluations=200), trace_hook=reports.append)
+    # the initial population, then one sort of parents plus offspring per generation
+    assert len(reports) == 5
+    assert sorts == [40] + [80] * 4
 
 
 class TestInitialPopulation:

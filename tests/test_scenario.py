@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import BAD_SCENARIO_FIELDS
 from fogplan.errors import ParseError, UnknownVersion
 from fogplan.scenario import (
     DEFAULT_SERVICE_TEMPLATES,
@@ -114,14 +115,16 @@ class TestSerialization:
         ("fcm_cloud_ms", -100.0),
         ("fc_fcm_ms", float("inf")),
         ("fcm_cloud_ms", float("nan")),
+        *BAD_SCENARIO_FIELDS,
     ])
     def test_bad_latency_rejected(self, tmp_path, key, value):
         path = tmp_path / "scenario.yaml"
         save(ScenarioSpec(), path)
         doc = yaml.safe_load(path.read_text())
-        doc["latencies"][key] = value
+        # a latency key sits under "latencies", any other at the top level
+        (doc["latencies"] if key in doc["latencies"] else doc)[key] = value
         path.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ParseError, match="latency"):
+        with pytest.raises(ParseError, match="latency" if key.endswith("_ms") else key):
             load(path)
 
     def test_unknown_version(self, tmp_path):
