@@ -15,11 +15,11 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, fields
 
 from . import scenario as scenario_mod
 from .errors import FogplanError
-from .moea import ALGORITHMS, AlgoParams, select_compromise
+from .moea import ALGORITHMS, AlgoParams, GenerationStats, select_compromise
 from .timing import response_time_report
 
 SAT_MARKER = "SAT"
@@ -32,43 +32,8 @@ class ConfigError(FogplanError):
     pass
 
 
-@dataclass
-class RunConfig:
-    algorithms: list[str]
-    scenario: str = "paper"
-    seeds: list[int] = field(default_factory=lambda: [0])
-    max_evaluations: int = 1000
-    output_dir: str = "."
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if self.max_evaluations <= 0:
-            raise ConfigError("max_evaluations must be positive")
-        for name in self.algorithms:
-            if name not in ALGORITHMS:
-                raise ConfigError(f"unknown algorithm {name!r}")
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".10g")
-
-
-def _scenario_spec(cfg: RunConfig) -> scenario_mod.ScenarioSpec:
-    if cfg.scenario == "paper":
-        return scenario_mod.ScenarioSpec()
-    return scenario_mod.load(cfg.scenario)
-
-
-def _algo_params(cfg: RunConfig, seed: int) -> AlgoParams:
-    overrides = dict(cfg.params)
-    overrides["seed"] = seed
-    overrides["max_evaluations"] = cfg.max_evaluations
-    try:
-        return AlgoParams(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _run_one(job):
@@ -91,21 +56,16 @@ def _worker_count() -> int:
     return max(1, n)
 
 
-def _run_all(cfg: RunConfig):
-    spec = _scenario_spec(cfg)
-    jobs = [
-        (algo, spec, _algo_params(cfg, seed))
-        for algo in cfg.algorithms
-        for seed in cfg.seeds
-    ]
+def _run_all(algorithms: list[str], spec: scenario_mod.ScenarioSpec, params: list[AlgoParams]):
+    jobs = [(algo, spec, p) for algo in algorithms for p in params]
     workers = _worker_count()
     if workers == 1 or len(jobs) == 1:
         results = [_run_one(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs))
-    results.sort(key=lambda r: (cfg.algorithms.index(r[0]), r[1]))
-    return spec, results
+    results.sort(key=lambda r: (algorithms.index(r[0]), r[1]))
+    return results
 
 
 def _write_csv(path, header, rows):
@@ -115,45 +75,25 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def run_evolution_experiment(cfg: RunConfig) -> str:
-    _, results = _run_all(cfg)
-    rows = []
-    for algo, seed, trace, _, _ in results:
-        for gen in trace:
-            rows.append(
-                [
-                    algo,
-                    seed,
-                    gen.evaluations,
-                    _fmt(gen.best_fog_utilization),
-                    _fmt(gen.best_availability),
-                    _fmt(gen.compromise_fog_utilization),
-                    _fmt(gen.compromise_availability),
-                    _fmt(gen.hypervolume),
-                    _fmt(gen.feasible_fraction),
-                ]
-            )
-    path = os.path.join(cfg.output_dir, "evolution.csv")
-    _write_csv(
-        path,
-        [
-            "algorithm",
-            "seed",
-            "evaluations",
-            "best_fog_utilization",
-            "best_availability",
-            "compromise_fog_utilization",
-            "compromise_availability",
-            "hypervolume",
-            "feasible_fraction",
-        ],
-        rows,
-    )
+def run_evolution_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSpec,
+                             params: list[AlgoParams], output_dir: str) -> str:
+    """One row per reported generation of every (algorithm, seed) run."""
+    columns = [f.name for f in fields(GenerationStats)]
+    rows = [
+        [algo, seed, *(value if name == "evaluations" else _fmt(value)
+                       for name, value in zip(columns, astuple(gen)))]
+        for algo, seed, trace, _, _ in _run_all(algorithms, spec, params)
+        for gen in trace
+    ]
+    path = os.path.join(output_dir, "evolution.csv")
+    _write_csv(path, ["algorithm", "seed", *columns], rows)
     return path
 
 
-def run_deadline_experiment(cfg: RunConfig) -> str:
-    spec, results = _run_all(cfg)
+def run_deadline_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSpec,
+                            params: list[AlgoParams], output_dir: str) -> str:
+    """Response time against deadline for every app, at each run's compromise."""
+    results = _run_all(algorithms, spec, params)
     prob = scenario_mod.build_instance(spec)
     rows = []
     for algo, seed, _, compromise, report in results:
@@ -172,7 +112,7 @@ def run_deadline_experiment(cfg: RunConfig) -> str:
                     str(satisfied).lower(),
                 ]
             )
-    path = os.path.join(cfg.output_dir, "deadline.csv")
+    path = os.path.join(output_dir, "deadline.csv")
     _write_csv(
         path,
         ["algorithm", "seed", "app", "response_time_s", "deadline_s", "satisfied"],
@@ -181,15 +121,13 @@ def run_deadline_experiment(cfg: RunConfig) -> str:
     return path
 
 
-def run_scaling_experiment(cfg: RunConfig, factors: list[int]) -> str:
-    if not factors or any(f < 1 for f in factors):
-        raise ConfigError("factors must be a non-empty list of integers >= 1")
-    base = _scenario_spec(cfg)
-    params = _algo_params(cfg, cfg.seeds[0])
+def run_scaling_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSpec,
+                           params: AlgoParams, factors: list[int], output_dir: str) -> str:
+    """Wall time of one run per algorithm on ``spec`` replicated by each factor."""
     rows = []
-    for algo in cfg.algorithms:
+    for algo in algorithms:
         for factor in factors:
-            prob = scenario_mod.scaled_scenario(base, factor)
+            prob = scenario_mod.scaled_scenario(spec, factor)
             start = time.perf_counter()
             ALGORITHMS[algo](prob, params)
             elapsed = time.perf_counter() - start
@@ -198,10 +136,10 @@ def run_scaling_experiment(cfg: RunConfig, factors: list[int]) -> str:
                     algo,
                     prob.n_services,
                     _fmt(elapsed * 1e3),
-                    _fmt(elapsed * 1e6 / cfg.max_evaluations),
+                    _fmt(elapsed * 1e6 / params.max_evaluations),
                 ]
             )
-    path = os.path.join(cfg.output_dir, "scaling.csv")
+    path = os.path.join(output_dir, "scaling.csv")
     _write_csv(
         path,
         ["algorithm", "N_services", "wall_time_ms", "time_per_evaluation_us"],
@@ -218,6 +156,16 @@ def _parse_seeds(text: str) -> list[int]:
         return [int(s) for s in text.split(",") if s]
     except ValueError as exc:
         raise ConfigError(f"bad --seeds value {text!r}") from exc
+
+
+def _parse_factors(text: str) -> list[int]:
+    try:
+        factors = [int(f) for f in text.split(",") if f]
+    except ValueError as exc:
+        raise ConfigError(f"bad --factors value {text!r}") from exc
+    if not factors or any(f < 1 for f in factors):
+        raise ConfigError("factors must be a non-empty list of integers >= 1")
+    return factors
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -266,42 +214,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    created = []
     try:
+        if args.algo != "all" and args.algo not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {args.algo!r}")
         algorithms = list(ALGORITHMS) if args.algo == "all" else [args.algo]
-        cfg = RunConfig(
-            algorithms=algorithms,
-            scenario=args.scenario,
-            seeds=_parse_seeds(args.seeds),
-            max_evaluations=args.evals,
-            output_dir=args.out,
-            params=_parse_params(args.param),
-        )
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        seeds = _parse_seeds(args.seeds)
+        if not seeds:
+            raise ConfigError("at least one seed is required")
+        overrides = _parse_params(args.param)
+        try:
+            # this also checks --evals: max_evaluations >= population_size >= 4
+            params = [AlgoParams(**overrides, seed=seed, max_evaluations=args.evals) for seed in seeds]
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        spec = scenario_mod.ScenarioSpec() if args.scenario == "paper" else scenario_mod.load(args.scenario)
+        os.makedirs(args.out, exist_ok=True)
         if args.experiment == "evolution":
-            created.append(run_evolution_experiment(cfg))
+            path = run_evolution_experiment(algorithms, spec, params, args.out)
         elif args.experiment == "deadline":
-            created.append(run_deadline_experiment(cfg))
+            path = run_deadline_experiment(algorithms, spec, params, args.out)
         else:
-            try:
-                factors = [int(f) for f in args.factors.split(",") if f]
-            except ValueError as exc:
-                raise ConfigError(f"bad --factors value {args.factors!r}") from exc
-            created.append(run_scaling_experiment(cfg, factors))
-    except (ConfigError, FogplanError) as exc:
-        for path in created:
-            if os.path.exists(path):
-                os.unlink(path)
+            factors = _parse_factors(args.factors)
+            path = run_scaling_experiment(algorithms, spec, params[0], factors, args.out)
+    except FogplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        for path in created:
-            if os.path.exists(path):
-                os.unlink(path)
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    for path in created:
-        print(path)
+    print(path)
     return 0
 
 

@@ -216,9 +216,9 @@ def select_compromise(archive: ParetoArchive) -> Solution:
 
     def key(s: Solution):
         u, a = s.objectives.fog_utilization, s.objectives.availability
-        return (min(u, a), max(u, a), a, [-g for g in s.genotype])
+        return (-min(u, a), -max(u, a), -a, s.genotype)
 
-    return max(archive.members, key=key)
+    return min(archive.members, key=key)
 
 
 @dataclass(frozen=True)
@@ -245,11 +245,12 @@ class AlgoParams:
     mutation_prob: float | None = None  # default 1 / genotype length
     # MOEA/D
     neighborhood_size: int = 10
-    weight_resolution: int | None = None  # default population_size - 1
 
     def __post_init__(self):
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be >= 4 and even")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if min(self.inertia, self.cognitive, self.social) < 0:
             raise ValueError("inertia, cognitive and social must be >= 0 (MOPSO move weights)")
         if min(self.archive_capacity, self.grid_divisions, self.neighborhood_size) < 1:

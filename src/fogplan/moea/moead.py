@@ -55,15 +55,7 @@ def _better(child: Solution, incumbent: Solution, weights, ideal) -> bool:
 
 
 def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
-    resolution = params.weight_resolution
-    if resolution is None:
-        resolution = params.population_size - 1
-    weights = simplex_lattice_weights(resolution)
-    if len(weights) < params.population_size:
-        raise BadLattice(
-            f"lattice of resolution {resolution} yields {len(weights)} weights "
-            f"< population {params.population_size}"
-        )
+    weights = simplex_lattice_weights(params.population_size - 1)
     n_sub = len(weights)
 
     run = Search(prob, params, trace_hook)

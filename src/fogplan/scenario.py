@@ -10,7 +10,8 @@ versioned YAML file.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -42,9 +43,12 @@ class ServiceTemplate:
 
     def __post_init__(self):
         if self.kind not in SERVICE_KINDS:
-            raise ParseError("service_templates", f"kind {self.kind!r} not one of {SERVICE_KINDS}")
+            raise ParseError("kind", f"{self.kind!r} not one of {SERVICE_KINDS}")
+        for name in ("cpu", "ram", "size"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParseError(name, "must be finite and > 0")
         if not 0.0 <= self.availability_lo <= self.availability_hi <= 1.0:
-            raise ParseError("service_templates", "availability range must satisfy 0 <= lo <= hi <= 1")
+            raise ParseError("availability_lo", "must satisfy 0 <= availability_lo <= availability_hi <= 1")
 
 
 @dataclass(frozen=True)
@@ -56,9 +60,10 @@ class ResourceTemplate:
 
     def __post_init__(self):
         if not 0.0 <= self.failure <= 1.0:
-            raise ParseError("resource_templates", "failure probability outside [0, 1]")
-        if min(self.cpu, self.ram, self.storage) <= 0:
-            raise ParseError("resource_templates", "capacities must be positive")
+            raise ParseError("failure", "probability outside [0, 1]")
+        for name in ("cpu", "ram", "storage"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ParseError(name, "capacity must be finite and > 0")
 
 
 DEFAULT_SERVICE_TEMPLATES = (
@@ -98,8 +103,11 @@ class ScenarioSpec:
         for name in ("colonies", "cells_per_colony", "apps", "services_per_app"):
             if getattr(self, name) < 1:
                 raise ParseError(name, "count must be >= 1")
-        if not self.deadlines or not self.request_rates:
-            raise ParseError("deadlines", "deadlines and request_rates must be non-empty")
+        if self.seed < 0:
+            raise ParseError("seed", "must be >= 0")
+        for name in ("service_templates", "deadlines", "request_rates"):
+            if not getattr(self, name):
+                raise ParseError(name, "must be non-empty")
         for name in ("deadlines", "request_rates"):
             if not all(0.0 < v < math.inf for v in getattr(self, name)):
                 raise ParseError(name, "values must be finite and > 0")
@@ -111,60 +119,42 @@ class ScenarioSpec:
 
 
 def build_landscape(spec: ScenarioSpec) -> Landscape:
-    resources = [
-        Resource(
-            id=0,
-            kind=ResourceKind.CLOUD,
-            cpu_capacity=spec.cloud.cpu,
-            ram_capacity=spec.cloud.ram,
-            storage_capacity=spec.cloud.storage,
-            failure_probability=spec.cloud.failure,
-        )
-    ]
-    colonies = []
-    for cid in range(spec.colonies):
-        fcm_id = len(resources)
+    resources = []
+
+    def host(kind: ResourceKind, template: ResourceTemplate, colony_id=None) -> int:
         resources.append(
             Resource(
-                id=fcm_id,
-                kind=ResourceKind.FCM,
-                cpu_capacity=spec.fcm.cpu,
-                ram_capacity=spec.fcm.ram,
-                storage_capacity=spec.fcm.storage,
-                failure_probability=spec.fcm.failure,
-                colony_id=cid,
+                id=len(resources),
+                kind=kind,
+                cpu_capacity=template.cpu,
+                ram_capacity=template.ram,
+                storage_capacity=template.storage,
+                failure_probability=template.failure,
+                colony_id=colony_id,
             )
         )
-        cells = []
-        for _ in range(spec.cells_per_colony):
-            rid = len(resources)
-            cells.append(rid)
-            resources.append(
-                Resource(
-                    id=rid,
-                    kind=ResourceKind.FC,
-                    cpu_capacity=spec.fc.cpu,
-                    ram_capacity=spec.fc.ram,
-                    storage_capacity=spec.fc.storage,
-                    failure_probability=spec.fc.failure,
-                    colony_id=cid,
-                )
-            )
+        return len(resources) - 1
+
+    cloud = host(ResourceKind.CLOUD, spec.cloud)
+    colonies = []
+    for cid in range(spec.colonies):
+        fcm = host(ResourceKind.FCM, spec.fcm, cid)
+        cells = tuple(host(ResourceKind.FC, spec.fc, cid) for _ in range(spec.cells_per_colony))
         neighbor_latency = {
             other: spec.fcm_fcm_latency_ms for other in range(spec.colonies) if other != cid
         }
         colonies.append(
             Colony(
                 id=cid,
-                fcm=fcm_id,
-                cells=tuple(cells),
+                fcm=fcm,
+                cells=cells,
                 neighbor_latency=neighbor_latency,
                 cell_latency=spec.fc_fcm_latency_ms,
             )
         )
     cloud_latency = {cid: spec.fcm_cloud_latency_ms for cid in range(spec.colonies)}
     return Landscape(
-        cloud=0,
+        cloud=cloud,
         colonies=tuple(colonies),
         resources=tuple(resources),
         cloud_latency=cloud_latency,
@@ -226,84 +216,81 @@ def scaled_scenario(base: ScenarioSpec, replication: int) -> ProblemInstance:
     return build_instance(scaled)
 
 
-_REQUIRED_FIELDS = (
-    "colonies",
-    "cells_per_colony",
-    "apps",
-    "services_per_app",
-    "service_templates",
-    "resources",
-    "deadlines",
-    "request_rates",
-    "latencies",
-    "reserve_fraction",
-    "seed",
-)
+# the ScenarioSpec fields that schema v1 keeps below the top level, by YAML path
+_YAML_PATH = {
+    "cloud": "resources.cloud",
+    "fcm": "resources.fcm",
+    "fc": "resources.fc",
+    "fc_fcm_latency_ms": "latencies.fc_fcm_ms",
+    "fcm_fcm_latency_ms": "latencies.fcm_fcm_ms",
+    "fcm_cloud_latency_ms": "latencies.fcm_cloud_ms",
+}
 
 
 def save(spec: ScenarioSpec, path) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "colonies": spec.colonies,
-        "cells_per_colony": spec.cells_per_colony,
-        "apps": spec.apps,
-        "services_per_app": spec.services_per_app,
-        "service_templates": [asdict(t) for t in spec.service_templates],
-        "resources": {
-            "cloud": asdict(spec.cloud),
-            "fcm": asdict(spec.fcm),
-            "fc": asdict(spec.fc),
-        },
-        "deadlines": list(spec.deadlines),
-        "request_rates": list(spec.request_rates),
-        "latencies": {
-            "fc_fcm_ms": spec.fc_fcm_latency_ms,
-            "fcm_fcm_ms": spec.fcm_fcm_latency_ms,
-            "fcm_cloud_ms": spec.fcm_cloud_latency_ms,
-        },
-        "reserve_fraction": spec.reserve_fraction,
-        "seed": spec.seed,
-    }
+    doc = {"schema_version": SCHEMA_VERSION}
+    for name, value in asdict(spec).items():
+        section, _, key = _YAML_PATH.get(name, name).rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[key] = (
+            list(value) if isinstance(value, tuple) else value
+        )
     with open(path, "w") as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
 
 
-def load(path) -> ScenarioSpec:
-    with open(path) as fh:
+def _lookup(doc: dict, where: str):
+    """The value at dotted YAML path ``where``."""
+    value = doc
+    for key in where.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ParseError(where, "required field missing")
+        value = value[key]
+    return value
+
+
+def _read(where: str, hint, value):
+    """A YAML value as the type ``hint`` of the field at ``where``.
+
+    An int field takes only an integral number, never a bool or a
+    string; a float field any number but a bool.
+    """
+    if is_dataclass(hint):
+        hints = get_type_hints(hint)
+        if not isinstance(value, dict) or set(value) != set(hints):
+            raise ParseError(where, f"expected a mapping with the keys {list(hints)}")
+        values = {name: _read(f"{where}.{name}", t, value[name]) for name, t in hints.items()}
         try:
+            return hint(**values)
+        except ParseError as exc:
+            raise ParseError(where, str(exc)) from exc
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ParseError(where, f"expected a list, got {value!r}")
+        return tuple(_read(f"{where}[{i}]", get_args(hint)[0], v) for i, v in enumerate(value))
+    if hint is str:
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if hint is float:
+            return float(value)
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    raise ParseError(where, f"expected {'an integer' if hint is int else 'a number'}, got {value!r}")
+
+
+def load(path) -> ScenarioSpec:
+    try:
+        with open(path) as fh:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ParseError("<document>", str(exc)) from exc
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ParseError("<document>", str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("<document>", "scenario file must be a mapping")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise UnknownVersion(f"unsupported schema_version {version!r}")
-    for name in _REQUIRED_FIELDS:
-        if name not in doc:
-            raise ParseError(name, "required field missing")
-    try:
-        templates = tuple(ServiceTemplate(**t) for t in doc["service_templates"])
-        resources = doc["resources"]
-        latencies = doc["latencies"]
-        return ScenarioSpec(
-            colonies=int(doc["colonies"]),
-            cells_per_colony=int(doc["cells_per_colony"]),
-            apps=int(doc["apps"]),
-            services_per_app=int(doc["services_per_app"]),
-            service_templates=templates,
-            cloud=ResourceTemplate(**resources["cloud"]),
-            fcm=ResourceTemplate(**resources["fcm"]),
-            fc=ResourceTemplate(**resources["fc"]),
-            deadlines=tuple(float(d) for d in doc["deadlines"]),
-            request_rates=tuple(float(r) for r in doc["request_rates"]),
-            fc_fcm_latency_ms=float(latencies["fc_fcm_ms"]),
-            fcm_fcm_latency_ms=float(latencies["fcm_fcm_ms"]),
-            fcm_cloud_latency_ms=float(latencies["fcm_cloud_ms"]),
-            reserve_fraction=float(doc["reserve_fraction"]),
-            seed=int(doc["seed"]),
-        )
-    except ParseError:
-        raise
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ParseError("<document>", f"malformed scenario file: {exc}") from exc
+    hints = get_type_hints(ScenarioSpec)
+    values = {}
+    for f in fields(ScenarioSpec):
+        where = _YAML_PATH.get(f.name, f.name)
+        values[f.name] = _read(where, hints[f.name], _lookup(doc, where))
+    return ScenarioSpec(**values)

@@ -13,14 +13,45 @@ from fogplan.model import (
 from fogplan.scenario import ScenarioSpec, build_instance
 
 
-#: (field, YAML value) pairs that a scenario file must be rejected for
+#: (key, YAML value) pairs that a scenario file must be rejected for; a
+#: key as ``set_scenario_key`` takes it
 BAD_SCENARIO_FIELDS = [
     pytest.param("request_rates", [-0.5], id="request_rates--0.5"),
     pytest.param("deadlines", [-60.0], id="deadlines--60.0"),
     pytest.param("reserve_fraction", 1.5, id="reserve_fraction-1.5"),
     pytest.param("deadlines", [float("nan")], id="deadlines-nan"),
     pytest.param("request_rates", [float("inf")], id="request_rates-inf"),
+    pytest.param("colonies", 2.5, id="colonies-2.5"),
+    pytest.param("colonies", True, id="colonies-true"),
+    pytest.param("apps", "3", id="apps-str"),
+    pytest.param("seed", 1.9, id="seed-1.9"),
+    pytest.param("seed", -1, id="seed--1"),
+    pytest.param("service_templates", [], id="service_templates-empty"),
+    pytest.param("service_templates.0.cpu", -5, id="service_cpu--5"),
+    pytest.param("service_templates.0.ram", "abc", id="service_ram-abc"),
+    pytest.param("service_templates.1.cpu", float("inf"), id="service_cpu-inf"),
+    pytest.param("resources.fc.cpu", float("nan"), id="fc_cpu-nan"),
 ]
+
+
+def set_scenario_key(doc, key, value):
+    """Set ``key`` in a scenario document read from a saved file.
+
+    A dotted key is a path from the top, with list indices as digits; a
+    bare latency key sits under "latencies", any other bare key at the
+    top level.
+    """
+    *path, last = key.split(".")
+    node = doc["latencies"] if not path and last in doc["latencies"] else doc
+    for part in path:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[last] = value
+
+
+def scenario_error_names(key):
+    """What the error for a bad ``key`` must name: its last part, or
+    "latency" for a latency key, whose spec field has another name."""
+    return "latency" if key.endswith("_ms") else key.rsplit(".", 1)[-1]
 
 
 def make_resource(rid, kind, colony=None, cpu=1000.0, ram=1000.0, storage=1000.0, failure=0.1):

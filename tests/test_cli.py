@@ -5,7 +5,7 @@ import os
 import pytest
 import yaml
 
-from conftest import BAD_SCENARIO_FIELDS
+from conftest import BAD_SCENARIO_FIELDS, scenario_error_names, set_scenario_key
 from fogplan.cli import ConfigError, _parse_params, main
 from fogplan.scenario import ScenarioSpec, save
 
@@ -73,6 +73,12 @@ class TestEvolutionExperiment:
     def test_unknown_algorithm_exits_2(self, tmp_path):
         assert main(["--algo", "simulated-annealing", "--out", str(tmp_path)]) == 2
 
+    def test_missing_scenario_file_exits_2(self, tmp_path, capsys):
+        rc = main(["--algo", "nsga2", "--scenario", str(tmp_path / "absent.yaml"),
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "absent.yaml" in capsys.readouterr().err
+
     def test_scenario_file(self, tmp_path):
         spec = ScenarioSpec(apps=2, services_per_app=2, seed=1)
         scenario_path = tmp_path / "small.yaml"
@@ -98,6 +104,14 @@ class TestDeadlineExperiment:
             if row[3] != "SAT":
                 float(row[3])
 
+    def test_deadline_csv_bytes_pinned(self, tmp_path, monkeypatch):
+        # pins the deadline path as test_paper_csv_bytes_pinned pins evolution
+        monkeypatch.setenv("FOGPLAN_WORKERS", "1")
+        assert main(["--experiment", "deadline", "--algo", "all", "--seeds", "0",
+                     "--evals", "200", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "deadline.csv").read_bytes()).hexdigest()
+        assert digest == "5c02b0f648e1b797d7ae1019e8709561cdbde0b75189cd93ec2353f15ed8c09f"
+
     @pytest.mark.parametrize("key, value", [
         ("fcm_fcm_ms", -10), ("fcm_cloud_ms", -100), *BAD_SCENARIO_FIELDS,
     ])
@@ -105,13 +119,12 @@ class TestDeadlineExperiment:
         scenario_path = tmp_path / "bad.yaml"
         save(ScenarioSpec(), scenario_path)
         doc = yaml.safe_load(scenario_path.read_text())
-        # a latency key sits under "latencies", any other at the top level
-        (doc["latencies"] if key in doc["latencies"] else doc)[key] = value
+        set_scenario_key(doc, key, value)
         scenario_path.write_text(yaml.safe_dump(doc))
         rc = main(["--experiment", "deadline", "--algo", "nsga2", "--scenario",
                    str(scenario_path), "--seeds", "0", "--evals", "40", "--out", str(tmp_path)])
         assert rc == 2
-        assert ("latency" if key.endswith("_ms") else key) in capsys.readouterr().err
+        assert scenario_error_names(key) in capsys.readouterr().err
 
 
 class TestScalingExperiment:
@@ -142,8 +155,8 @@ class TestParamOverrides:
         assert rc == 2
 
     def test_bad_seeds_exits_2(self, tmp_path):
-        rc = main(["--algo", "nsga2", "--seeds", "zero", "--out", str(tmp_path)])
-        assert rc == 2
+        for seeds in ("zero", "-1"):
+            assert main(["--algo", "nsga2", f"--seeds={seeds}", "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("pair", [
         "population_size=3",
@@ -167,4 +180,4 @@ class TestParamOverrides:
         assert parsed == {"population_size": 40, "inertia": 1.0, "mutation_prob": 0.5}
         assert type(parsed["population_size"]) is int and type(parsed["inertia"]) is float
         with pytest.raises(ConfigError, match="integer"):
-            _parse_params(["weight_resolution=7.5"])
+            _parse_params(["grid_divisions=7.5"])

@@ -17,7 +17,6 @@ from fogplan.moea import (
     fast_nondominated_sort,
     hypervolume_2d,
     make_solution,
-    moead_run,
     mopso_run,
     nsga2_run,
     select_compromise,
@@ -303,9 +302,8 @@ class TestMoeadPieces:
         assert best[0] == max(p[0] for p in pts)
 
     def test_bad_lattice(self):
-        prob = tiny_instance(0)
         with pytest.raises(BadLattice):
-            moead_run(prob, AlgoParams(population_size=8, max_evaluations=100, weight_resolution=3))
+            simplex_lattice_weights(0)
 
 
 @pytest.mark.parametrize("name", list(ALGORITHMS))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import BAD_SCENARIO_FIELDS
+from conftest import BAD_SCENARIO_FIELDS, scenario_error_names, set_scenario_key
 from fogplan.errors import ParseError, UnknownVersion
 from fogplan.scenario import (
     DEFAULT_SERVICE_TEMPLATES,
@@ -121,10 +121,9 @@ class TestSerialization:
         path = tmp_path / "scenario.yaml"
         save(ScenarioSpec(), path)
         doc = yaml.safe_load(path.read_text())
-        # a latency key sits under "latencies", any other at the top level
-        (doc["latencies"] if key in doc["latencies"] else doc)[key] = value
+        set_scenario_key(doc, key, value)
         path.write_text(yaml.safe_dump(doc))
-        with pytest.raises(ParseError, match="latency" if key.endswith("_ms") else key):
+        with pytest.raises(ParseError, match=scenario_error_names(key)):
             load(path)
 
     def test_unknown_version(self, tmp_path):
@@ -139,6 +138,7 @@ class TestSerialization:
 
     def test_not_yaml(self, tmp_path):
         path = tmp_path / "scenario.yaml"
-        path.write_text("{unbalanced: [")
-        with pytest.raises(ParseError):
-            load(path)
+        for content in (b"{unbalanced: [", b"\xff\xfe not utf-8"):
+            path.write_bytes(content)
+            with pytest.raises(ParseError):
+                load(path)
