@@ -42,9 +42,8 @@ def _run_one(job):
     prob = scenario_mod.build_instance(spec)
     trace = []
     archive = ALGORITHMS[algo](prob, params, trace_hook=trace.append)
-    compromise = select_compromise(archive) if len(archive) else None
-    report = response_time_report(compromise.genotype, prob) if compromise else None
-    return algo, params.seed, trace, compromise, report
+    report = response_time_report(select_compromise(archive).genotype, prob)
+    return algo, params.seed, trace, report
 
 
 def _worker_count() -> int:
@@ -82,7 +81,7 @@ def run_evolution_experiment(algorithms: list[str], spec: scenario_mod.ScenarioS
     rows = [
         [algo, seed, *(value if name == "evaluations" else _fmt(value)
                        for name, value in zip(columns, astuple(gen)))]
-        for algo, seed, trace, _, _ in _run_all(algorithms, spec, params)
+        for algo, seed, trace, _ in _run_all(algorithms, spec, params)
         for gen in trace
     ]
     path = os.path.join(output_dir, "evolution.csv")
@@ -96,9 +95,7 @@ def run_deadline_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSp
     results = _run_all(algorithms, spec, params)
     prob = scenario_mod.build_instance(spec)
     rows = []
-    for algo, seed, _, compromise, report in results:
-        if compromise is None:
-            continue
+    for algo, seed, _, report in results:
         for app in prob.apps:
             rt = report.app_rt[app.id]
             satisfied = rt is not None and rt <= app.deadline

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -86,32 +88,30 @@ def constrained_dominates(a: Solution, b: Solution) -> bool:
 
 
 def fast_nondominated_sort(population: list[Solution]) -> list[list[Solution]]:
-    """Partition a population into constrained-dominance fronts."""
-    n = len(population)
-    dominated_by = [[] for _ in range(n)]
-    domination_count = [0] * n
-    fronts = [[]]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if constrained_dominates(population[i], population[j]):
-                dominated_by[i].append(j)
-            elif constrained_dominates(population[j], population[i]):
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            fronts[0].append(i)
-    k = 0
-    while fronts[k]:
-        nxt = []
-        for i in fronts[k]:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    nxt.append(j)
-        fronts.append(nxt)
-        k += 1
-    return [[population[i] for i in front] for front in fronts if front]
+    """Partition a population into constrained-dominance fronts.
+
+    Two objectives let one sort find the feasible fronts (Jensen, IEEE
+    TEC 2003): in order of decreasing (u, a), each member joins the
+    first front whose latest member does not dominate it.  Those latest
+    members dominate a newcomer up to some front and not from it on, so
+    a binary search finds that front.  The infeasible members follow,
+    one front per distinct total violation, least first.
+    """
+    fronts = []
+    feasible = sorted(
+        (s for s in population if s.feasible),
+        key=lambda s: (-s.objectives.fog_utilization, -s.objectives.availability),
+    )
+    for s in feasible:
+        k = bisect_left(
+            fronts, True, key=lambda front: not pareto_dominates(front[-1].objectives, s.objectives)
+        )
+        if k == len(fronts):
+            fronts.append([])
+        fronts[k].append(s)
+    infeasible = sorted((s for s in population if not s.feasible), key=lambda s: s.total_violation)
+    fronts.extend(list(group) for _, group in groupby(infeasible, key=lambda s: s.total_violation))
+    return fronts
 
 
 def crowding_distance(front: list[Solution]) -> list[float]:
@@ -276,23 +276,17 @@ class GenerationStats:
 
 
 def generation_stats(archive: ParetoArchive, population: list[Solution], evaluations: int) -> GenerationStats:
-    if archive.members:
-        best_u = max(m.objectives.fog_utilization for m in archive.members)
-        best_a = max(m.objectives.availability for m in archive.members)
-        comp = select_compromise(archive).objectives
-        hv = hypervolume_2d([m.objectives for m in archive.members], ObjectiveVector(0.0, 0.0))
-        comp_u, comp_a = comp.fog_utilization, comp.availability
-    else:
-        best_u = best_a = comp_u = comp_a = hv = 0.0
-    feas = sum(1 for s in population if s.feasible) / len(population) if population else 0.0
+    """Quality of a run so far; the archive holds a member once anything was scored."""
+    objectives = [m.objectives for m in archive.members]
+    comp = select_compromise(archive).objectives
     return GenerationStats(
         evaluations=evaluations,
-        best_fog_utilization=best_u,
-        best_availability=best_a,
-        compromise_fog_utilization=comp_u,
-        compromise_availability=comp_a,
-        hypervolume=hv,
-        feasible_fraction=feas,
+        best_fog_utilization=max(o.fog_utilization for o in objectives),
+        best_availability=max(o.availability for o in objectives),
+        compromise_fog_utilization=comp.fog_utilization,
+        compromise_availability=comp.availability,
+        hypervolume=hypervolume_2d(objectives, ObjectiveVector(0.0, 0.0)),
+        feasible_fraction=sum(s.feasible for s in population) / len(population),
     )
 
 

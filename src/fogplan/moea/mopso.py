@@ -61,8 +61,7 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         for i in range(swarm):
             if not run.left:
                 break
-            members = run.archive.members
-            guide = _grid_select(members, params.grid_divisions, rng) if members else pbest[i]
+            guide = _grid_select(run.archive.members, params.grid_divisions, rng)
             hosts = np.array([current[i].genotype, pbest[i].genotype, guide.genotype], dtype=np.int64)
             if pull is None:
                 child = hosts[0]

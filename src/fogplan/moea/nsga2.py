@@ -30,7 +30,7 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     rng = run.rng
 
     population = [run.evaluate(g) for g in initial_population(prob, pop_size, rng)]
-    _, standing = _environmental_selection(population, pop_size)
+    population, standing = _environmental_selection(population, pop_size)
     run.report(population)
 
     while run.left:
@@ -56,32 +56,24 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
 
 
 def _tournament(population, standing, rng) -> Solution:
-    """The lower front wins, then the larger crowding distance, then ``a``."""
+    """The lower (front, -crowding) wins, then the first drawn."""
     i, j = rng.integers(0, len(population), size=2)
-    a, b = population[i], population[j]
-    return b if standing[id(b)] < standing[id(a)] else a
+    return population[j] if standing[j] < standing[i] else population[i]
 
 
 def _environmental_selection(combined, pop_size):
-    """The ``pop_size`` best of ``combined``, and each one's (front, -crowding).
+    """The ``pop_size`` best of ``combined`` by the crowded comparison, and
+    a parallel list of each one's (front, -crowding).
 
-    One sort serves both: every front but the last one reached is kept
-    whole, so its members keep the front index and crowding distance of
-    that sort.  The last front is cut to its least crowded members, whose
-    distances are then taken among themselves.
+    Members rank by (front, -crowding, genotype), each crowding distance
+    taken on its whole front (Deb et al., IEEE TEC 2002), so the result
+    depends on the members' values and not on their order in ``combined``.
     """
-    survivors, standing = [], {}
+    ranked = []
     for level, front in enumerate(fast_nondominated_sort(combined)):
-        distances = crowding_distance(front)
-        need = pop_size - len(survivors)
-        if len(front) > need:
-            order = sorted(
-                range(len(front)), key=lambda i: (-distances[i], front[i].genotype)
-            )
-            front = [front[i] for i in order[:need]]
-            distances = crowding_distance(front)
-        survivors.extend(front)
-        standing.update((id(s), (level, -d)) for s, d in zip(front, distances))
-        if len(survivors) == pop_size:
+        ranked.extend(((level, -d), s.genotype, s) for s, d in zip(front, crowding_distance(front)))
+        if len(ranked) >= pop_size:
             break
-    return survivors, standing
+    ranked.sort(key=lambda r: r[:2])
+    del ranked[pop_size:]
+    return [s for _, _, s in ranked], [key for key, _, _ in ranked]

@@ -103,6 +103,8 @@ class ScenarioSpec:
         for name in ("colonies", "cells_per_colony", "apps", "services_per_app"):
             if getattr(self, name) < 1:
                 raise ParseError(name, "count must be >= 1")
+        if 1 + self.colonies * (1 + self.cells_per_colony) > 1 << 16:
+            raise ParseError("colonies", "1 + colonies * (1 + cells_per_colony) resources exceed 65536")
         if self.seed < 0:
             raise ParseError("seed", "must be >= 0")
         for name in ("service_templates", "deadlines", "request_rates"):
@@ -271,7 +273,10 @@ def _read(where: str, hint, value):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if hint is float:
-            return float(value)
+            try:
+                return float(value)
+            except OverflowError:
+                raise ParseError(where, "number too large for a float") from None
         if isinstance(value, int) or value.is_integer():
             return int(value)
     raise ParseError(where, f"expected {'an integer' if hint is int else 'a number'}, got {value!r}")
@@ -286,7 +291,7 @@ def load(path) -> ScenarioSpec:
     if not isinstance(doc, dict):
         raise ParseError("<document>", "scenario file must be a mapping")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise UnknownVersion(f"unsupported schema_version {version!r}")
     hints = get_type_hints(ScenarioSpec)
     values = {}

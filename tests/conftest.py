@@ -31,6 +31,8 @@ BAD_SCENARIO_FIELDS = [
     pytest.param("service_templates.0.ram", "abc", id="service_ram-abc"),
     pytest.param("service_templates.1.cpu", float("inf"), id="service_cpu-inf"),
     pytest.param("resources.fc.cpu", float("nan"), id="fc_cpu-nan"),
+    pytest.param("reserve_fraction", 10**400, id="reserve_fraction-huge"),
+    pytest.param("cells_per_colony", 70000, id="cells_per_colony-70000"),
 ]
 
 
@@ -132,19 +134,26 @@ def tiny_instance(seed):
     )
 
 
-def random_solutions(rng, count, feasible_fraction=0.7):
-    """Synthetic evaluated solutions for dominance/archive property tests."""
+def random_solutions(rng, count, feasible_fraction=0.7, violation_levels=None):
+    """Synthetic evaluated solutions for dominance/archive property tests.
+
+    With ``violation_levels``, an infeasible member's total violation is
+    one of that many values, so that infeasible members share totals.
+    """
     from fogplan.fsdp import ObjectiveVector, ViolationVector
     from fogplan.moea import Solution
 
     out = []
     for i in range(count):
         feas = rng.random() < feasible_fraction
+        if feas:
+            cpu = deadline = 0.0
+        elif violation_levels:
+            cpu, deadline = float(rng.integers(1, violation_levels + 1)), 0.0
+        else:
+            cpu, deadline = float(rng.random()), float(rng.random())
         violations = ViolationVector(
-            cpu_excess=0.0 if feas else float(rng.random()),
-            ram_excess=0.0,
-            storage_excess=0.0,
-            deadline_excess=0.0 if feas else float(rng.random()),
+            cpu_excess=cpu, ram_excess=0.0, storage_excess=0.0, deadline_excess=deadline
         )
         out.append(
             Solution(

@@ -61,7 +61,7 @@ class TestEvolutionExperiment:
         assert main(["--experiment", "evolution", "--algo", "all", "--seeds", "0",
                      "--evals", "200", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
-        assert digest == "ef0832644a6a41be0f7e46ae0775d5d6eabd81b80ed34f969d2243f1ab750d43"
+        assert digest == "1c8092f9710878a9aa4364e32df93c4297ca300cf894a26eb12c66bcc7ef2fd2"
 
     def test_budget_below_population_exits_2(self, tmp_path, capsys):
         rc = main(["--algo", "nsga2", "--seeds", "0", "--evals", "10",
@@ -110,7 +110,7 @@ class TestDeadlineExperiment:
         assert main(["--experiment", "deadline", "--algo", "all", "--seeds", "0",
                      "--evals", "200", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "deadline.csv").read_bytes()).hexdigest()
-        assert digest == "5c02b0f648e1b797d7ae1019e8709561cdbde0b75189cd93ec2353f15ed8c09f"
+        assert digest == "9717b51a28e434d5d25a53dd9c99fe2e7dcc0e7d2ff640907323da0afeefdf4c"
 
     @pytest.mark.parametrize("key, value", [
         ("fcm_fcm_ms", -10), ("fcm_cloud_ms", -100), *BAD_SCENARIO_FIELDS,

@@ -122,9 +122,14 @@ class TestNondominatedSort:
 
     def test_matches_bruteforce_audit(self):
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            pop = random_solutions(rng, 8)
+        for trial in range(80):
+            # every other population draws its violations from three levels, so
+            # infeasible members tie; objectives lie on a 5 x 5 grid and tie too
+            pop = random_solutions(
+                rng, int(rng.integers(1, 81)), violation_levels=3 if trial % 2 else None
+            )
             fronts = fast_nondominated_sort(pop)
+            assert sum(len(front) for front in fronts) == len(pop)
             # brute-force front index: 0 iff undominated, k iff dominated
             # only by members of smaller index
             expected = {}
@@ -362,6 +367,20 @@ def test_nsga2_sorts_once_per_generation(monkeypatch):
     # the initial population, then one sort of parents plus offspring per generation
     assert len(reports) == 5
     assert sorts == [40] + [80] * 4
+
+
+def test_nsga2_selection_ignores_member_order():
+    from fogplan.moea.nsga2 import _environmental_selection
+
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        pop = random_solutions(rng, 60, violation_levels=3)
+        combined = pop + pop[:20]  # a population may hold one genotype twice
+        expected = _environmental_selection(combined, 40)
+        assert expected[1] == sorted(expected[1]) and len(expected[0]) == 40
+        for _ in range(5):
+            shuffled = [combined[i] for i in rng.permutation(len(combined))]
+            assert _environmental_selection(shuffled, 40) == expected
 
 
 class TestInitialPopulation:

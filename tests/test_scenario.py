@@ -136,6 +136,16 @@ class TestSerialization:
         with pytest.raises(UnknownVersion):
             load(path)
 
+    def test_bool_version_rejected(self, tmp_path):
+        # true == 1, the supported version, in Python
+        path = tmp_path / "scenario.yaml"
+        save(ScenarioSpec(), path)
+        doc = yaml.safe_load(path.read_text())
+        doc["schema_version"] = True
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(UnknownVersion):
+            load(path)
+
     def test_not_yaml(self, tmp_path):
         path = tmp_path / "scenario.yaml"
         for content in (b"{unbalanced: [", b"\xff\xfe not utf-8"):
