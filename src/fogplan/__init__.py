@@ -1,7 +1,7 @@
 """Availability-aware fog service placement with multiobjective EAs."""
 
 from .fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate, is_feasible
-from .model import Application, Colony, Landscape, Resource, Service
+from .model import Application, Landscape, Resource, Service
 from .moea import ALGORITHMS, AlgoParams, ParetoArchive, select_compromise
 from .scenario import ScenarioSpec, paper_scenario, scaled_scenario
 
@@ -11,7 +11,6 @@ __all__ = [
     "ALGORITHMS",
     "AlgoParams",
     "Application",
-    "Colony",
     "Landscape",
     "ObjectiveVector",
     "ParetoArchive",

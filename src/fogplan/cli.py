@@ -52,7 +52,9 @@ def _worker_count() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ConfigError(f"FOGPLAN_WORKERS must be an integer, got {raw!r}") from exc
-    return max(1, n)
+    if n < 1:
+        raise ConfigError(f"FOGPLAN_WORKERS must be >= 1, got {n}")
+    return n
 
 
 def _run_all(algorithms: list[str], spec: scenario_mod.ScenarioSpec, params: list[AlgoParams]):
@@ -232,6 +234,8 @@ def main(argv=None) -> int:
             path = run_deadline_experiment(algorithms, spec, params, args.out)
         else:
             factors = _parse_factors(args.factors)
+            if len(seeds) > 1:
+                raise ConfigError(f"the scaling experiment takes one seed, got --seeds {args.seeds}")
             path = run_scaling_experiment(algorithms, spec, params[0], factors, args.out)
     except FogplanError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,10 +17,6 @@ class DanglingEdge(FogplanError):
         super().__init__(f"edge references unknown service: {edge}")
 
 
-class UnknownColony(FogplanError):
-    pass
-
-
 class LengthMismatch(FogplanError):
     pass
 

@@ -2,7 +2,7 @@
 
 The landscape is a three-level hierarchy: a central cloud node, fog
 colonies each managed by one coordinator (FCM) over a set of worker
-cells (FC), and configured link latencies between them.  Applications
+cells (FC), and one configured latency per kind of link.  Applications
 are DAGs of services with hardware demands, an availability requirement
 and a deadline.
 """
@@ -10,12 +10,13 @@ and a deadline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import CycleDetected, DanglingEdge, UnknownColony
+from .errors import CycleDetected, DanglingEdge
 
 
 class ResourceKind(Enum):
@@ -35,8 +36,8 @@ class Resource:
     colony_id: int | None = None
 
     def __post_init__(self):
-        if self.cpu_capacity <= 0 or self.ram_capacity <= 0 or self.storage_capacity <= 0:
-            raise ValueError(f"resource {self.id}: capacities must be positive")
+        if not all(0 < c < math.inf for c in (self.cpu_capacity, self.ram_capacity, self.storage_capacity)):
+            raise ValueError(f"resource {self.id}: capacities must be finite and positive")
         if not 0.0 <= self.failure_probability <= 1.0:
             raise ValueError(f"resource {self.id}: failure probability outside [0, 1]")
         if (self.kind is ResourceKind.CLOUD) != (self.colony_id is None):
@@ -48,28 +49,19 @@ class Resource:
 
 
 @dataclass(frozen=True)
-class Colony:
-    id: int
-    fcm: int
-    cells: tuple[int, ...]
-    neighbor_latency: dict[int, float] = field(default_factory=dict)
-    cell_latency: float = 2.0  # FC <-> own FCM, milliseconds
-
-    def __post_init__(self):
-        if self.id in self.neighbor_latency:
-            raise ValueError(f"colony {self.id}: latency entry to itself")
-        if not all(0 <= v < math.inf for v in self.neighbor_latency.values()):
-            raise ValueError(f"colony {self.id}: neighbor latency negative or not finite")
-        if not 0 <= self.cell_latency < math.inf:
-            raise ValueError(f"colony {self.id}: cell latency negative or not finite")
-
-
-@dataclass(frozen=True)
 class Landscape:
+    """A cloud plus fog colonies, with one latency per kind of link.
+
+    A colony is the resources that share a ``Resource.colony_id``: one
+    FCM and any number of cells.  Latencies are in milliseconds: a cell
+    to its own FCM, an FCM to another colony's FCM, an FCM to the cloud.
+    """
+
     cloud: int
-    colonies: tuple[Colony, ...]
     resources: tuple[Resource, ...]
-    cloud_latency: dict[int, float] = field(default_factory=dict)  # colony id -> ms
+    fc_fcm_ms: float
+    fcm_fcm_ms: float
+    fcm_cloud_ms: float
 
     def __post_init__(self):
         ids = [r.id for r in self.resources]
@@ -77,26 +69,13 @@ class Landscape:
             raise ValueError("resource ids must be unique and contiguous from 0")
         if self.resources[self.cloud].kind is not ResourceKind.CLOUD:
             raise ValueError("cloud field must reference a cloud resource")
-        for colony in self.colonies:
-            for rid in (colony.fcm, *colony.cells):
-                if not 0 <= rid < len(ids):
-                    raise ValueError(f"colony {colony.id} references unknown resource {rid}")
-            if self.resources[colony.fcm].kind is not ResourceKind.FCM:
-                raise ValueError(f"colony {colony.id}: fcm field must reference an FCM resource")
-            if colony.id not in self.cloud_latency:
-                raise ValueError(f"colony {colony.id}: no cloud latency")
-            if not 0 <= self.cloud_latency[colony.id] < math.inf:
-                raise ValueError(f"colony {colony.id}: cloud latency negative or not finite")
-        for i, ca in enumerate(self.colonies):
-            for cb in self.colonies[i + 1:]:
-                if cb.id not in ca.neighbor_latency and ca.id not in cb.neighbor_latency:
-                    raise ValueError(f"colonies {ca.id} and {cb.id}: no neighbor latency")
-
-    def colony(self, cid: int) -> Colony:
-        for colony in self.colonies:
-            if colony.id == cid:
-                return colony
-        raise UnknownColony(cid)
+        fcms = Counter(r.colony_id for r in self.resources if r.kind is ResourceKind.FCM)
+        for r in self.resources:
+            if r.colony_id is not None and fcms[r.colony_id] != 1:
+                raise ValueError(f"colony {r.colony_id}: {fcms[r.colony_id]} FCMs, expected one")
+        for name in ("fc_fcm_ms", "fcm_fcm_ms", "fcm_cloud_ms"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: latency negative or not finite")
 
 
 @dataclass(frozen=True)
@@ -108,8 +87,8 @@ class Service:
     availability_req: float
 
     def __post_init__(self):
-        if self.workload_cpu <= 0 or self.ram_req <= 0 or self.storage_req <= 0:
-            raise ValueError(f"service {self.id}: demands must be positive")
+        if not all(0 < d < math.inf for d in (self.workload_cpu, self.ram_req, self.storage_req)):
+            raise ValueError(f"service {self.id}: demands must be finite and positive")
         if not 0.0 <= self.availability_req <= 1.0:
             raise ValueError(f"service {self.id}: availability requirement outside [0, 1]")
 
@@ -123,10 +102,10 @@ class Application:
     request_rate: float  # requests / second
 
     def __post_init__(self):
-        if self.deadline <= 0:
-            raise ValueError(f"app {self.id}: deadline must be positive")
-        if self.request_rate <= 0:
-            raise ValueError(f"app {self.id}: request rate must be positive")
+        if not 0 < self.deadline < math.inf:
+            raise ValueError(f"app {self.id}: deadline must be finite and positive")
+        if not 0 < self.request_rate < math.inf:
+            raise ValueError(f"app {self.id}: request rate must be finite and positive")
         if not self.services:
             raise ValueError(f"app {self.id}: no services")
 
@@ -170,11 +149,8 @@ def service_levels(app: Application) -> list[int]:
     return level
 
 
-def _hop_to_fcm(landscape: Landscape, rid: int) -> float:
-    res = landscape.resources[rid]
-    if res.kind is ResourceKind.FCM:
-        return 0.0
-    return landscape.colony(res.colony_id).cell_latency
+def _hop_ms(landscape: Landscape, res: Resource) -> float:
+    return landscape.fc_fcm_ms if res.kind is ResourceKind.FC else 0.0
 
 
 def latency_ms(landscape: Landscape, a: int, b: int) -> float:
@@ -186,21 +162,13 @@ def latency_ms(landscape: Landscape, a: int, b: int) -> float:
     if a == b:
         return 0.0
     ra, rb = landscape.resources[a], landscape.resources[b]
-    if ra.kind is ResourceKind.CLOUD or rb.kind is ResourceKind.CLOUD:
-        if ra.kind is ResourceKind.CLOUD and rb.kind is ResourceKind.CLOUD:
-            return 0.0
-        fog = b if ra.kind is ResourceKind.CLOUD else a
-        res = landscape.resources[fog]
-        return _hop_to_fcm(landscape, fog) + landscape.cloud_latency[res.colony_id]
     if ra.colony_id == rb.colony_id:
-        return _hop_to_fcm(landscape, a) + _hop_to_fcm(landscape, b)
-    ca = landscape.colony(ra.colony_id)
-    cb = landscape.colony(rb.colony_id)
-    if cb.id in ca.neighbor_latency:
-        inter = ca.neighbor_latency[cb.id]
+        inter = 0.0
+    elif ResourceKind.CLOUD in (ra.kind, rb.kind):
+        inter = landscape.fcm_cloud_ms
     else:
-        inter = cb.neighbor_latency[ca.id]
-    return _hop_to_fcm(landscape, a) + inter + _hop_to_fcm(landscape, b)
+        inter = landscape.fcm_fcm_ms
+    return _hop_ms(landscape, ra) + inter + _hop_ms(landscape, rb)
 
 
 def latency_matrix(landscape: Landscape) -> np.ndarray:
@@ -208,28 +176,16 @@ def latency_matrix(landscape: Landscape) -> np.ndarray:
 
     The vector form of ``latency_ms``, bit for bit: entry (i, j) adds
     the same terms in the same order as ``latency_ms(landscape, min(i, j),
-    max(i, j))``.  Colony links come from a table whose last row and
-    column are the cloud's; a colony's link to itself is 0, and a cell
-    adds its hop to its own FCM at each end.
+    max(i, j))``.
     """
-    colonies = landscape.colonies
-    cloud = [landscape.cloud_latency[c.id] for c in colonies]
-    inter = np.array([
-        [
-            0.0 if ca is cb else ca.neighbor_latency.get(cb.id, cb.neighbor_latency.get(ca.id))
-            for cb in colonies
-        ] + [up]
-        for ca, up in zip(colonies, cloud)
-    ] + [cloud + [0.0]])
-    index = {c.id: k for k, c in enumerate(colonies)}
     res = landscape.resources
-    col = [len(colonies) if r.colony_id is None else index[r.colony_id] for r in res]
-    hop = np.array([
-        colonies[c].cell_latency if r.kind is ResourceKind.FC else 0.0 for r, c in zip(res, col)
-    ])
-    col = np.array(col)
-    mat = hop[:, None] + inter[col[:, None], col] + hop
+    hop = np.array([_hop_ms(landscape, r) for r in res])
+    cloud = np.array([r.colony_id is None for r in res])
+    colony = np.array([-1 if r.colony_id is None else r.colony_id for r in res])
+    inter = np.where(colony[:, None] == colony, 0.0, landscape.fcm_fcm_ms)
+    inter[cloud[:, None] != cloud] = landscape.fcm_cloud_ms
+    mat = hop[:, None] + inter + hop
     # keep the upper triangle, latency_ms(i, j) for i < j, and mirror it
-    ids = np.arange(len(col))
+    ids = np.arange(len(res))
     mat = np.where(ids[:, None] < ids, mat, 0.0)
     return mat + mat.T

@@ -18,14 +18,7 @@ import yaml
 
 from .errors import ParseError, UnknownVersion
 from .fsdp import ProblemInstance
-from .model import (
-    Application,
-    Colony,
-    Landscape,
-    Resource,
-    ResourceKind,
-    Service,
-)
+from .model import Application, Landscape, Resource, ResourceKind, Service
 
 SCHEMA_VERSION = 1
 
@@ -123,7 +116,7 @@ class ScenarioSpec:
 def build_landscape(spec: ScenarioSpec) -> Landscape:
     resources = []
 
-    def host(kind: ResourceKind, template: ResourceTemplate, colony_id=None) -> int:
+    def host(kind: ResourceKind, template: ResourceTemplate, colony_id=None) -> None:
         resources.append(
             Resource(
                 id=len(resources),
@@ -135,31 +128,18 @@ def build_landscape(spec: ScenarioSpec) -> Landscape:
                 colony_id=colony_id,
             )
         )
-        return len(resources) - 1
 
-    cloud = host(ResourceKind.CLOUD, spec.cloud)
-    colonies = []
+    host(ResourceKind.CLOUD, spec.cloud)
     for cid in range(spec.colonies):
-        fcm = host(ResourceKind.FCM, spec.fcm, cid)
-        cells = tuple(host(ResourceKind.FC, spec.fc, cid) for _ in range(spec.cells_per_colony))
-        neighbor_latency = {
-            other: spec.fcm_fcm_latency_ms for other in range(spec.colonies) if other != cid
-        }
-        colonies.append(
-            Colony(
-                id=cid,
-                fcm=fcm,
-                cells=cells,
-                neighbor_latency=neighbor_latency,
-                cell_latency=spec.fc_fcm_latency_ms,
-            )
-        )
-    cloud_latency = {cid: spec.fcm_cloud_latency_ms for cid in range(spec.colonies)}
+        host(ResourceKind.FCM, spec.fcm, cid)
+        for _ in range(spec.cells_per_colony):
+            host(ResourceKind.FC, spec.fc, cid)
     return Landscape(
-        cloud=cloud,
-        colonies=tuple(colonies),
+        cloud=0,
         resources=tuple(resources),
-        cloud_latency=cloud_latency,
+        fc_fcm_ms=spec.fc_fcm_latency_ms,
+        fcm_fcm_ms=spec.fcm_fcm_latency_ms,
+        fcm_cloud_ms=spec.fcm_cloud_latency_ms,
     )
 
 

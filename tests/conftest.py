@@ -4,7 +4,6 @@ import pytest
 from fogplan.fsdp import ProblemInstance
 from fogplan.model import (
     Application,
-    Colony,
     Landscape,
     Resource,
     ResourceKind,
@@ -100,15 +99,8 @@ def two_colony_landscape():
         make_resource(4, ResourceKind.FCM, colony=1, failure=0.10, cpu=1000, ram=512, storage=10000),
         make_resource(5, ResourceKind.FC, colony=1, failure=0.20, cpu=250, ram=256, storage=1000),
     ]
-    colonies = (
-        Colony(id=0, fcm=1, cells=(2, 3), neighbor_latency={1: 10.0}),
-        Colony(id=1, fcm=4, cells=(5,), neighbor_latency={0: 10.0}),
-    )
     return Landscape(
-        cloud=0,
-        colonies=colonies,
-        resources=tuple(resources),
-        cloud_latency={0: 100.0, 1: 100.0},
+        cloud=0, resources=tuple(resources), fc_fcm_ms=2.0, fcm_fcm_ms=10.0, fcm_cloud_ms=100.0
     )
 
 

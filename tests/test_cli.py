@@ -63,6 +63,14 @@ class TestEvolutionExperiment:
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
         assert digest == "1c8092f9710878a9aa4364e32df93c4297ca300cf894a26eb12c66bcc7ef2fd2"
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_exits_2(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setenv("FOGPLAN_WORKERS", workers)
+        rc = main(["--algo", "nsga2", "--seeds", "0", "--evals", "40", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "FOGPLAN_WORKERS" in capsys.readouterr().err
+        assert not (tmp_path / "evolution.csv").exists()
+
     def test_budget_below_population_exits_2(self, tmp_path, capsys):
         rc = main(["--algo", "nsga2", "--seeds", "0", "--evals", "10",
                    "--out", str(tmp_path)])
@@ -141,6 +149,13 @@ class TestScalingExperiment:
         rc = main(["--experiment", "scaling", "--algo", "mopso", "--seeds", "0",
                    "--evals", "80", "--factors", "", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_more_than_one_seed_exits_2(self, tmp_path, capsys):
+        rc = main(["--experiment", "scaling", "--algo", "mopso", "--seeds", "0..3",
+                   "--evals", "80", "--factors", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "one seed" in capsys.readouterr().err
+        assert not (tmp_path / "scaling.csv").exists()
 
 
 class TestParamOverrides:

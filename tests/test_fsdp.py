@@ -13,7 +13,7 @@ from fogplan.fsdp import (
     fog_utilization,
     is_feasible,
 )
-from fogplan.model import Colony, Landscape, ResourceKind
+from fogplan.model import Landscape, ResourceKind
 from fogplan.moea import make_solution
 from fogplan.scenario import paper_scenario
 
@@ -24,8 +24,9 @@ def single_colony_landscape():
         make_resource(1, ResourceKind.FCM, colony=0, failure=0.10, cpu=1000, ram=512, storage=10000),
         make_resource(2, ResourceKind.FC, colony=0, failure=0.20, cpu=250, ram=256, storage=1000),
     )
-    colonies = (Colony(id=0, fcm=1, cells=(2,)),)
-    return Landscape(cloud=0, colonies=colonies, resources=resources, cloud_latency={0: 100.0})
+    return Landscape(
+        cloud=0, resources=resources, fc_fcm_ms=2.0, fcm_fcm_ms=10.0, fcm_cloud_ms=100.0
+    )
 
 
 class TestFogUtilization:
@@ -34,7 +35,7 @@ class TestFogUtilization:
         assert fog_utilization(dep, paper_problem) == 0.0
 
     def test_all_fog_is_one(self, paper_problem):
-        fcm = paper_problem.landscape.colonies[0].fcm
+        fcm = next(r.id for r in paper_problem.landscape.resources if r.kind is ResourceKind.FCM)
         assert fog_utilization([fcm] * paper_problem.n_services, paper_problem) == 1.0
 
     def test_three_of_four_in_fog(self, small_problem):

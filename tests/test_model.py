@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import chain_app, make_resource, make_service
-from fogplan.errors import CycleDetected, DanglingEdge, UnknownColony
+from fogplan.errors import CycleDetected, DanglingEdge
 from fogplan.model import (
     Application,
-    Colony,
     Landscape,
     ResourceKind,
     latency_matrix,
@@ -71,67 +70,46 @@ class TestValidateDag:
             Application(id=0, services=(), edges=(), deadline=10.0, request_rate=0.1)
 
 
-def three_colony_landscape(cloud_latency, neighbor_latency):
-    """Cloud plus three FCM-only colonies with the given latency maps."""
-    resources = (make_resource(0, ResourceKind.CLOUD, failure=0.0),) + tuple(
-        make_resource(c + 1, ResourceKind.FCM, colony=c) for c in range(3)
-    )
-    colonies = tuple(
-        Colony(id=c, fcm=c + 1, cells=(), neighbor_latency=neighbor_latency.get(c, {}))
-        for c in range(3)
-    )
-    return Landscape(cloud=0, colonies=colonies, resources=resources, cloud_latency=cloud_latency)
+LATENCIES = {"fc_fcm_ms": 2.0, "fcm_fcm_ms": 10.0, "fcm_cloud_ms": 100.0}
 
 
 def celled_landscape():
-    """Cloud plus three colonies with cells, one latency direction per
-    colony pair, and hop sums whose rounding depends on their order."""
+    """Cloud plus three colonies with cells, non-contiguous colony ids,
+    and latencies whose float sum depends on the order of addition."""
     resources = [make_resource(0, ResourceKind.CLOUD, failure=0.0)]
-    colonies = []
-    for c, (cells, hop) in enumerate(((2, 0.1), (1, 0.7), (1, 0.3))):
-        fcm = len(resources)
-        resources.append(make_resource(fcm, ResourceKind.FCM, colony=c))
-        ids = tuple(range(fcm + 1, fcm + 1 + cells))
-        resources += [make_resource(rid, ResourceKind.FC, colony=c) for rid in ids]
-        neighbors = {0: {1: 0.2, 2: 0.6}, 2: {1: 0.3}}.get(c, {})
-        colonies.append(
-            Colony(id=c, fcm=fcm, cells=ids, neighbor_latency=neighbors, cell_latency=hop)
-        )
+    for colony, cells in ((3, 2), (0, 1), (7, 1)):
+        resources.append(make_resource(len(resources), ResourceKind.FCM, colony=colony))
+        for _ in range(cells):
+            resources.append(make_resource(len(resources), ResourceKind.FC, colony=colony))
     return Landscape(
-        cloud=0, colonies=tuple(colonies), resources=tuple(resources),
-        cloud_latency={0: 0.1, 1: 0.7, 2: 0.3},
+        cloud=0, resources=tuple(resources), fc_fcm_ms=0.1, fcm_fcm_ms=0.6, fcm_cloud_ms=0.7
     )
 
 
+CELLED = celled_landscape()
+
+
 class TestLandscape:
-    def test_unknown_colony(self, two_colony_landscape):
-        with pytest.raises(UnknownColony):
-            two_colony_landscape.colony(7)
-
-    def test_one_direction_of_each_pair_suffices(self):
-        scape = three_colony_landscape(
-            {0: 100.0, 1: 90.0, 2: 80.0}, {0: {1: 5.0, 2: 7.0}, 2: {1: 3.0}}
+    @pytest.mark.parametrize("kinds", [
+        (ResourceKind.FC, ResourceKind.FC),
+        (ResourceKind.FCM, ResourceKind.FCM),
+    ], ids=["no-fcm", "two-fcms"])
+    def test_colony_needs_exactly_one_fcm(self, kinds):
+        resources = (
+            make_resource(0, ResourceKind.CLOUD),
+            make_resource(1, ResourceKind.FCM, colony=0),
+            make_resource(2, kinds[0], colony=1),
+            make_resource(3, kinds[1], colony=1),
         )
-        assert latency_ms(scape, 1, 2) == latency_ms(scape, 2, 1) == 5.0
-        assert latency_ms(scape, 2, 3) == 3.0
-        assert latency_ms(scape, 3, 0) == 80.0
-
-    def test_missing_neighbor_latency_rejected(self):
-        with pytest.raises(ValueError, match="colonies 1 and 2"):
-            three_colony_landscape({0: 100.0, 1: 100.0, 2: 100.0}, {0: {1: 5.0, 2: 7.0}})
-
-    def test_missing_cloud_latency_rejected(self):
-        with pytest.raises(ValueError, match="colony 2: no cloud latency"):
-            three_colony_landscape({0: 100.0, 1: 100.0}, {0: {1: 5.0, 2: 7.0}, 1: {2: 1.0}})
+        with pytest.raises(ValueError, match="colony 1: [02] FCMs"):
+            Landscape(cloud=0, resources=resources, **LATENCIES)
 
     @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
     def test_negative_or_non_finite_latency_rejected(self, bad):
-        with pytest.raises(ValueError, match="colony 1: cloud latency"):
-            three_colony_landscape({0: 1.0, 1: bad, 2: 1.0}, {0: {1: 5.0, 2: 7.0}, 1: {2: 1.0}})
-        with pytest.raises(ValueError, match="colony 0: neighbor latency"):
-            three_colony_landscape({0: 1.0, 1: 1.0, 2: 1.0}, {0: {1: bad, 2: 7.0}, 1: {2: 1.0}})
-        with pytest.raises(ValueError, match="colony 0: cell latency"):
-            Colony(id=0, fcm=1, cells=(2,), cell_latency=bad)
+        resources = (make_resource(0, ResourceKind.CLOUD), make_resource(1, ResourceKind.FCM, colony=0))
+        for name in LATENCIES:
+            with pytest.raises(ValueError, match=f"{name}: latency negative or not finite"):
+                Landscape(cloud=0, resources=resources, **{**LATENCIES, name: bad})
 
 
 class TestLandscapeAvailability:
@@ -157,11 +135,15 @@ class TestLatency:
 
     @pytest.mark.parametrize("scape", [
         scaled_scenario(ScenarioSpec(), 4).landscape,
-        celled_landscape(),
-        # four resources: the pairwise-loop path
+        CELLED,
+        # one colony: no FCM-to-FCM link
         scaled_scenario(ScenarioSpec(colonies=1, cells_per_colony=2), 1).landscape,
     ])
     def test_matrix_equals_pairwise_reference(self, scape):
+        if scape is CELLED:
+            # a cell-to-cell sum that took both hops first would round otherwise
+            hop, inter = scape.fc_fcm_ms, scape.fcm_fcm_ms
+            assert hop + inter + hop != hop + hop + inter
         mat = latency_matrix(scape)
         n = len(scape.resources)
         for i in range(n):
@@ -174,3 +156,20 @@ class TestLatency:
                 assert latency_ms(two_colony_landscape, a, b) == latency_ms(
                     two_colony_landscape, b, a
                 )
+
+
+class TestFiniteNumbers:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda v: make_resource(0, ResourceKind.FC, colony=0, cpu=v), id="resource-cpu"),
+        pytest.param(lambda v: make_resource(0, ResourceKind.FC, colony=0, ram=v), id="resource-ram"),
+        pytest.param(lambda v: make_resource(0, ResourceKind.FC, colony=0, storage=v), id="resource-storage"),
+        pytest.param(lambda v: make_service(0, 0, cpu=v), id="service-cpu"),
+        pytest.param(lambda v: make_service(0, 0, ram=v), id="service-ram"),
+        pytest.param(lambda v: make_service(0, 0, storage=v), id="service-storage"),
+        pytest.param(lambda v: chain_app(0, [make_service(0, 0)], deadline=v), id="app-deadline"),
+        pytest.param(lambda v: chain_app(0, [make_service(0, 0)], rate=v), id="app-rate"),
+    ])
+    def test_non_finite_number_rejected(self, build, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            build(bad)

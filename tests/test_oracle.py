@@ -6,7 +6,7 @@ import pytest
 from conftest import chain_app, make_resource, make_service, tiny_instance
 from fogplan.errors import Saturated, SearchSpaceTooLarge
 from fogplan.fsdp import ProblemInstance, evaluate, is_feasible
-from fogplan.model import Colony, Landscape, ResourceKind
+from fogplan.model import Landscape, ResourceKind
 from fogplan.moea import pareto_dominates
 from fogplan.oracle import exact_pareto, md1_simulate
 from fogplan.timing import Md1Queue, md1_sojourn
@@ -19,10 +19,7 @@ def cloud_fc_landscape(fc_cpu=100.0, fc_failure=0.20):
         make_resource(2, ResourceKind.FC, colony=0, failure=fc_failure, cpu=fc_cpu, ram=256, storage=1000),
     )
     return Landscape(
-        cloud=0,
-        colonies=(Colony(id=0, fcm=1, cells=(2,)),),
-        resources=resources,
-        cloud_latency={0: 100.0},
+        cloud=0, resources=resources, fc_fcm_ms=2.0, fcm_fcm_ms=10.0, fcm_cloud_ms=100.0
     )
 
 
@@ -78,13 +75,14 @@ class TestExactPareto:
         base = cloud_fc_landscape()
         swapped = Landscape(
             cloud=0,
-            colonies=(Colony(id=0, fcm=2, cells=(1,)),),
             resources=(
                 base.resources[0],
                 make_resource(1, ResourceKind.FC, colony=0, failure=0.20, cpu=100, ram=256, storage=1000),
                 make_resource(2, ResourceKind.FCM, colony=0, failure=0.10, cpu=500, ram=500, storage=500),
             ),
-            cloud_latency={0: 100.0},
+            fc_fcm_ms=2.0,
+            fcm_fcm_ms=10.0,
+            fcm_cloud_ms=100.0,
         )
         services = [make_service(0, j, cpu=40, avail=0.6) for j in range(2)]
         front_a = exact_pareto(ProblemInstance(base, [chain_app(0, services)]))

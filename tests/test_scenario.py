@@ -15,6 +15,11 @@ from fogplan.scenario import (
 )
 
 
+def fcm_count(prob):
+    """Colonies in the instance: each has exactly one FCM."""
+    return sum(r.kind.value == "fcm" for r in prob.landscape.resources)
+
+
 class TestPaperScenario:
     def test_deadlines(self):
         prob = paper_scenario(42)
@@ -32,7 +37,7 @@ class TestPaperScenario:
         assert len(prob.apps) == 5
         assert all(len(app.services) == 5 for app in prob.apps)
         assert prob.n_services == 25
-        assert len(prob.landscape.colonies) == 2
+        assert fcm_count(prob) == 2
 
     def test_deterministic_per_seed(self):
         a, b = paper_scenario(3), paper_scenario(3)
@@ -65,12 +70,12 @@ class TestScaledScenario:
     def test_factor_two_doubles_services(self):
         prob = scaled_scenario(ScenarioSpec(), 2)
         assert prob.n_services == 50
-        assert len(prob.landscape.colonies) == 4
+        assert fcm_count(prob) == 4
 
     def test_factor_four(self):
         prob = scaled_scenario(ScenarioSpec(), 4)
         assert prob.n_services == 100
-        assert len(prob.landscape.colonies) == 8
+        assert fcm_count(prob) == 8
 
 
 class TestSerialization:
