@@ -227,7 +227,10 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         spec = scenario_mod.ScenarioSpec() if args.scenario == "paper" else scenario_mod.load(args.scenario)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from exc
         if args.experiment == "evolution":
             path = run_evolution_experiment(algorithms, spec, params, args.out)
         elif args.experiment == "deadline":

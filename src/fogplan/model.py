@@ -50,7 +50,7 @@ class Resource:
 
 @dataclass(frozen=True)
 class Landscape:
-    """A cloud plus fog colonies, with one latency per kind of link.
+    """One cloud plus fog colonies, with one latency per kind of link.
 
     A colony is the resources that share a ``Resource.colony_id``: one
     FCM and any number of cells.  Latencies are in milliseconds: a cell
@@ -67,8 +67,9 @@ class Landscape:
         ids = [r.id for r in self.resources]
         if ids != list(range(len(ids))):
             raise ValueError("resource ids must be unique and contiguous from 0")
-        if self.resources[self.cloud].kind is not ResourceKind.CLOUD:
-            raise ValueError("cloud field must reference a cloud resource")
+        clouds = [r.id for r in self.resources if r.kind is ResourceKind.CLOUD]
+        if clouds != [self.cloud]:
+            raise ValueError(f"cloud resources {clouds}: expected one, named by cloud={self.cloud}")
         fcms = Counter(r.colony_id for r in self.resources if r.kind is ResourceKind.FCM)
         for r in self.resources:
             if r.colony_id is not None and fcms[r.colony_id] != 1:

@@ -10,40 +10,13 @@ from itertools import groupby
 
 import numpy as np
 
-from ..errors import BudgetTooSmall, EmptyArchive, EmptyFront, LengthMismatch
+from ..errors import BudgetTooSmall, EmptyArchive, EmptyFront
 from ..fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate
-
-
-class Genotype(array):
-    """A resource id per service, packed two bytes each (ids below 65536).
-
-    ``make_solution`` stores these rather than tuples of ids, which cost
-    eight bytes per service, so that the archives a run hands back hold
-    less memory.  A Genotype indexes, iterates and orders like the tuple
-    of its ids, and numpy reads it without a copy loop, but it is not
-    equal to that tuple: compare genotypes with genotypes.  It is hashed
-    by content, so treat it as immutable.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, ids):
-        arr = np.asarray(ids)
-        # a negative id, or one of 65536 or more, sets a bit from bit 16 up
-        if arr.size and np.bitwise_or.reduce(arr, axis=None) >> 16:
-            raise LengthMismatch("genotype ids must lie in [0, 65536)")
-        return super().__new__(cls, "H", arr.astype(np.uint16).tobytes())
-
-    def __hash__(self):
-        return hash(self.tobytes())
-
-    def __repr__(self):
-        return f"Genotype({self.tolist()})"
 
 
 @dataclass(frozen=True, slots=True)
 class Solution:
-    genotype: Sequence[int]  # a Genotype from make_solution
+    genotype: Sequence[int]  # an array('H') of resource ids from make_solution
     objectives: ObjectiveVector
     violations: ViolationVector
     # stored: dominance checks read these millions of times per run
@@ -56,9 +29,16 @@ class Solution:
 
 
 def make_solution(assignment, prob: ProblemInstance) -> Solution:
+    """Score an assignment and store its ids two bytes each, as an array('H').
+
+    ``evaluate`` has just checked that the ids lie in [0, n_resources),
+    and n_resources <= 65536, so the packing is exact.  The array orders
+    like the tuple of its ids, but is not equal to it and is not hashable.
+    """
     a = np.asarray(assignment)
     objectives, violations = evaluate(a, prob)
-    return Solution(genotype=Genotype(a), objectives=objectives, violations=violations)
+    genotype = array("H", a.astype(np.uint16).tobytes())
+    return Solution(genotype=genotype, objectives=objectives, violations=violations)
 
 
 def pareto_dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -298,11 +278,10 @@ class Search:
     ``evaluate``, and stop when ``left`` reaches 0.
     """
 
-    def __init__(self, prob: ProblemInstance, params: AlgoParams, trace_hook=None,
-                 archive_capacity: int | None = None):
+    def __init__(self, prob: ProblemInstance, params: AlgoParams, trace_hook=None):
         self.prob = prob
         self.rng = np.random.default_rng(params.seed)
-        self.archive = ParetoArchive(capacity=archive_capacity or params.archive_capacity)
+        self.archive = ParetoArchive(capacity=params.archive_capacity)
         self.evaluations = 0
         self.max_evaluations = params.max_evaluations
         self.trace_hook = trace_hook

@@ -14,6 +14,8 @@ populated cells (Coello, Pulido & Lechuga, IEEE TEC 2004).
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from ..fsdp import ProblemInstance
@@ -35,13 +37,15 @@ def _grid_select(members: list[Solution], divisions: int, rng: np.random.Generat
     lo = objs.min(axis=0)
     hi = objs.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
-    cells = np.minimum(((objs - lo) / span * divisions).astype(int), divisions - 1)
-    keys = cells[:, 0] * divisions + cells[:, 1]
-    counts = np.bincount(keys)
-    unique = np.flatnonzero(counts)
-    weights = 1.0 / counts[unique]
-    pick = unique[rng.choice(len(unique), p=weights / weights.sum())]
-    candidates = np.flatnonzero(keys == pick)
+    # floats, not ints: any finite number of divisions gives finite cells
+    cells = np.minimum(np.floor((objs - lo) / span * divisions), divisions - 1)
+    keys = list(zip(*cells.T.tolist()))
+    # only the occupied cells, in (row, column) order
+    counts = Counter(keys)
+    occupied = sorted(counts)
+    weights = 1.0 / np.array([counts[cell] for cell in occupied])
+    pick = occupied[rng.choice(len(occupied), p=weights / weights.sum())]
+    candidates = [i for i, cell in enumerate(keys) if cell == pick]
     return members[candidates[rng.integers(0, len(candidates))]]
 
 

@@ -26,7 +26,7 @@ from .common import (
 
 def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
     pop_size = params.population_size
-    run = Search(prob, params, trace_hook, archive_capacity=max(params.archive_capacity, pop_size))
+    run = Search(prob, params, trace_hook)
     rng = run.rng
 
     population = [run.evaluate(g) for g in initial_population(prob, pop_size, rng)]

@@ -87,6 +87,12 @@ class TestEvolutionExperiment:
         assert rc == 2
         assert "absent.yaml" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "below-a-file"])
+    def test_out_not_a_directory_exits_2(self, tmp_path, capsys, sub):
+        (tmp_path / "file").write_text("")
+        assert main(["--algo", "nsga2", "--evals", "40", "--out", str(tmp_path / "file" / sub)]) == 2
+        assert "--out" in capsys.readouterr().err
+
     def test_scenario_file(self, tmp_path):
         spec = ScenarioSpec(apps=2, services_per_app=2, seed=1)
         scenario_path = tmp_path / "small.yaml"

@@ -104,6 +104,19 @@ class TestLandscape:
         with pytest.raises(ValueError, match="colony 1: [02] FCMs"):
             Landscape(cloud=0, resources=resources, **LATENCIES)
 
+    @pytest.mark.parametrize("cloud, kinds", [
+        (0, (ResourceKind.CLOUD, ResourceKind.FCM, ResourceKind.CLOUD)),
+        (1, (ResourceKind.CLOUD, ResourceKind.FCM, ResourceKind.FC)),
+        (3, (ResourceKind.CLOUD, ResourceKind.FCM, ResourceKind.FC)),
+    ], ids=["second-cloud", "field-names-an-fcm", "field-out-of-range"])
+    def test_exactly_one_cloud(self, cloud, kinds):
+        resources = tuple(
+            make_resource(rid, kind, colony=None if kind is ResourceKind.CLOUD else 0)
+            for rid, kind in enumerate(kinds)
+        )
+        with pytest.raises(ValueError, match="expected one, named by cloud="):
+            Landscape(cloud=cloud, resources=resources, **LATENCIES)
+
     @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
     def test_negative_or_non_finite_latency_rejected(self, bad):
         resources = (make_resource(0, ResourceKind.CLOUD), make_resource(1, ResourceKind.FCM, colony=0))

@@ -1,12 +1,13 @@
 import pickle
 import sys
+from array import array
 
 import numpy as np
 import pytest
 
 from conftest import random_solutions, tiny_instance
 from fogplan.errors import BadLattice, BudgetTooSmall, EmptyArchive, EmptyFront, LengthMismatch
-from fogplan.fsdp import ObjectiveVector, ViolationVector, audit_capacity
+from fogplan.fsdp import ObjectiveVector, ProblemInstance, ViolationVector, audit_capacity
 from fogplan.moea import (
     ALGORITHMS,
     AlgoParams,
@@ -23,8 +24,9 @@ from fogplan.moea import (
     simplex_lattice_weights,
     tchebycheff,
 )
-from fogplan.moea.common import Genotype, greedy_anchors, initial_population
-from fogplan.scenario import paper_scenario
+from fogplan.moea.common import greedy_anchors, initial_population
+from fogplan.moea.mopso import _grid_select
+from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
 
 ZERO_V = ViolationVector(0.0, 0.0, 0.0, 0.0)
 BAD_V = ViolationVector(0.5, 0.0, 0.0, 0.0)
@@ -43,38 +45,53 @@ def infeas(u, a, violation=0.5):
 
 
 class TestGenotype:
-    def test_orders_like_the_tuple_of_ids(self):
+    """make_solution stores the genotype as an array('H') of resource ids."""
+
+    def test_orders_like_the_tuple_of_ids(self, paper_problem):
         rng = np.random.default_rng(4)
+        n, r = paper_problem.n_services, paper_problem.n_resources
         for _ in range(300):
-            a, b = rng.integers(0, 300, (2, 6))
-            k = rng.integers(0, 7)
-            b[:k] = a[:k]  # a shared prefix; equal genotypes when k == 6
-            ga, gb, ta, tb = Genotype(a), Genotype(b), tuple(a.tolist()), tuple(b.tolist())
+            a, b = rng.integers(0, r, (2, n))
+            k = rng.integers(0, n + 1)
+            b[:k] = a[:k]  # a shared prefix; equal genotypes when k == n
+            ga = make_solution(a, paper_problem).genotype
+            gb = make_solution(b, paper_problem).genotype
+            ta, tb = tuple(a.tolist()), tuple(b.tolist())
             assert list(ga) == list(ta) and len(ga) == len(ta) and ga[2] == ta[2]
             assert (ga < gb, ga == gb, ga > gb) == (ta < tb, ta == tb, ta > tb)
-            assert hash(ga) == hash(Genotype(ta)) and ga == Genotype(ta)
+            assert ga == make_solution(list(ta), paper_problem).genotype
             assert np.array_equal(np.array(ga, dtype=np.int64), a)
         clone = pickle.loads(pickle.dumps(ga))
-        assert type(clone) is Genotype and clone == ga
+        assert type(clone) is array and clone.typecode == "H" and clone == ga
 
-    def test_is_not_equal_to_a_tuple(self):
-        assert Genotype([1, 2]) != (1, 2)
+    def test_is_not_equal_to_a_tuple(self, paper_problem):
+        ids = [0] * paper_problem.n_services
+        assert make_solution(ids, paper_problem).genotype != tuple(ids)
 
-    @pytest.mark.parametrize("ids", [[0, -1], [65536], [3, 70000, 2]])
-    def test_rejects_ids_outside_16_bits(self, ids):
+    @pytest.mark.parametrize("ids", [[-1], [11], [70000]])  # 11: the paper's n_resources
+    def test_rejects_ids_outside_16_bits(self, paper_problem, ids):
+        """Ids below 0, at n_resources, or past 16 bits never get packed."""
+        assert paper_problem.n_resources == 11
         with pytest.raises(LengthMismatch):
-            Genotype(ids)
+            make_solution([0] * (paper_problem.n_services - 1) + ids, paper_problem)
 
-    def test_keeps_the_16_bit_ends(self):
-        assert list(Genotype([0, 65535])) == [0, 65535] and len(Genotype([])) == 0
+    def test_keeps_the_16_bit_ends(self, paper_problem):
+        """The lowest and highest ids of the landscape round-trip."""
+        ids = [0] * (paper_problem.n_services - 1) + [paper_problem.n_resources - 1]
+        assert list(make_solution(ids, paper_problem).genotype) == ids
+        no_services = ProblemInstance(paper_problem.landscape, [])
+        assert len(make_solution([], no_services).genotype) == 0
 
     def test_packs_two_bytes_per_service(self):
-        ids = range(400)
-        assert sys.getsizeof(Genotype(ids)) < sys.getsizeof(tuple(ids)) / 3
+        prob = scaled_scenario(ScenarioSpec(), 16)
+        ids = [i % prob.n_resources for i in range(prob.n_services)]
+        assert prob.n_services == 400
+        assert sys.getsizeof(make_solution(ids, prob).genotype) < sys.getsizeof(tuple(ids)) / 3
 
     def test_make_solution_stores_one(self, paper_problem):
         sol = make_solution([0] * paper_problem.n_services, paper_problem)
-        assert type(sol.genotype) is Genotype and list(sol.genotype) == [0] * 25
+        assert type(sol.genotype) is array and sol.genotype.typecode == "H"
+        assert list(sol.genotype) == [0] * 25
 
 
 class TestConstrainedDominance:
@@ -383,6 +400,12 @@ def test_nsga2_selection_ignores_member_order():
             assert _environmental_selection(shuffled, 40) == expected
 
 
+def test_nsga2_archive_honours_capacity():
+    prob = scaled_scenario(ScenarioSpec(seed=1), 16)
+    params = AlgoParams(population_size=60, archive_capacity=50, max_evaluations=1000)
+    assert len(nsga2_run(prob, params)) <= 50
+
+
 class TestInitialPopulation:
     @pytest.mark.parametrize("seed", range(10))
     def test_greedy_anchors_feasible_at_front_ends(self, seed):
@@ -417,3 +440,30 @@ class TestMopsoFrozenDynamics:
         short = mopso_run(prob, AlgoParams(seed=8, max_evaluations=40, population_size=40, **frozen))
         long = mopso_run(prob, AlgoParams(seed=8, max_evaluations=400, population_size=40, **frozen))
         assert short.objective_set() == long.objective_set()
+
+    @pytest.mark.parametrize("divisions", [10**9, 10**300])
+    def test_guide_counts_only_occupied_cells(self, divisions):
+        # a cell table of divisions**2 entries would need exabytes here
+        members = [feas(0.1 * i, 1.0 - 0.1 * i, genotype=(i,)) for i in range(9)]
+        guide = _grid_select(members, divisions, np.random.default_rng(0))
+        assert any(guide is m for m in members)
+
+    @pytest.mark.parametrize("divisions", [1, 2, 3, 7, 50])
+    def test_guide_roulette_over_occupied_cells(self, divisions):
+        """Cells weigh 1 / members in them, in (row, column) order."""
+        rng = np.random.default_rng(divisions)
+        for _ in range(20):
+            members = random_solutions(rng, int(rng.integers(2, 15)), feasible_fraction=1.0)
+            objs = np.array([m.objectives.as_tuple() for m in members])
+            lo, hi = objs.min(axis=0), objs.max(axis=0)
+            cells = ((objs - lo) / np.where(hi > lo, hi - lo, 1.0) * divisions).astype(int)
+            keys = np.minimum(cells, divisions - 1) @ [divisions, 1]
+            counts = np.bincount(keys)
+            occupied = np.flatnonzero(counts)
+            weights = 1.0 / counts[occupied]
+            seed = int(rng.integers(1 << 30))
+            expect = np.random.default_rng(seed)
+            cell = occupied[expect.choice(len(occupied), p=weights / weights.sum())]
+            candidates = np.flatnonzero(keys == cell)
+            want = members[candidates[expect.integers(0, len(candidates))]]
+            assert _grid_select(members, divisions, np.random.default_rng(seed)) is want
