@@ -1,6 +1,6 @@
 """Availability-aware fog service placement with multiobjective EAs."""
 
-from .fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate, is_feasible
+from .fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate, evaluate_many, is_feasible
 from .model import Application, Landscape, Resource, Service
 from .moea import ALGORITHMS, AlgoParams, ParetoArchive, select_compromise
 from .scenario import ScenarioSpec, paper_scenario, scaled_scenario
@@ -20,6 +20,7 @@ __all__ = [
     "Service",
     "ViolationVector",
     "evaluate",
+    "evaluate_many",
     "is_feasible",
     "paper_scenario",
     "scaled_scenario",

@@ -15,7 +15,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, fields
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import astuple, fields, replace
 
 from . import scenario as scenario_mod
 from .errors import FogplanError
@@ -147,14 +149,19 @@ def run_scaling_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSpe
     return path
 
 
-def _parse_seeds(text: str) -> list[int]:
+def _parse_seeds(text: str) -> Sequence[int]:
+    """A ``range`` for ``lo..hi``, never a list of its seeds; a list for a comma list."""
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(s) for s in text.split(",") if s]
+            return range(int(lo), int(hi) + 1)
+        seeds = [int(s) for s in text.split(",") if s]
     except ValueError as exc:
         raise ConfigError(f"bad --seeds value {text!r}") from exc
+    repeated = sorted(s for s, k in Counter(seeds).items() if k > 1)
+    if repeated:
+        raise ConfigError(f"--seeds repeats {repeated}: each seed would run again")
+    return seeds
 
 
 def _parse_factors(text: str) -> list[int]:
@@ -222,8 +229,10 @@ def main(argv=None) -> int:
             raise ConfigError("at least one seed is required")
         overrides = _parse_params(args.param)
         try:
-            # this also checks --evals: max_evaluations >= population_size >= 4
-            params = [AlgoParams(**overrides, seed=seed, max_evaluations=args.evals) for seed in seeds]
+            # one check of every parameter, --evals too (max_evaluations >=
+            # population_size >= 4), before one AlgoParams per seed is built
+            first = AlgoParams(**overrides, seed=seeds[0], max_evaluations=args.evals)
+            params = [replace(first, seed=seed) for seed in seeds]
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         spec = scenario_mod.ScenarioSpec() if args.scenario == "paper" else scenario_mod.load(args.scenario)

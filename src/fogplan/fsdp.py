@@ -150,23 +150,38 @@ class ProblemInstance:
             for first, *joins in spans
         ]
 
-    def as_assignment(self, dep) -> np.ndarray:
-        arr = np.asarray(dep)
-        if arr.shape != (self.n_services,):
-            raise LengthMismatch(
-                f"assignment length {arr.shape} != number of services {self.n_services}"
-            )
-        if self.n_services and arr.dtype.kind not in "iu":
+    def as_assignment(self, dep, rows: bool = False) -> np.ndarray:
+        """One assignment as an (N,) array of int64 resource ids, checked;
+        with ``rows``, a (P, N) block of P assignments, checked once."""
+        try:
+            arr = np.asarray(dep)
+        except ValueError as exc:  # ragged rows
+            raise LengthMismatch(f"assignments of unequal lengths: {exc}") from None
+        shape = (*arr.shape[:1], self.n_services) if rows else (self.n_services,)
+        if arr.shape != shape:
+            raise LengthMismatch(f"assignment shape {arr.shape} != {shape}")
+        if arr.size and arr.dtype.kind not in "iu":
             raise LengthMismatch(f"assignment must hold integer resource ids, got {arr.dtype}")
-        if self.n_services and (arr.min() < 0 or arr.max() >= self.n_resources):
+        if arr.size and (arr.min() < 0 or arr.max() >= self.n_resources):
             raise LengthMismatch("assignment references unknown resource ids")
         return arr.astype(np.int64, copy=False)
 
     def resource_loads(self, a: np.ndarray) -> np.ndarray:
-        """Per-resource sums under a validated assignment, one row each:
-        cpu work, ram, storage, arrival rate and number of services."""
-        index = (a + self._load_rows).ravel()
-        return np.bincount(index, self._load_weights, 5 * self.n_resources).reshape(5, -1)
+        """Per-resource sums under validated assignments, one row each:
+        cpu work, ram, storage, arrival rate and number of services.
+
+        One assignment (N,) gives (5, R).  A (P, N) block gives (P, 5, R)
+        from one bincount, row p's bins 5R further on; each bin still
+        adds its services in index order.
+        """
+        block = 5 * self.n_resources
+        if a.ndim == 1:
+            index = (a + self._load_rows).ravel()
+            return np.bincount(index, self._load_weights, block).reshape(5, -1)
+        rows = len(a)
+        index = a[:, None, :] + self._load_rows + np.arange(0, block * rows, block)[:, None, None]
+        weights = np.tile(self._load_weights, rows)
+        return np.bincount(index.ravel(), weights, block * rows).reshape(rows, 5, -1)
 
 
 def evaluate(dep, prob: ProblemInstance) -> tuple[ObjectiveVector, ViolationVector]:
@@ -186,20 +201,48 @@ def evaluate(dep, prob: ProblemInstance) -> tuple[ObjectiveVector, ViolationVect
         # one division of integers: the correctly rounded float of the exact ratio
         availability=int(prob.service_avail_weight[met].sum()) / (prob.availability_lcm * m),
     )
+    capacity, deadline = _violations(a, prob)
+    return objectives, ViolationVector(*capacity.tolist(), float(deadline))
+
+
+def evaluate_many(assignments, prob: ProblemInstance) -> list[tuple[ObjectiveVector, ViolationVector]]:
+    """``evaluate`` of every row of a (P, N) block, bit for bit, in row order.
+
+    The block is validated once and scored in one pass: one bincount
+    for all loads, one critical-path DP for all rows.  One row alone is
+    faster through ``evaluate``.
+    """
+    block = prob.as_assignment(assignments, rows=True)
+    m = len(prob.apps)
+    if m == 0:
+        return [(ObjectiveVector(0.0, 0.0), ViolationVector(0.0, 0.0, 0.0, 0.0))] * len(block)
+    n, scale = prob.n_services, prob.availability_lcm * m
+    fog = np.count_nonzero(prob.is_fog[block], axis=1).tolist()
+    met = prob.service_avail_req <= prob.up_probability[block]
+    met_weight = (met @ prob.service_avail_weight).tolist()
+    capacity, deadline = _violations(block, prob)
+    return [
+        (ObjectiveVector(float(f) / n, w / scale), ViolationVector(*c, d))
+        for f, w, c, d in zip(fog, met_weight, capacity.tolist(), deadline.tolist())
+    ]
+
+
+def _violations(a: np.ndarray, prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(cpu, ram and storage excess, deadline excess) of validated
+    assignments: (3,) and a scalar for one assignment (N,), (P, 3) and
+    (P,) for a (P, N) block.
+
+    The loads keep resources on their last, contiguous axis, so every
+    row sums its capacity overshoot in the same pairwise order.  The
+    critical-path DP takes the block transposed, population last.
+    """
     load = prob.resource_loads(a)
-    overshoot = np.maximum(0.0, load[:3] - prob.effective_capacity).sum(axis=1)
-    cpu, ram, sto = (overshoot / prob.capacity_total).tolist()
-    rt = timing.app_response_times(a, prob, load)
+    overshoot = np.maximum(0.0, load[..., :3, :] - prob.effective_capacity).sum(axis=-1)
+    rt = timing.app_response_times(a.T, prob, load).T
     excess = np.maximum(0.0, rt - prob.app_deadline) / prob.app_deadline
     excess[rt == np.inf] = SATURATION_PENALTY
-    violations = ViolationVector(
-        cpu_excess=cpu,
-        ram_excess=ram,
-        storage_excess=sto,
-        # a left fold in app order: np.sum's pairwise order would move the last bit
-        deadline_excess=float(np.add.accumulate(excess)[-1]),
-    )
-    return objectives, violations
+    # a left fold in app order: np.sum's pairwise order would move the last bit
+    return overshoot / prob.capacity_total, np.add.accumulate(excess, axis=-1)[..., -1]
 
 
 def fog_utilization(dep, prob: ProblemInstance) -> float:

@@ -11,7 +11,7 @@ from itertools import groupby
 import numpy as np
 
 from ..errors import BudgetTooSmall, EmptyArchive, EmptyFront
-from ..fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate
+from ..fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate, evaluate_many
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,16 +29,20 @@ class Solution:
 
 
 def make_solution(assignment, prob: ProblemInstance) -> Solution:
-    """Score an assignment and store its ids two bytes each, as an array('H').
-
-    ``evaluate`` has just checked that the ids lie in [0, n_resources),
-    and n_resources <= 65536, so the packing is exact.  The array orders
-    like the tuple of its ids, but is not equal to it and is not hashable.
-    """
+    """Score an assignment and store its ids two bytes each, as an array('H')."""
     a = np.asarray(assignment)
-    objectives, violations = evaluate(a, prob)
-    genotype = array("H", a.astype(np.uint16).tobytes())
-    return Solution(genotype=genotype, objectives=objectives, violations=violations)
+    return pack_solution(a, *evaluate(a, prob))
+
+
+def pack_solution(a: np.ndarray, objectives: ObjectiveVector, violations: ViolationVector) -> Solution:
+    """A Solution of an assignment that ``evaluate`` has just checked.
+
+    Its ids lie in [0, n_resources), and n_resources <= 65536, so
+    packing them two bytes each, as an array('H'), is exact.  The array
+    orders like the tuple of its ids, but is not equal to it and is not
+    hashable.
+    """
+    return Solution(array("H", a.astype(np.uint16).tobytes()), objectives, violations)
 
 
 def pareto_dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -275,7 +279,8 @@ class Search:
     archive, the evaluation budget and the trace report.
 
     The optimizers draw from ``rng``, score genotypes only through
-    ``evaluate``, and stop when ``left`` reaches 0.
+    ``evaluate`` (one child) and ``evaluate_many`` (a population), and
+    stop when ``left`` reaches 0.
     """
 
     def __init__(self, prob: ProblemInstance, params: AlgoParams, trace_hook=None):
@@ -300,6 +305,19 @@ class Search:
         self.evaluations += 1
         self.archive.add(sol)
         return sol
+
+    def evaluate_many(self, genomes) -> list[Solution]:
+        """Score a population's genotypes in one batch, count them and
+        offer them to the archive in order: the same as a loop of
+        ``evaluate``."""
+        block = np.asarray(genomes)
+        solutions = [
+            pack_solution(a, *scores) for a, scores in zip(block, evaluate_many(block, self.prob))
+        ]
+        self.evaluations += len(solutions)
+        for sol in solutions:
+            self.archive.add(sol)
+        return solutions
 
     def report(self, population: list[Solution]) -> None:
         if self.trace_hook:

@@ -66,7 +66,7 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     weight_rows = weights.tolist()
 
     population = sorted(
-        (run.evaluate(g) for g in initial_population(prob, n_sub, rng)),
+        run.evaluate_many(initial_population(prob, n_sub, rng)),
         key=lambda s: s.objectives.fog_utilization,
     )
     # the best value of each objective among feasible solutions, or

@@ -57,7 +57,7 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     pull = np.array([params.inertia, params.cognitive, params.social], dtype=float)
     pull = pull / pull.sum() if pull.sum() > 0 else None
 
-    current = [run.evaluate(g) for g in initial_population(prob, swarm, rng)]
+    current = run.evaluate_many(initial_population(prob, swarm, rng))
     pbest = list(current)
     run.report(current)
 

@@ -1,8 +1,10 @@
 """NSGA-II over resource-assignment genotypes.
 
 Binary tournament with the constrained crowded comparison, uniform
-crossover and per-gene reset mutation.  An external archive collects
-every non-dominated feasible solution seen during the run.
+crossover and per-gene reset mutation.  A generation's offspring do not
+depend on one another, so they are scored together in one batch.  An
+external archive collects every non-dominated feasible solution seen
+during the run.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     run = Search(prob, params, trace_hook)
     rng = run.rng
 
-    population = [run.evaluate(g) for g in initial_population(prob, pop_size, rng)]
+    population = run.evaluate_many(initial_population(prob, pop_size, rng))
     population, standing = _environmental_selection(population, pop_size)
     run.report(population)
 
@@ -48,7 +50,7 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
                     offspring_genomes.append(
                         reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
                     )
-        offspring = [run.evaluate(g) for g in offspring_genomes]
+        offspring = run.evaluate_many(offspring_genomes)
         population, standing = _environmental_selection(population + offspring, pop_size)
         run.report(population)
 

@@ -71,14 +71,15 @@ def resource_load(dep, prob, resource_id: int) -> tuple[float, float, float]:
 def sojourn_times(prob, load: np.ndarray) -> np.ndarray:
     """Mean sojourn time of every resource's M/D/1 queue, inf where saturated.
 
-    ``load`` is ``prob.resource_loads`` of the deployment; an empty
+    ``load`` is ``prob.resource_loads`` of one deployment (5, R) or of
+    P of them (P, 5, R); the result is (R,) or (P, R).  An empty
     resource has sojourn 0.
     """
-    work, lam, count = load[0], load[3], load[4]
+    work, lam, count = load[..., 0, :], load[..., 3, :], load[..., 4, :]
     d = work / np.maximum(count, 1.0) / prob.cpu_capacity
     rho = lam * d
     wait = np.divide(
-        lam * d ** 2, 2.0 * (1.0 - rho), out=np.full(prob.n_resources, np.inf), where=rho < 1.0
+        lam * d ** 2, 2.0 * (1.0 - rho), out=np.full(rho.shape, np.inf), where=rho < 1.0
     )
     return d + wait
 
@@ -86,13 +87,19 @@ def sojourn_times(prob, load: np.ndarray) -> np.ndarray:
 def app_response_times(a: np.ndarray, prob, load: np.ndarray) -> np.ndarray:
     """Critical-path response time of every app, inf where a service is saturated.
 
+    ``a`` is one validated assignment (N,) with its loads (5, R), giving
+    (m,), or P of them on the trailing axis (N, P) with their loads
+    (P, 5, R), giving (m, P).  With the population last, the DP below
+    indexes services on the first axis in both cases.
+
     A DP over global topological levels: a service's distance is its
     host's sojourn plus the largest predecessor distance plus link
     latency.  Latencies are non-negative (the model rejects others), so
     a source's distance is its sojourn alone.  A saturated host's inf
     sojourn reaches its app's max.
     """
-    dist = sojourn_times(prob, load)[a]
+    sojourn = sojourn_times(prob, load)
+    dist = sojourn[a] if a.ndim == 1 else sojourn[np.arange(a.shape[1]), a]
     src, dst = prob.level_links
     lat = prob.latency_s[a[src], a[dst]]
     for nodes, preds, links, joins in prob.level_steps:

@@ -1,12 +1,13 @@
 import csv
 import hashlib
 import os
+import tracemalloc
 
 import pytest
 import yaml
 
 from conftest import BAD_SCENARIO_FIELDS, scenario_error_names, set_scenario_key
-from fogplan.cli import ConfigError, _parse_params, main
+from fogplan.cli import ConfigError, _parse_params, _parse_seeds, main
 from fogplan.scenario import ScenarioSpec, save
 
 
@@ -178,6 +179,27 @@ class TestParamOverrides:
     def test_bad_seeds_exits_2(self, tmp_path):
         for seeds in ("zero", "-1"):
             assert main(["--algo", "nsga2", f"--seeds={seeds}", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("seeds", ["0,0", "3,1,3,1"])
+    def test_repeated_seed_exits_2(self, tmp_path, capsys, seeds):
+        rc = main(["--algo", "nsga2", "--seeds", seeds, "--evals", "40", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not (tmp_path / "evolution.csv").exists()
+
+    def test_huge_seed_range_fails_before_building_it(self, tmp_path):
+        # a billion seeds with a budget below the population: one check of
+        # the parameters, not a billion AlgoParams
+        tracemalloc.start()
+        try:
+            rc = main(["--algo", "nsga2", "--seeds", "0..1000000000", "--evals", "3",
+                       "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert peak < 1 << 20
+        assert _parse_seeds("0..1000000000") == range(10**9 + 1)
 
     @pytest.mark.parametrize("pair", [
         "population_size=3",

@@ -1,9 +1,11 @@
-"""``evaluate`` and ``response_time_report`` against a per-app reference.
+"""``evaluate``, ``evaluate_many`` and ``response_time_report`` against a
+per-app reference.
 
 The reference is the loop form of the model: one bincount per resource
 sum, a dict walk of every app's DAG in topological order, and a Python
 fold of the deadline excess.  The vector kernel performs the same float
-operations, so the two must agree bit for bit on every input.
+operations, one assignment at a time or a block of them at once, so
+they must agree bit for bit on every input.
 """
 
 from fractions import Fraction
@@ -18,9 +20,16 @@ from fogplan.fsdp import (
     ProblemInstance,
     ViolationVector,
     evaluate,
+    evaluate_many,
 )
 from fogplan.model import Application, Service
-from fogplan.scenario import ScenarioSpec, build_landscape, scaled_scenario
+from fogplan.scenario import (
+    ScenarioSpec,
+    ServiceTemplate,
+    build_landscape,
+    paper_scenario,
+    scaled_scenario,
+)
 from fogplan.timing import response_time_report
 
 
@@ -180,6 +189,7 @@ def test_many_apps_match_reference():
     prob = scaled_scenario(ScenarioSpec(seed=3, deadlines=(0.3, 0.5, 0.7, 1.1, 1.3)), 16)
     rng = np.random.default_rng(8)
     n, r = prob.n_services, prob.n_resources
+    block = []
     for _ in range(40):
         fog = rng.integers(0, r, n)
         genotype = np.where(rng.random(n) < rng.random(), 0, fog)
@@ -188,6 +198,8 @@ def test_many_apps_match_reference():
         assert [report.app_rt[app.id] for app in prob.apps] == reference_response_times(
             genotype, prob
         )
+        block.append(genotype)
+    assert_rows_match(np.array(block), prob)
 
 
 def test_each_level_steps_over_its_own_fan_in():
@@ -206,3 +218,57 @@ def test_each_level_steps_over_its_own_fan_in():
     for _ in range(50):
         genotype = rng.integers(0, prob.n_resources, prob.n_services)
         assert evaluate(genotype, prob) == reference_evaluate(genotype, prob)
+
+
+def assert_rows_match(block, prob):
+    """evaluate_many of a block equals, row by row, evaluate and the reference."""
+    scored = evaluate_many(block, prob)
+    assert len(scored) == len(block)
+    for genotype, row in zip(block, scored):
+        assert row == evaluate(genotype, prob) == reference_evaluate(genotype, prob)
+    return scored
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem_and_genotypes())
+def test_evaluate_many_matches_reference_row_by_row(case):
+    # blocks of 1-4 rows, spread over every host or piled onto 1-3 of them
+    prob, genotypes = case
+    assert_rows_match(np.array(genotypes), prob)
+
+
+def test_evaluate_many_of_one_row():
+    prob = paper_scenario()
+    rng = np.random.default_rng(2)
+    for _ in range(20):
+        assert_rows_match(rng.integers(0, prob.n_resources, (1, prob.n_services)), prob)
+
+
+def test_evaluate_many_on_saturated_rows():
+    # every row piled onto one to three hosts, next to spread rows
+    for prob in (paper_scenario(), scaled_scenario(ScenarioSpec(seed=1), 4)):
+        rng = np.random.default_rng(4)
+        n, r = prob.n_services, prob.n_resources
+        piled = [rng.choice(rng.integers(0, r, k), n) for k in (1, 2, 3) * 10]
+        block = np.array(piled + [rng.integers(0, r, n) for _ in range(10)])
+        scored = assert_rows_match(block, prob)
+        assert sum(v.deadline_excess >= SATURATION_PENALTY for _, v in scored) >= 5
+
+
+def test_evaluate_many_sums_overshoot_over_many_hosts():
+    # R = 41 and more than 8 hosts over their cpu capacity in every row: a
+    # sum over R in another order than evaluate's pairwise one moves the
+    # last bit.  The default demands are integers, whose sums are exact in
+    # any order, so these are not.
+    templates = (
+        ServiceTemplate("sense", 47.3, 21.1, 13.3, 0.8, 0.95),
+        ServiceTemplate("process", 113.9, 33.7, 27.9, 0.7, 0.95),
+        ServiceTemplate("actuate", 201.7, 17.9, 9.1, 0.9, 1.0),
+    )
+    prob = scaled_scenario(ScenarioSpec(service_templates=templates, reserve_fraction=0.13), 4)
+    rng = np.random.default_rng(6)
+    block = rng.integers(1, prob.n_resources, (60, prob.n_services))
+    cpu = prob.resource_loads(block)[:, 0]
+    assert prob.n_resources == 41
+    assert (cpu > prob.effective_cpu).sum(axis=1).min() > 8
+    assert_rows_match(block, prob)

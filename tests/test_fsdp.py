@@ -10,6 +10,7 @@ from fogplan.fsdp import (
     capacity_violation,
     deadline_violation,
     evaluate,
+    evaluate_many,
     fog_utilization,
     is_feasible,
 )
@@ -198,6 +199,26 @@ class TestEvaluate:
         assert evaluate(np.zeros(n, dtype=np.int32), paper_problem) == evaluate(
             [0] * n, paper_problem
         )
+
+    @pytest.mark.parametrize("block", [
+        "one-row", "short-rows", "ragged", "unknown-id", "negative-id", "float",
+    ])
+    def test_bad_block_rejected(self, paper_problem, block):
+        n, r = paper_problem.n_services, paper_problem.n_resources
+        block = {
+            "one-row": [0] * n,
+            "short-rows": [[0] * (n - 1)] * 2,
+            "ragged": [[0] * n, [0] * (n - 1)],
+            "unknown-id": [[0] * n, [0] * (n - 1) + [r]],
+            "negative-id": [[-1] + [0] * (n - 1)],
+            "float": np.zeros((2, n)),
+        }[block]
+        with pytest.raises(LengthMismatch):
+            evaluate_many(block, paper_problem)
+
+    def test_block_of_int32_rows(self, paper_problem):
+        block = np.zeros((3, paper_problem.n_services), dtype=np.int32)
+        assert evaluate_many(block, paper_problem) == [evaluate(block[0], paper_problem)] * 3
 
     def test_deterministic(self, paper_problem):
         rng = np.random.default_rng(3)

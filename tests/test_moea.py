@@ -24,7 +24,7 @@ from fogplan.moea import (
     simplex_lattice_weights,
     tchebycheff,
 )
-from fogplan.moea.common import greedy_anchors, initial_population
+from fogplan.moea.common import Search, greedy_anchors, initial_population, reset_mutation
 from fogplan.moea.mopso import _grid_select
 from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
 
@@ -367,6 +367,23 @@ class TestAlgorithms:
         front = exact_pareto(prob, cap=5000)
         archive = ALGORITHMS[name](prob, AlgoParams(seed=0, max_evaluations=2000))
         assert front.objective_set() <= archive.objective_set()
+
+
+def test_search_evaluate_many_matches_a_loop_of_evaluate():
+    # the same Solutions, archive and count; the genomes near the greedy
+    # anchors find more front points than the archive's 3 places
+    prob = paper_scenario()
+    rng = np.random.default_rng(3)
+    anchors = greedy_anchors(prob)
+    genomes = initial_population(prob, 40, rng)
+    genomes += [reset_mutation(anchors[k % 2], 0.2, prob.n_resources, rng) for k in range(200)]
+    params = AlgoParams(archive_capacity=3)
+    batched, looped = Search(prob, params), Search(prob, params)
+    solutions = batched.evaluate_many(genomes)
+    assert solutions == [looped.evaluate(g) for g in genomes]
+    assert batched.evaluations == looped.evaluations == 240
+    assert batched.archive.members == looped.archive.members
+    assert len(batched.archive) == 3
 
 
 def test_nsga2_sorts_once_per_generation(monkeypatch):

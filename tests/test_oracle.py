@@ -7,7 +7,8 @@ from conftest import chain_app, make_resource, make_service, tiny_instance
 from fogplan.errors import Saturated, SearchSpaceTooLarge
 from fogplan.fsdp import ProblemInstance, evaluate, is_feasible
 from fogplan.model import Landscape, ResourceKind
-from fogplan.moea import pareto_dominates
+from fogplan import oracle
+from fogplan.moea import make_solution, pareto_dominates
 from fogplan.oracle import exact_pareto, md1_simulate
 from fogplan.timing import Md1Queue, md1_sojourn
 
@@ -88,6 +89,30 @@ class TestExactPareto:
         front_a = exact_pareto(ProblemInstance(base, [chain_app(0, services)]))
         front_b = exact_pareto(ProblemInstance(swapped, [chain_app(0, services)]))
         assert front_a.objective_set() == front_b.objective_set()
+
+    @pytest.mark.parametrize("chunk", [oracle.ENUMERATION_CHUNK, 1000])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_solutions_in_order_as_a_make_solution_loop(self, monkeypatch, seed, chunk):
+        # genotypes and scores too, in itertools.product order, whether a
+        # chunk holds all 4**6 assignments or the last one holds 96
+        monkeypatch.setattr(oracle, "ENUMERATION_CHUNK", chunk)
+        prob = tiny_instance(seed)
+        expected = []
+        for assignment in itertools.product(range(prob.n_resources), repeat=prob.n_services):
+            sol = make_solution(assignment, prob)
+            if not sol.feasible or any(pareto_dominates(f.objectives, sol.objectives) for f in expected):
+                continue
+            expected = [f for f in expected if not pareto_dominates(sol.objectives, f.objectives)]
+            expected.append(sol)
+        front = exact_pareto(prob)
+        assert front.solutions == tuple(expected)
+        assert [s.genotype.typecode for s in front.solutions] == ["H"] * len(expected)
+
+    def test_no_services_has_one_empty_assignment(self):
+        prob = ProblemInstance(cloud_fc_landscape(), [])
+        front = exact_pareto(prob)
+        assert front.search_space_size == 1
+        assert front.solutions == (make_solution((), prob),)
 
     def test_cap_enforced(self):
         prob = tiny_instance(0)
