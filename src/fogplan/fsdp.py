@@ -30,6 +30,10 @@ from .model import (
 #: saturated deployments stay comparable for the optimizer.
 SATURATION_PENALTY = 10.0
 
+#: the most resources a landscape may have: the dense R x R float64
+#: latency matrix then takes 128 MiB (65536 resources would take 32 GiB)
+MAX_RESOURCES = 4096
+
 
 @dataclass(frozen=True, slots=True)
 class ObjectiveVector:
@@ -66,9 +70,8 @@ class ProblemInstance:
 
         res = landscape.resources
         self.n_resources = len(res)
-        if self.n_resources > 1 << 16:
-            # genotypes store 16-bit ids; the R x R latency matrix alone would take 34 GB
-            raise ValueError("at most 65536 resources")
+        if self.n_resources > MAX_RESOURCES:
+            raise ValueError(f"{self.n_resources} resources exceed MAX_RESOURCES = {MAX_RESOURCES}")
         resource_rows = np.array([
             [r.cpu_capacity for r in res],
             [r.ram_capacity for r in res],
@@ -167,52 +170,33 @@ class ProblemInstance:
         return arr.astype(np.int64, copy=False)
 
     def resource_loads(self, a: np.ndarray) -> np.ndarray:
-        """Per-resource sums under validated assignments, one row each:
-        cpu work, ram, storage, arrival rate and number of services.
+        """Per-resource sums under a validated (P, N) block of assignments,
+        (P, 5, R): cpu work, ram, storage, arrival rate and number of
+        services of each row.
 
-        One assignment (N,) gives (5, R).  A (P, N) block gives (P, 5, R)
-        from one bincount, row p's bins 5R further on; each bin still
-        adds its services in index order.
+        One bincount serves the block, row p's bins 5R further on; each
+        bin adds its services in index order.
         """
-        block = 5 * self.n_resources
-        if a.ndim == 1:
-            index = (a + self._load_rows).ravel()
-            return np.bincount(index, self._load_weights, block).reshape(5, -1)
-        rows = len(a)
+        block, rows = 5 * self.n_resources, len(a)
         index = a[:, None, :] + self._load_rows + np.arange(0, block * rows, block)[:, None, None]
         weights = np.tile(self._load_weights, rows)
         return np.bincount(index.ravel(), weights, block * rows).reshape(rows, 5, -1)
 
 
 def evaluate(dep, prob: ProblemInstance) -> tuple[ObjectiveVector, ViolationVector]:
-    """Objectives and violations of one deployment, in one pass over it.
-
-    The genotype is validated once and the per-resource sums are taken
-    once: the cpu work feeds both the capacity overshoot and the M/D/1
-    service times.
-    """
-    a = prob.as_assignment(dep)
-    m = len(prob.apps)
-    if m == 0:
-        return ObjectiveVector(0.0, 0.0), ViolationVector(0.0, 0.0, 0.0, 0.0)
-    met = prob.service_avail_req <= prob.up_probability[a]
-    objectives = ObjectiveVector(
-        fog_utilization=float(np.count_nonzero(prob.is_fog[a])) / prob.n_services,
-        # one division of integers: the correctly rounded float of the exact ratio
-        availability=int(prob.service_avail_weight[met].sum()) / (prob.availability_lcm * m),
-    )
-    capacity, deadline = _violations(a, prob)
-    return objectives, ViolationVector(*capacity.tolist(), float(deadline))
+    """Objectives and violations of one deployment (N,): one row of ``evaluate_many``."""
+    return _scores(prob.as_assignment(dep)[None], prob)[0]
 
 
 def evaluate_many(assignments, prob: ProblemInstance) -> list[tuple[ObjectiveVector, ViolationVector]]:
-    """``evaluate`` of every row of a (P, N) block, bit for bit, in row order.
+    """Objectives and violations of every row of a (P, N) block, in row order."""
+    return _scores(prob.as_assignment(assignments, rows=True), prob)
 
-    The block is validated once and scored in one pass: one bincount
-    for all loads, one critical-path DP for all rows.  One row alone is
-    faster through ``evaluate``.
-    """
-    block = prob.as_assignment(assignments, rows=True)
+
+def _scores(block: np.ndarray, prob: ProblemInstance) -> list[tuple[ObjectiveVector, ViolationVector]]:
+    """Scores of a validated (P, N) block in one pass: one bincount for
+    all loads, one critical-path DP for all rows.  A row's floats do not
+    depend on the other rows."""
     m = len(prob.apps)
     if m == 0:
         return [(ObjectiveVector(0.0, 0.0), ViolationVector(0.0, 0.0, 0.0, 0.0))] * len(block)
@@ -221,6 +205,7 @@ def evaluate_many(assignments, prob: ProblemInstance) -> list[tuple[ObjectiveVec
     met = prob.service_avail_req <= prob.up_probability[block]
     met_weight = (met @ prob.service_avail_weight).tolist()
     capacity, deadline = _violations(block, prob)
+    # availability is one division of integers: the correctly rounded float of the exact ratio
     return [
         (ObjectiveVector(float(f) / n, w / scale), ViolationVector(*c, d))
         for f, w, c, d in zip(fog, met_weight, capacity.tolist(), deadline.tolist())
@@ -228,21 +213,20 @@ def evaluate_many(assignments, prob: ProblemInstance) -> list[tuple[ObjectiveVec
 
 
 def _violations(a: np.ndarray, prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(cpu, ram and storage excess, deadline excess) of validated
-    assignments: (3,) and a scalar for one assignment (N,), (P, 3) and
-    (P,) for a (P, N) block.
+    """(cpu, ram and storage excess (P, 3), deadline excess (P,)) of a
+    validated (P, N) block.
 
     The loads keep resources on their last, contiguous axis, so every
     row sums its capacity overshoot in the same pairwise order.  The
     critical-path DP takes the block transposed, population last.
     """
     load = prob.resource_loads(a)
-    overshoot = np.maximum(0.0, load[..., :3, :] - prob.effective_capacity).sum(axis=-1)
+    overshoot = np.maximum(0.0, load[:, :3] - prob.effective_capacity).sum(axis=-1)
     rt = timing.app_response_times(a.T, prob, load).T
     excess = np.maximum(0.0, rt - prob.app_deadline) / prob.app_deadline
     excess[rt == np.inf] = SATURATION_PENALTY
     # a left fold in app order: np.sum's pairwise order would move the last bit
-    return overshoot / prob.capacity_total, np.add.accumulate(excess, axis=-1)[..., -1]
+    return overshoot / prob.capacity_total, np.add.accumulate(excess, axis=1)[:, -1]
 
 
 def fog_utilization(dep, prob: ProblemInstance) -> float:

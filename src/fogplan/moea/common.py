@@ -37,10 +37,10 @@ def make_solution(assignment, prob: ProblemInstance) -> Solution:
 def pack_solution(a: np.ndarray, objectives: ObjectiveVector, violations: ViolationVector) -> Solution:
     """A Solution of an assignment that ``evaluate`` has just checked.
 
-    Its ids lie in [0, n_resources), and n_resources <= 65536, so
-    packing them two bytes each, as an array('H'), is exact.  The array
-    orders like the tuple of its ids, but is not equal to it and is not
-    hashable.
+    Its ids lie in [0, n_resources), and n_resources <= MAX_RESOURCES <
+    65536, so packing them two bytes each, as an array('H'), is exact.
+    The array orders like the tuple of its ids, but is not equal to it
+    and is not hashable.
     """
     return Solution(array("H", a.astype(np.uint16).tobytes()), objectives, violations)
 
@@ -278,9 +278,11 @@ class Search:
     """What every optimizer's run shares: one random stream, the external
     archive, the evaluation budget and the trace report.
 
-    The optimizers draw from ``rng``, score genotypes only through
-    ``evaluate`` (one child) and ``evaluate_many`` (a population), and
-    stop when ``left`` reaches 0.
+    Every optimizer runs in synchronous generations: it builds up to
+    ``left`` children against the archive and population as they stood
+    at the generation's start, scores them in one ``evaluate_many``, and
+    only then applies its per-child updates in index order.  It draws
+    from ``rng`` and stops when ``left`` reaches 0.
     """
 
     def __init__(self, prob: ProblemInstance, params: AlgoParams, trace_hook=None):
@@ -299,17 +301,9 @@ class Search:
         """Evaluations still allowed."""
         return self.max_evaluations - self.evaluations
 
-    def evaluate(self, genome) -> Solution:
-        """Score one genotype, count it and offer it to the archive."""
-        sol = make_solution(genome, self.prob)
-        self.evaluations += 1
-        self.archive.add(sol)
-        return sol
-
     def evaluate_many(self, genomes) -> list[Solution]:
-        """Score a population's genotypes in one batch, count them and
-        offer them to the archive in order: the same as a loop of
-        ``evaluate``."""
+        """Score a generation's genotypes in one batch, count them and
+        offer them to the archive in order."""
         block = np.asarray(genomes)
         solutions = [
             pack_solution(a, *scores) for a, scores in zip(block, evaluate_many(block, self.prob))

@@ -6,8 +6,11 @@ TEC 2007).  Feasibility rules take precedence over the scalarized value
 during replacement.  The initial solutions, anchors included, are
 assigned to subproblems in order of fog utilization, so the all-cloud
 anchor starts at the availability-only weight and the fog-rich anchor
-at the fog-only one.  An external archive of non-dominated feasible
-solutions is returned.
+at the fog-only one.  Generations are synchronous: every subproblem
+breeds one child from the population at the generation's start, the
+children are scored in one batch, then each, in subproblem order,
+updates the ideal point and replaces the neighbours it beats.  An
+external archive of non-dominated feasible solutions is returned.
 """
 
 from __future__ import annotations
@@ -76,17 +79,17 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     run.report(population)
 
     while run.left:
-        for i in range(n_sub):
-            if not run.left:
-                break
+        subproblems = range(min(n_sub, run.left))
+        children = []
+        for i in subproblems:
             mates = neighborhoods[i][rng.permutation(t_size)[:2]]
             if len(mates) < 2:
                 mates = np.array([i, i])
             g1 = np.array(population[mates[0]].genotype, dtype=np.int64)
             g2 = np.array(population[mates[1]].genotype, dtype=np.int64)
             child, _ = uniform_crossover(g1, g2, rng)
-            child = reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
-            sol = run.evaluate(child)
+            children.append(reset_mutation(child, run.mutation_prob, prob.n_resources, rng))
+        for i, sol in zip(subproblems, run.evaluate_many(children)):
             if sol.feasible:
                 ideal = [max(best, got) for best, got in zip(ideal, sol.objectives.as_tuple())]
             for j in neighborhoods[i]:

@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .errors import ParseError, UnknownVersion
-from .fsdp import ProblemInstance
+from .fsdp import MAX_RESOURCES, ProblemInstance
 from .model import Application, Landscape, Resource, ResourceKind, Service
 
 SCHEMA_VERSION = 1
@@ -96,8 +96,9 @@ class ScenarioSpec:
         for name in ("colonies", "cells_per_colony", "apps", "services_per_app"):
             if getattr(self, name) < 1:
                 raise ParseError(name, "count must be >= 1")
-        if 1 + self.colonies * (1 + self.cells_per_colony) > 1 << 16:
-            raise ParseError("colonies", "1 + colonies * (1 + cells_per_colony) resources exceed 65536")
+        if 1 + self.colonies * (1 + self.cells_per_colony) > MAX_RESOURCES:
+            why = f"1 + colonies * (1 + cells_per_colony) resources exceed MAX_RESOURCES = {MAX_RESOURCES}"
+            raise ParseError("colonies", why)
         if self.seed < 0:
             raise ParseError("seed", "must be >= 0")
         for name in ("service_templates", "deadlines", "request_rates"):

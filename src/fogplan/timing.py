@@ -71,11 +71,10 @@ def resource_load(dep, prob, resource_id: int) -> tuple[float, float, float]:
 def sojourn_times(prob, load: np.ndarray) -> np.ndarray:
     """Mean sojourn time of every resource's M/D/1 queue, inf where saturated.
 
-    ``load`` is ``prob.resource_loads`` of one deployment (5, R) or of
-    P of them (P, 5, R); the result is (R,) or (P, R).  An empty
-    resource has sojourn 0.
+    ``load`` is ``prob.resource_loads`` of P deployments (P, 5, R); the
+    result is (P, R).  An empty resource has sojourn 0.
     """
-    work, lam, count = load[..., 0, :], load[..., 3, :], load[..., 4, :]
+    work, lam, count = load[:, 0], load[:, 3], load[:, 4]
     d = work / np.maximum(count, 1.0) / prob.cpu_capacity
     rho = lam * d
     wait = np.divide(
@@ -87,10 +86,9 @@ def sojourn_times(prob, load: np.ndarray) -> np.ndarray:
 def app_response_times(a: np.ndarray, prob, load: np.ndarray) -> np.ndarray:
     """Critical-path response time of every app, inf where a service is saturated.
 
-    ``a`` is one validated assignment (N,) with its loads (5, R), giving
-    (m,), or P of them on the trailing axis (N, P) with their loads
-    (P, 5, R), giving (m, P).  With the population last, the DP below
-    indexes services on the first axis in both cases.
+    ``a`` holds P validated assignments on its trailing axis (N, P),
+    with their loads (P, 5, R); the result is (m, P).  With the
+    population last, the DP below indexes services on the first axis.
 
     A DP over global topological levels: a service's distance is its
     host's sojourn plus the largest predecessor distance plus link
@@ -98,8 +96,7 @@ def app_response_times(a: np.ndarray, prob, load: np.ndarray) -> np.ndarray:
     a source's distance is its sojourn alone.  A saturated host's inf
     sojourn reaches its app's max.
     """
-    sojourn = sojourn_times(prob, load)
-    dist = sojourn[a] if a.ndim == 1 else sojourn[np.arange(a.shape[1]), a]
+    dist = sojourn_times(prob, load)[np.arange(a.shape[1]), a]
     src, dst = prob.level_links
     lat = prob.latency_s[a[src], a[dst]]
     for nodes, preds, links, joins in prob.level_steps:
@@ -112,8 +109,8 @@ def app_response_times(a: np.ndarray, prob, load: np.ndarray) -> np.ndarray:
 
 def response_time_report(dep, prob) -> ResponseTimeReport:
     """Critical-path response time of every app, None where saturated."""
-    a = prob.as_assignment(dep)
-    rt = app_response_times(a, prob, prob.resource_loads(a)).tolist()
+    a = prob.as_assignment(dep)[:, None]
+    rt = app_response_times(a, prob, prob.resource_loads(a.T))[:, 0].tolist()
     return ResponseTimeReport(
         app_rt={app.id: None if t == math.inf else t for app, t in zip(prob.apps, rt)}
     )

@@ -32,6 +32,8 @@ BAD_SCENARIO_FIELDS = [
     pytest.param("resources.fc.cpu", float("nan"), id="fc_cpu-nan"),
     pytest.param("reserve_fraction", 10**400, id="reserve_fraction-huge"),
     pytest.param("cells_per_colony", 70000, id="cells_per_colony-70000"),
+    # 1 + 2 * (1 + 2047) = 4097 resources, one past MAX_RESOURCES
+    pytest.param("cells_per_colony", 2047, id="cells_per_colony-2047"),
 ]
 
 

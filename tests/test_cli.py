@@ -62,7 +62,7 @@ class TestEvolutionExperiment:
         assert main(["--experiment", "evolution", "--algo", "all", "--seeds", "0",
                      "--evals", "200", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
-        assert digest == "1c8092f9710878a9aa4364e32df93c4297ca300cf894a26eb12c66bcc7ef2fd2"
+        assert digest == "e21135cb27270945f9109a94d223457cd0c66fe7a1c0731960a5c2b902cfa058"
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_worker_count_below_one_exits_2(self, tmp_path, capsys, monkeypatch, workers):
@@ -125,7 +125,26 @@ class TestDeadlineExperiment:
         assert main(["--experiment", "deadline", "--algo", "all", "--seeds", "0",
                      "--evals", "200", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "deadline.csv").read_bytes()).hexdigest()
-        assert digest == "9717b51a28e434d5d25a53dd9c99fe2e7dcc0e7d2ff640907323da0afeefdf4c"
+        assert digest == "419efc4701864fe47ff36a954c684e2bf9127c97d9f51bdc81f772dc96929373"
+
+    def test_too_many_resources_fail_before_building_them(self, tmp_path, capsys):
+        # 4097 resources: the spec is refused, not a 128 MiB latency matrix built
+        scenario_path = tmp_path / "big.yaml"
+        save(ScenarioSpec(), scenario_path)
+        doc = yaml.safe_load(scenario_path.read_text())
+        set_scenario_key(doc, "colonies", 2048)
+        set_scenario_key(doc, "cells_per_colony", 1)
+        scenario_path.write_text(yaml.safe_dump(doc))
+        tracemalloc.start()
+        try:
+            rc = main(["--experiment", "deadline", "--algo", "nsga2", "--scenario",
+                       str(scenario_path), "--seeds", "0", "--evals", "40", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "MAX_RESOURCES = 4096" in capsys.readouterr().err
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("key, value", [
         ("fcm_fcm_ms", -10), ("fcm_cloud_ms", -100), *BAD_SCENARIO_FIELDS,

@@ -25,7 +25,7 @@ from fogplan.moea import (
     tchebycheff,
 )
 from fogplan.moea.common import Search, greedy_anchors, initial_population, reset_mutation
-from fogplan.moea.mopso import _grid_select
+from fogplan.moea.mopso import _guide_grid
 from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
 
 ZERO_V = ViolationVector(0.0, 0.0, 0.0, 0.0)
@@ -352,6 +352,30 @@ class TestAlgorithms:
         with pytest.raises(BudgetTooSmall):
             AlgoParams(population_size=40, max_evaluations=10)
 
+    def test_scores_only_whole_generations(self, name, monkeypatch):
+        import fogplan.fsdp
+        import fogplan.moea.common
+
+        def single(*args):
+            raise AssertionError("a single child was scored")
+
+        monkeypatch.setattr(fogplan.fsdp, "evaluate", single)
+        monkeypatch.setattr(fogplan.moea.common, "make_solution", single)
+        batches = []
+        evaluate_many = Search.evaluate_many
+
+        def counting(run, genomes):
+            batches.append(len(genomes))
+            return evaluate_many(run, genomes)
+
+        monkeypatch.setattr(Search, "evaluate_many", counting)
+        trace = []
+        ALGORITHMS[name](tiny_instance(1), AlgoParams(population_size=40, max_evaluations=130),
+                         trace_hook=trace.append)
+        # the initial population, two whole broods, then a partial one
+        assert batches == [40, 40, 40, 10]
+        assert trace[-1].evaluations == 130
+
     def test_archive_feasible_and_hv_monotone(self, name):
         prob = tiny_instance(2)
         trace = []
@@ -370,19 +394,23 @@ class TestAlgorithms:
 
 
 def test_search_evaluate_many_matches_a_loop_of_evaluate():
-    # the same Solutions, archive and count; the genomes near the greedy
-    # anchors find more front points than the archive's 3 places
+    # the same Solutions, archive and count as make_solution then
+    # archive.add per genome; the genomes near the greedy anchors find
+    # more front points than the archive's 3 places
     prob = paper_scenario()
     rng = np.random.default_rng(3)
     anchors = greedy_anchors(prob)
     genomes = initial_population(prob, 40, rng)
     genomes += [reset_mutation(anchors[k % 2], 0.2, prob.n_resources, rng) for k in range(200)]
     params = AlgoParams(archive_capacity=3)
-    batched, looped = Search(prob, params), Search(prob, params)
+    batched, looped = Search(prob, params), ParetoArchive(capacity=3)
     solutions = batched.evaluate_many(genomes)
-    assert solutions == [looped.evaluate(g) for g in genomes]
-    assert batched.evaluations == looped.evaluations == 240
-    assert batched.archive.members == looped.archive.members
+    expected = [make_solution(g, prob) for g in genomes]
+    for sol in expected:
+        looped.add(sol)
+    assert solutions == expected
+    assert batched.evaluations == 240
+    assert batched.archive.members == looped.members
     assert len(batched.archive) == 3
 
 
@@ -401,6 +429,30 @@ def test_nsga2_sorts_once_per_generation(monkeypatch):
     # the initial population, then one sort of parents plus offspring per generation
     assert len(reports) == 5
     assert sorts == [40] + [80] * 4
+
+
+def test_mopso_builds_its_guide_grid_once_per_generation(monkeypatch):
+    import fogplan.moea.mopso as mopso
+
+    draws = []
+
+    def counting_grid(members, divisions):
+        grid = len(draws)
+        draws.append(0)
+        draw = _guide_grid(members, divisions)
+
+        def counting_draw(rng):
+            draws[grid] += 1
+            return draw(rng)
+
+        return counting_draw
+
+    monkeypatch.setattr(mopso, "_guide_grid", counting_grid)
+    reports = []
+    mopso.mopso_run(tiny_instance(1), AlgoParams(max_evaluations=200), trace_hook=reports.append)
+    # the initial swarm, then one grid per generation and one guide per particle from it
+    assert len(reports) == 5
+    assert draws == [40] * 4
 
 
 def test_nsga2_selection_ignores_member_order():
@@ -462,7 +514,7 @@ class TestMopsoFrozenDynamics:
     def test_guide_counts_only_occupied_cells(self, divisions):
         # a cell table of divisions**2 entries would need exabytes here
         members = [feas(0.1 * i, 1.0 - 0.1 * i, genotype=(i,)) for i in range(9)]
-        guide = _grid_select(members, divisions, np.random.default_rng(0))
+        guide = _guide_grid(members, divisions)(np.random.default_rng(0))
         assert any(guide is m for m in members)
 
     @pytest.mark.parametrize("divisions", [1, 2, 3, 7, 50])
@@ -483,4 +535,4 @@ class TestMopsoFrozenDynamics:
             cell = occupied[expect.choice(len(occupied), p=weights / weights.sum())]
             candidates = np.flatnonzero(keys == cell)
             want = members[candidates[expect.integers(0, len(candidates))]]
-            assert _grid_select(members, divisions, np.random.default_rng(seed)) is want
+            assert _guide_grid(members, divisions)(np.random.default_rng(seed)) is want
