@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import astuple, fields, replace
 
 from . import scenario as scenario_mod
-from .errors import FogplanError
+from .errors import FogplanError, ParseError
 from .moea import ALGORITHMS, AlgoParams, GenerationStats, select_compromise
 from .timing import response_time_report
 
@@ -124,11 +124,17 @@ def run_deadline_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSp
 
 def run_scaling_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSpec,
                            params: AlgoParams, factors: list[int], output_dir: str) -> str:
-    """Wall time of one run per algorithm on ``spec`` replicated by each factor."""
+    """Wall time of one run per algorithm on ``spec`` replicated by each factor, all checked first."""
+    scaled = []
+    for factor in factors:
+        try:
+            scaled.append(scenario_mod.scaled_spec(spec, factor))
+        except ParseError as exc:
+            raise ConfigError(f"--factors {factor}: {exc}") from exc
     rows = []
     for algo in algorithms:
-        for factor in factors:
-            prob = scenario_mod.scaled_scenario(spec, factor)
+        for factor_spec in scaled:
+            prob = scenario_mod.build_instance(factor_spec)
             start = time.perf_counter()
             ALGORITHMS[algo](prob, params)
             elapsed = time.perf_counter() - start

@@ -375,15 +375,12 @@ def initial_population(prob: ProblemInstance, size: int, rng: np.random.Generato
 
 
 def uniform_crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    mask = rng.random(p1.shape[0]) < 0.5
-    c1 = np.where(mask, p1, p2)
-    c2 = np.where(mask, p2, p1)
-    return c1, c2
+    mask = rng.random(p1.shape) < 0.5
+    return np.where(mask, p1, p2), np.where(mask, p2, p1)
 
 
 def reset_mutation(child: np.ndarray, rate: float, n_resources: int, rng: np.random.Generator) -> np.ndarray:
-    mask = rng.random(child.shape[0]) < rate
-    if mask.any():
-        child = child.copy()
-        child[mask] = rng.integers(0, n_resources, size=int(mask.sum()))
+    mask = rng.random(child.shape) < rate
+    child = child.copy()
+    child[mask] = rng.integers(0, n_resources, size=int(mask.sum()))
     return child

@@ -6,11 +6,14 @@ TEC 2007).  Feasibility rules take precedence over the scalarized value
 during replacement.  The initial solutions, anchors included, are
 assigned to subproblems in order of fog utilization, so the all-cloud
 anchor starts at the availability-only weight and the fog-rich anchor
-at the fog-only one.  Generations are synchronous: every subproblem
-breeds one child from the population at the generation's start, the
-children are scored in one batch, then each, in subproblem order,
-updates the ideal point and replaces the neighbours it beats.  An
-external archive of non-dominated feasible solutions is returned.
+at the fog-only one.  Generations are synchronous: k subproblems breed
+one child each, as one block, from the population at the generation's
+start.  Its draws, in order: a (k, T) block of keys, whose two smallest
+in a row pick that subproblem's mates; one crossover mask; one reset
+mutation.  The children are scored in one batch, then each, in
+subproblem order, updates the ideal point and replaces the neighbours
+it beats.  An external archive of non-dominated feasible solutions is
+returned.
 """
 
 from __future__ import annotations
@@ -63,9 +66,8 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
 
     run = Search(prob, params, trace_hook)
     rng = run.rng
-    t_size = min(params.neighborhood_size, n_sub)
     dist = np.linalg.norm(weights[:, None, :] - weights[None, :, :], axis=2)
-    neighborhoods = np.argsort(dist, axis=1, kind="stable")[:, :t_size]
+    neighborhoods = np.argsort(dist, axis=1, kind="stable")[:, :params.neighborhood_size]
     weight_rows = weights.tolist()
 
     population = sorted(
@@ -79,17 +81,14 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     run.report(population)
 
     while run.left:
-        subproblems = range(min(n_sub, run.left))
-        children = []
-        for i in subproblems:
-            mates = neighborhoods[i][rng.permutation(t_size)[:2]]
-            if len(mates) < 2:
-                mates = np.array([i, i])
-            g1 = np.array(population[mates[0]].genotype, dtype=np.int64)
-            g2 = np.array(population[mates[1]].genotype, dtype=np.int64)
-            child, _ = uniform_crossover(g1, g2, rng)
-            children.append(reset_mutation(child, run.mutation_prob, prob.n_resources, rng))
-        for i, sol in zip(subproblems, run.evaluate_many(children)):
+        k = min(n_sub, run.left)
+        # the neighbours with the two smallest keys mate; with T = 1, the one with itself
+        picks = rng.random(neighborhoods[:k].shape).argsort(axis=1)[:, :2]
+        mates = np.take_along_axis(neighborhoods[:k], picks, axis=1)[:, [0, -1]]
+        p1, p2 = np.array([s.genotype for s in population], dtype=np.int64)[mates.T]
+        child, _ = uniform_crossover(p1, p2, rng)
+        children = reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
+        for i, sol in enumerate(run.evaluate_many(children)):
             if sol.feasible:
                 ideal = [max(best, got) for best, got in zip(ideal, sol.objectives.as_tuple())]
             for j in neighborhoods[i]:

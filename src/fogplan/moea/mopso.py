@@ -11,13 +11,15 @@ applies a one-gene reset mutation.  The swarm moves synchronously
 (Coello, Pulido & Lechuga, IEEE TEC 2004): every particle draws its
 guide from one grid of the archive's objective-space hypercubes, built
 once per generation, by roulette favoring sparsely populated cells;
-the whole swarm is scored in one batch, and only then are the personal
-bests updated.
+the swarm moves as one block and is scored in one batch, and only then
+are the personal bests updated.  Its draws, in order: k guide cells,
+a member of each; each gene's source (unless all move weights are 0);
+a mutation flag per particle; the mutants' genes, then their new ids;
+the personal-best coin flips.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable
 
 import numpy as np
@@ -33,28 +35,25 @@ from .common import (
 )
 
 
-def _guide_grid(members: list[Solution], divisions: int) -> Callable[[np.random.Generator], Solution]:
-    """The guide draw of one generation: roulette over the archive's
-    hypercube cells, sparse cells favored, then a member of the cell."""
-    if len(members) == 1:
-        return lambda rng: members[0]
+def _guide_grid(members: list[Solution], divisions: int) -> Callable[[np.random.Generator, int], list[Solution]]:
+    """The guide draw of one generation: ``draw(rng, k)`` picks k cells by
+    roulette over the archive's hypercube cells, sparse cells favored,
+    then a member of each."""
     objs = np.array([[m.objectives.fog_utilization, m.objectives.availability] for m in members])
     lo = objs.min(axis=0)
     hi = objs.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
     # floats, not ints: any finite number of divisions gives finite cells
     cells = np.minimum(np.floor((objs - lo) / span * divisions), divisions - 1)
-    # only the occupied cells, in (row, column) order, each with its members in order
-    by_cell = defaultdict(list)
-    for cell, member in zip(zip(*cells.T.tolist()), members):
-        by_cell[cell].append(member)
-    occupied = [by_cell[cell] for cell in sorted(by_cell)]
-    weights = 1.0 / np.array([len(cell) for cell in occupied])
-    p = weights / weights.sum()
+    # only the occupied cells, in (row, column) order: each member's cell, each cell's size
+    _, cell_of, sizes = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+    p = 1.0 / sizes / (1.0 / sizes).sum()
+    # the members cell by cell, each cell's in order, and where each cell starts
+    by_cell, starts = np.argsort(cell_of, kind="stable"), np.cumsum(sizes) - sizes
 
-    def draw(rng: np.random.Generator) -> Solution:
-        cell = occupied[rng.choice(len(occupied), p=p)]
-        return cell[rng.integers(0, len(cell))]
+    def draw(rng: np.random.Generator, k: int) -> list[Solution]:
+        picked = rng.choice(len(sizes), size=k, p=p)
+        return [members[i] for i in by_cell[starts[picked] + rng.integers(0, sizes[picked])]]
 
     return draw
 
@@ -72,14 +71,14 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     run.report(current)
 
     while run.left:
-        guide = _guide_grid(run.archive.members, params.grid_divisions)
-        moves = []
-        for i in range(min(swarm, run.left)):
-            hosts = np.array([current[i].genotype, pbest[i].genotype, guide(rng).genotype], dtype=np.int64)
-            child = hosts[0] if pull is None else hosts[rng.choice(3, size=n, p=pull), np.arange(n)]
-            if rng.random() < params.mutation_rate:
-                child[rng.integers(0, n)] = rng.integers(0, prob.n_resources)
-            moves.append(child)
+        k = min(swarm, run.left)
+        guides = _guide_grid(run.archive.members, params.grid_divisions)(rng, k)
+        hosts = np.array([s.genotype for s in current[:k] + pbest[:k] + guides], dtype=np.int64).reshape(3, k, n)
+        source = 0 if pull is None else rng.choice(3, size=(k, n), p=pull)
+        moves = hosts[source, np.arange(k)[:, None], np.arange(n)]
+        mutants = np.flatnonzero(rng.random(k) < params.mutation_rate)
+        where = rng.integers(0, n, size=mutants.size)
+        moves[mutants, where] = rng.integers(0, prob.n_resources, size=mutants.size)
         for i, sol in enumerate(run.evaluate_many(moves)):
             current[i] = sol
             if constrained_dominates(sol, pbest[i]) or (

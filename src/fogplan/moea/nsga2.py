@@ -1,10 +1,12 @@
 """NSGA-II over resource-assignment genotypes.
 
 Binary tournament with the constrained crowded comparison, uniform
-crossover and per-gene reset mutation.  A generation's offspring do not
-depend on one another, so they are scored together in one batch.  An
-external archive collects every non-dominated feasible solution seen
-during the run.
+crossover and per-gene reset mutation.  A generation's k offspring do
+not depend on one another, so they are bred as one block and scored in
+one batch.  Its draws, in order: both entrants of 2·ceil(k/2)
+tournaments, one crossover mask, one crossover flag per pair, one reset
+mutation.  An external archive collects every non-dominated feasible
+solution seen during the run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .common import (
     AlgoParams,
     ParetoArchive,
     Search,
-    Solution,
     crowding_distance,
     fast_nondominated_sort,
     initial_population,
@@ -36,31 +37,25 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     run.report(population)
 
     while run.left:
-        brood = min(pop_size, run.left)
-        offspring_genomes = []
-        while len(offspring_genomes) < brood:
-            p1 = _tournament(population, standing, rng)
-            p2 = _tournament(population, standing, rng)
-            g1 = np.array(p1.genotype, dtype=np.int64)
-            g2 = np.array(p2.genotype, dtype=np.int64)
-            if rng.random() < params.crossover_prob:
-                g1, g2 = uniform_crossover(g1, g2, rng)
-            for child in (g1, g2):
-                if len(offspring_genomes) < brood:
-                    offspring_genomes.append(
-                        reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
-                    )
-        offspring = run.evaluate_many(offspring_genomes)
+        k = min(pop_size, run.left)
+        pairs = -(-k // 2)
+        p1, p2 = np.array([s.genotype for s in population], dtype=np.int64)[_tournament(standing, (2, pairs), rng)]
+        c1, c2 = uniform_crossover(p1, p2, rng)
+        cross = (rng.random(pairs) < params.crossover_prob)[:, None]
+        # children c1, c2 of each pair in turn
+        children = np.stack([np.where(cross, c1, p1), np.where(cross, c2, p2)], axis=1).reshape(2 * pairs, -1)
+        offspring = run.evaluate_many(reset_mutation(children[:k], run.mutation_prob, prob.n_resources, rng))
         population, standing = _environmental_selection(population + offspring, pop_size)
         run.report(population)
 
     return run.archive
 
 
-def _tournament(population, standing, rng) -> Solution:
-    """The lower (front, -crowding) wins, then the first drawn."""
-    i, j = rng.integers(0, len(population), size=2)
-    return population[j] if standing[j] < standing[i] else population[i]
+def _tournament(standing, size: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Winners of binary tournaments on sorted keys: the lower key, then the first drawn."""
+    rank = np.cumsum([0] + [a != b for a, b in zip(standing, standing[1:])])  # dense
+    i, j = rng.integers(0, len(rank), size=(2, *size))
+    return np.where(rank[j] < rank[i], j, i)
 
 
 def _environmental_selection(combined, pop_size):

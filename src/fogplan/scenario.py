@@ -185,18 +185,21 @@ def paper_scenario(seed: int = 0) -> ProblemInstance:
     return build_instance(ScenarioSpec(seed=seed))
 
 
-def scaled_scenario(base: ScenarioSpec, replication: int) -> ProblemInstance:
+def scaled_spec(base: ScenarioSpec, replication: int) -> ScenarioSpec:
     """Replicate apps and colonies together so feasibility density holds."""
     if replication < 1:
         raise ValueError("replication factor must be >= 1")
-    scaled = replace(
+    return replace(
         base,
         apps=base.apps * replication,
         colonies=base.colonies * replication,
         deadlines=base.deadlines * replication,
         request_rates=base.request_rates * replication,
     )
-    return build_instance(scaled)
+
+
+def scaled_scenario(base: ScenarioSpec, replication: int) -> ProblemInstance:
+    return build_instance(scaled_spec(base, replication))
 
 
 # the ScenarioSpec fields that schema v1 keeps below the top level, by YAML path

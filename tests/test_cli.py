@@ -8,6 +8,7 @@ import yaml
 
 from conftest import BAD_SCENARIO_FIELDS, scenario_error_names, set_scenario_key
 from fogplan.cli import ConfigError, _parse_params, _parse_seeds, main
+from fogplan.moea import ALGORITHMS
 from fogplan.scenario import ScenarioSpec, save
 
 
@@ -62,7 +63,7 @@ class TestEvolutionExperiment:
         assert main(["--experiment", "evolution", "--algo", "all", "--seeds", "0",
                      "--evals", "200", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
-        assert digest == "e21135cb27270945f9109a94d223457cd0c66fe7a1c0731960a5c2b902cfa058"
+        assert digest == "e034a6cbb789272464288a1a890f625d3ed945af553568a5061ce218e090c3e3"
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_worker_count_below_one_exits_2(self, tmp_path, capsys, monkeypatch, workers):
@@ -125,7 +126,7 @@ class TestDeadlineExperiment:
         assert main(["--experiment", "deadline", "--algo", "all", "--seeds", "0",
                      "--evals", "200", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "deadline.csv").read_bytes()).hexdigest()
-        assert digest == "419efc4701864fe47ff36a954c684e2bf9127c97d9f51bdc81f772dc96929373"
+        assert digest == "23c1b1886b5e26c2352619aa8fc9b68848d9dbcf0fa5ee5226c16646b91b7cfd"
 
     def test_too_many_resources_fail_before_building_them(self, tmp_path, capsys):
         # 4097 resources: the spec is refused, not a 128 MiB latency matrix built
@@ -175,6 +176,17 @@ class TestScalingExperiment:
         rc = main(["--experiment", "scaling", "--algo", "mopso", "--seeds", "0",
                    "--evals", "80", "--factors", "", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_bad_factor_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # 1 + 2000 * (1 + 4) resources exceed MAX_RESOURCES at factor 1000
+        runs = []
+        monkeypatch.setitem(ALGORITHMS, "mopso", lambda *args: runs.append(args))
+        rc = main(["--experiment", "scaling", "--algo", "mopso", "--seeds", "0",
+                   "--evals", "80", "--factors", "16,16,16,1000", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "--factors 1000" in capsys.readouterr().err
+        assert runs == []
+        assert not (tmp_path / "scaling.csv").exists()
 
     def test_more_than_one_seed_exits_2(self, tmp_path, capsys):
         rc = main(["--experiment", "scaling", "--algo", "mopso", "--seeds", "0..3",

@@ -24,7 +24,13 @@ from fogplan.moea import (
     simplex_lattice_weights,
     tchebycheff,
 )
-from fogplan.moea.common import Search, greedy_anchors, initial_population, reset_mutation
+from fogplan.moea.common import (
+    Search,
+    greedy_anchors,
+    initial_population,
+    reset_mutation,
+    uniform_crossover,
+)
 from fogplan.moea.mopso import _guide_grid
 from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
 
@@ -369,12 +375,14 @@ class TestAlgorithms:
             return evaluate_many(run, genomes)
 
         monkeypatch.setattr(Search, "evaluate_many", counting)
-        trace = []
-        ALGORITHMS[name](tiny_instance(1), AlgoParams(population_size=40, max_evaluations=130),
-                         trace_hook=trace.append)
-        # the initial population, two whole broods, then a partial one
-        assert batches == [40, 40, 40, 10]
-        assert trace[-1].evaluations == 130
+        # the initial population, two whole broods, then a partial one, even or odd
+        for budget, last in [(130, 10), (127, 7)]:
+            batches.clear()
+            trace = []
+            ALGORITHMS[name](tiny_instance(1), AlgoParams(population_size=40, max_evaluations=budget),
+                             trace_hook=trace.append)
+            assert batches == [40, 40, 40, last]
+            assert trace[-1].evaluations == budget
 
     def test_archive_feasible_and_hv_monotone(self, name):
         prob = tiny_instance(2)
@@ -438,21 +446,21 @@ def test_mopso_builds_its_guide_grid_once_per_generation(monkeypatch):
 
     def counting_grid(members, divisions):
         grid = len(draws)
-        draws.append(0)
+        draws.append([])
         draw = _guide_grid(members, divisions)
 
-        def counting_draw(rng):
-            draws[grid] += 1
-            return draw(rng)
+        def counting_draw(rng, k):
+            draws[grid].append(k)
+            return draw(rng, k)
 
         return counting_draw
 
     monkeypatch.setattr(mopso, "_guide_grid", counting_grid)
     reports = []
     mopso.mopso_run(tiny_instance(1), AlgoParams(max_evaluations=200), trace_hook=reports.append)
-    # the initial swarm, then one grid per generation and one guide per particle from it
+    # the initial swarm, then one grid per generation and one draw of the whole swarm's guides
     assert len(reports) == 5
-    assert draws == [40] * 4
+    assert draws == [[40]] * 4
 
 
 def test_nsga2_selection_ignores_member_order():
@@ -467,6 +475,53 @@ def test_nsga2_selection_ignores_member_order():
         for _ in range(5):
             shuffled = [combined[i] for i in rng.permutation(len(combined))]
             assert _environmental_selection(shuffled, 40) == expected
+
+
+# sorted (front, -crowding) keys, with ties, and all tied
+RANKED = [(0, -np.inf), (0, -np.inf), (0, -0.5), (0, -0.5), (0, -0.5), (0, -0.2), (1, -np.inf), (1, -np.inf),
+          (1, -0.0), (2, -np.inf)]
+
+
+@pytest.mark.parametrize("standing", [RANKED, [(0, -np.inf)] * 10], ids=["ranked", "all-tied"])
+def test_nsga2_tournament_lower_key_wins_then_first_drawn(standing):
+    from fogplan.moea.nsga2 import _tournament
+
+    for seed in range(20):
+        first, second = np.random.default_rng(seed).integers(0, 10, size=(2, 40))
+        winners = _tournament(standing, (40,), np.random.default_rng(seed))
+        assert winners.tolist() == [b if standing[b] < standing[a] else a for a, b in zip(first, second)]
+        if len(set(standing)) == 1:
+            assert winners.tolist() == first.tolist()
+
+
+def test_block_operators_copy_and_keep_parent_genes():
+    rng = np.random.default_rng(11)
+    p1, p2 = rng.integers(0, 50, (2, 40, 25))
+    kept = p1.copy(), p2.copy()
+    c1, c2 = uniform_crossover(p1, p2, rng)
+    assert (p1 == kept[0]).all() and (p2 == kept[1]).all()
+    # each gene is swapped or not, the same in both children
+    assert ((c1 == p1) & (c2 == p2) | (c1 == p2) & (c2 == p1)).all()
+    assert (c1 != p1).any() and (c1 != p2).any()
+    child = c1.copy()
+    mutated = reset_mutation(c1, 0.3, 50, rng)
+    assert (c1 == child).all()
+    assert 0 < (mutated != c1).mean() < 0.3 and mutated.min() >= 0 and mutated.max() < 50
+    unchanged = reset_mutation(c1, 0.0, 50, rng)
+    assert unchanged is not c1 and (unchanged == c1).all()
+
+
+@pytest.mark.parametrize("name, knob", [
+    ("moead", dict(neighborhood_size=1)),
+    ("nsga2", dict(crossover_prob=0.0)),
+    ("nsga2", dict(crossover_prob=1.0)),
+])
+def test_edge_parameters_reach_the_budget_with_a_feasible_archive(name, knob):
+    trace = []
+    archive = ALGORITHMS[name](tiny_instance(2), AlgoParams(seed=3, max_evaluations=300, **knob),
+                               trace_hook=trace.append)
+    assert trace[-1].evaluations == 300
+    assert len(archive) > 0 and all(m.feasible for m in archive)
 
 
 def test_nsga2_archive_honours_capacity():
@@ -514,7 +569,7 @@ class TestMopsoFrozenDynamics:
     def test_guide_counts_only_occupied_cells(self, divisions):
         # a cell table of divisions**2 entries would need exabytes here
         members = [feas(0.1 * i, 1.0 - 0.1 * i, genotype=(i,)) for i in range(9)]
-        guide = _guide_grid(members, divisions)(np.random.default_rng(0))
+        guide = _guide_grid(members, divisions)(np.random.default_rng(0), 1)[0]
         assert any(guide is m for m in members)
 
     @pytest.mark.parametrize("divisions", [1, 2, 3, 7, 50])
@@ -535,4 +590,4 @@ class TestMopsoFrozenDynamics:
             cell = occupied[expect.choice(len(occupied), p=weights / weights.sum())]
             candidates = np.flatnonzero(keys == cell)
             want = members[candidates[expect.integers(0, len(candidates))]]
-            assert _guide_grid(members, divisions)(np.random.default_rng(seed)) is want
+            assert _guide_grid(members, divisions)(np.random.default_rng(seed), 1)[0] is want
