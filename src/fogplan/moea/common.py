@@ -259,8 +259,9 @@ class GenerationStats:
     feasible_fraction: float
 
 
-def generation_stats(archive: ParetoArchive, population: list[Solution], evaluations: int) -> GenerationStats:
-    """Quality of a run so far; the archive holds a member once anything was scored."""
+def generation_stats(archive: ParetoArchive, feasible: Sequence[bool], evaluations: int) -> GenerationStats:
+    """Quality of a run so far, given the population's feasibility flags;
+    the archive holds a member once anything was scored."""
     objectives = [m.objectives for m in archive.members]
     comp = select_compromise(archive).objectives
     return GenerationStats(
@@ -270,7 +271,7 @@ def generation_stats(archive: ParetoArchive, population: list[Solution], evaluat
         compromise_fog_utilization=comp.fog_utilization,
         compromise_availability=comp.availability,
         hypervolume=hypervolume_2d(objectives, ObjectiveVector(0.0, 0.0)),
-        feasible_fraction=sum(s.feasible for s in population) / len(population),
+        feasible_fraction=int(np.count_nonzero(feasible)) / len(feasible),
     )
 
 
@@ -313,9 +314,11 @@ class Search:
             self.archive.add(sol)
         return solutions
 
-    def report(self, population: list[Solution]) -> None:
+    def report(self, feasible: Sequence[bool]) -> None:
+        """Hand the trace hook this generation's stats, given the
+        population's feasibility flags."""
         if self.trace_hook:
-            self.trace_hook(generation_stats(self.archive, population, self.evaluations))
+            self.trace_hook(generation_stats(self.archive, feasible, self.evaluations))
 
 
 def greedy_anchors(prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:

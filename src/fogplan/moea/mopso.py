@@ -45,8 +45,10 @@ def _guide_grid(members: list[Solution], divisions: int) -> Callable[[np.random.
     span = np.where(hi > lo, hi - lo, 1.0)
     # floats, not ints: any finite number of divisions gives finite cells
     cells = np.minimum(np.floor((objs - lo) / span * divisions), divisions - 1)
-    # only the occupied cells, in (row, column) order: each member's cell, each cell's size
-    _, cell_of, sizes = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+    # only the occupied cells, in (row, column) order: each member's cell, each cell's size;
+    # a (row, column) pair read as one complex number sorts the same way, and a 1-D unique
+    # is about 3x faster than one over axis 0
+    _, cell_of, sizes = np.unique(cells.view(np.complex128).ravel(), return_inverse=True, return_counts=True)
     p = 1.0 / sizes / (1.0 / sizes).sum()
     # the members cell by cell, each cell's in order, and where each cell starts
     by_cell, starts = np.argsort(cell_of, kind="stable"), np.cumsum(sizes) - sizes
@@ -68,7 +70,7 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
 
     current = run.evaluate_many(initial_population(prob, swarm, rng))
     pbest = list(current)
-    run.report(current)
+    run.report([s.feasible for s in current])
 
     while run.left:
         k = min(swarm, run.left)
@@ -85,6 +87,6 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
                 not constrained_dominates(pbest[i], sol) and rng.random() < 0.5
             ):
                 pbest[i] = sol
-        run.report(current)
+        run.report([s.feasible for s in current])
 
     return run.archive

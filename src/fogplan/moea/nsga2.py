@@ -34,7 +34,7 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
 
     population = run.evaluate_many(initial_population(prob, pop_size, rng))
     population, standing = _environmental_selection(population, pop_size)
-    run.report(population)
+    run.report([s.feasible for s in population])
 
     while run.left:
         k = min(pop_size, run.left)
@@ -46,7 +46,7 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         children = np.stack([np.where(cross, c1, p1), np.where(cross, c2, p2)], axis=1).reshape(2 * pairs, -1)
         offspring = run.evaluate_many(reset_mutation(children[:k], run.mutation_prob, prob.n_resources, rng))
         population, standing = _environmental_selection(population + offspring, pop_size)
-        run.report(population)
+        run.report([s.feasible for s in population])
 
     return run.archive
 

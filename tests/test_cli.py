@@ -65,6 +65,22 @@ class TestEvolutionExperiment:
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
         assert digest == "e034a6cbb789272464288a1a890f625d3ed945af553568a5061ce218e090c3e3"
 
+    @pytest.mark.parametrize(("extra", "expected"), [
+        (["--seeds", "0..4"], "821582142374ff574f4fc37188174166d79b4ec7739576a18262e6b9e1c8ba00"),
+        (["--seeds", "0", "--param", "neighborhood_size=1"],
+         "99614088295d72685039f3f6220c699496dbb4c38cf6393b8a3d9f58990a7ce2"),
+        (["--seeds", "0", "--param", "neighborhood_size=40"],
+         "412f2f06995352024f154850765a24528e70b97ebadf15652c18d0433e01a2f4"),
+    ], ids=["seeds0-4", "T1", "T40"])
+    def test_moead_csv_bytes_pinned(self, tmp_path, monkeypatch, extra, expected):
+        # 1013 evaluations: 24 whole generations of 40 and a last one of 13,
+        # so the neighbourhood replacement runs over a partial brood too
+        monkeypatch.setenv("FOGPLAN_WORKERS", "1")
+        assert main(["--experiment", "evolution", "--algo", "moead", *extra,
+                     "--evals", "1013", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
+        assert digest == expected
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_worker_count_below_one_exits_2(self, tmp_path, capsys, monkeypatch, workers):
         monkeypatch.setenv("FOGPLAN_WORKERS", workers)

@@ -572,6 +572,42 @@ class TestMopsoFrozenDynamics:
         guide = _guide_grid(members, divisions)(np.random.default_rng(0), 1)[0]
         assert any(guide is m for m in members)
 
+    @pytest.mark.parametrize("divisions", [7, 10**9, 2**40])
+    def test_guide_cells_match_unique_over_rows(self, divisions):
+        """The 1-D unique of the cells, each (row, column) pair read as one
+        complex number, gives the cell ids, sizes and draws of a unique
+        over axis 0 of the (row, column) pairs."""
+
+        def axis0_draw(members, rng, k):
+            objs = np.array([m.objectives.as_tuple() for m in members])
+            lo, hi = objs.min(axis=0), objs.max(axis=0)
+            cells = np.minimum(np.floor((objs - lo) / np.where(hi > lo, hi - lo, 1.0) * divisions), divisions - 1)
+            _, cell_of, sizes = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+            p = 1.0 / sizes / (1.0 / sizes).sum()
+            by_cell, starts = np.argsort(cell_of.ravel(), kind="stable"), np.cumsum(sizes) - sizes
+            picked = rng.choice(len(sizes), size=k, p=p)
+            return [members[i] for i in by_cell[starts[picked] + rng.integers(0, sizes[picked])]]
+
+        rng = np.random.default_rng(divisions % 1000)
+        for trial in range(60):
+            count = int(rng.integers(1, 51))
+            if trial % 3 == 0:
+                members = [feas(float(u), float(a), genotype=(i,)) for i, (u, a) in enumerate(rng.random((count, 2)))]
+            elif trial % 3 == 1:
+                # a coarse grid of objectives: many members share a cell
+                members = random_solutions(rng, count, feasible_fraction=1.0)
+            else:
+                # rows shared, columns a few cells apart: row * divisions + column
+                # would round them together past 2**53
+                u = rng.choice([0.0, 0.5, 1.0], count)
+                a = rng.integers(0, 8, count) * 1.5 / divisions
+                members = [feas(float(x), float(y), genotype=(i,)) for i, (x, y) in enumerate(zip(u, a))]
+                members.append(feas(1.0, 1.0, genotype=(count,)))
+            seed = int(rng.integers(1 << 30))
+            got = _guide_grid(members, divisions)(np.random.default_rng(seed), 40)
+            want = axis0_draw(members, np.random.default_rng(seed), 40)
+            assert all(g is w for g, w in zip(got, want))
+
     @pytest.mark.parametrize("divisions", [1, 2, 3, 7, 50])
     def test_guide_roulette_over_occupied_cells(self, divisions):
         """Cells weigh 1 / members in them, in (row, column) order."""
