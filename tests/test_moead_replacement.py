@@ -1,18 +1,23 @@
-"""MOEA/D's neighbourhood replacement fold against a per-child loop.
+"""MOEA/D's neighbourhood replacement against a per-child loop.
 
-The reference is the rule as a loop over the brood in child order: a
-feasible child raises the ideal point, then the child replaces each
+The reference is the rule as a loop: the brood's feasible children raise
+the ideal point, then, child by child in order, each child replaces each
 neighbour it beats by feasibility, then total violation, then the
 Tchebycheff value under that ideal point, in plain Python floats.  The
-fold performs the same float operations per comparison, so the two must
+argmin performs the same float operations per key, so the two must
 agree exactly.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogplan.moea.moead import _candidate_table, _replacement_fold, simplex_lattice_weights, tchebycheff
+from conftest import chain_app, make_resource, make_service
+from fogplan.fsdp import ProblemInstance
+from fogplan.model import Landscape, ResourceKind
+from fogplan.moea import AlgoParams, moead, moead_run
+from fogplan.moea.moead import _replacement, simplex_lattice_weights, tchebycheff
 
 
 def reference_tchebycheff(objectives, weights, ideal):
@@ -25,9 +30,11 @@ def reference_replacement(neighborhoods, weights, ideal, population, brood):
     ideal = ideal.tolist()
     weights = weights.tolist()
     holder = [-1] * len(objectives)
-    for i, (obj, feas, viol) in enumerate(zip(*(a.tolist() for a in brood))):
+    children = list(zip(*(a.tolist() for a in brood)))
+    for obj, feas, _ in children:
         if feas:
             ideal = [max(best, got) for best, got in zip(ideal, obj)]
+    for i, (obj, feas, viol) in enumerate(children):
         for j in neighborhoods[i].tolist():
             if feas != feasible[j]:
                 better = feas
@@ -66,27 +73,71 @@ def replacement_cases(draw):
         draw(st.permutations(range(n_sub)))[:size] for _ in range(n_sub)
     ])
     k = draw(st.integers(1, n_sub))
-    # children may pass the population's best, which raises the ideal point mid-brood
+    # children may pass the population's best, which raises the ideal point
     return neighborhoods, draw(members(n_sub, 6)), draw(members(k, 8))
 
 
 @settings(max_examples=300, deadline=None)
 @given(replacement_cases())
-def test_fold_matches_per_child_loop(case):
+def test_replacement_matches_per_child_loop(case):
     neighborhoods, population, brood = case
     objectives, feasible, _ = population
     weights = simplex_lattice_weights(len(neighborhoods) - 1)
-    ideal = objectives[feasible].max(axis=0) if feasible.any() else objectives.max(axis=0)
-    holder, new_ideal = _replacement_fold(_candidate_table(neighborhoods), weights, ideal, population, brood)
+    ideal = objectives[feasible].max(axis=0, initial=0.0)
+    holder, new_ideal = _replacement(neighborhoods, weights, ideal, population, brood)
     want_holder, want_ideal = reference_replacement(neighborhoods, weights, ideal, population, brood)
     assert holder.tolist() == want_holder
     assert new_ideal.tolist() == want_ideal
 
 
-def test_candidate_table_lists_children_in_order():
-    neighborhoods = np.array([[0, 1], [1, 0], [2, 1]])
-    # subproblem 0 is in the neighbourhoods of children 0 and 1, 1 in all three, 2 in child 2's
-    assert _candidate_table(neighborhoods).tolist() == [[0, 1, 3], [0, 1, 2], [2, 3, 3]]
+@pytest.mark.parametrize("feasible", [True, False], ids=["feasible", "infeasible"])
+def test_ties_keep_the_incumbent_then_the_earlier_child(feasible):
+    # child 0 is offered subproblem 0, children 1 and 2 subproblem 1
+    neighborhoods = np.array([[0], [1], [1]])
+    weights = simplex_lattice_weights(2)
+    ideal = np.array([1.0, 1.0])
+    objectives = np.array([[0.5, 0.5], [0.25, 0.25], [0.0, 0.0]])
+    violation = np.zeros(3) if feasible else np.array([1.0, 2.0, 3.0])
+    population = (objectives, np.full(3, feasible), violation)
+    # child 0 equals incumbent 0; children 1 and 2 are equal and beat incumbent 1
+    children = np.array([[0.5, 0.5], [0.75, 0.75], [0.75, 0.75]])
+    brood = (children, np.full(3, feasible), np.zeros(3) if feasible else np.array([1.0, 0.5, 0.5]))
+    holder, _ = _replacement(neighborhoods, weights, ideal, population, brood)
+    assert holder.tolist() == [-1, 1, -1]
+
+
+def test_ideal_is_the_best_feasible_so_far(monkeypatch):
+    # the cloud holds no service; no fog host meets the services' availability, so the
+    # first greedy anchor is all-cloud, and the second, placing on the host with most cpu
+    # left, strands the last service on the cloud: the initial population is all
+    # infeasible, and only the search finds the two fog packings that fit
+    resources = (
+        make_resource(0, ResourceKind.CLOUD, failure=0.00001, cpu=10),
+        make_resource(1, ResourceKind.FCM, colony=0, failure=0.10, cpu=100),
+        make_resource(2, ResourceKind.FC, colony=0, failure=0.20, cpu=100),
+    )
+    landscape = Landscape(cloud=0, resources=resources, fc_fcm_ms=2.0, fcm_fcm_ms=10.0, fcm_cloud_ms=100.0)
+    services = [make_service(0, j, cpu=cpu, avail=0.95) for j, cpu in enumerate([50, 50, 40, 30, 30])]
+    prob = ProblemInstance(landscape, [chain_app(0, services, deadline=1e6, rate=0.001)], reserve_fraction=0.0)
+    scored, seen = [], []
+    columns, replacement = moead._columns, moead._replacement
+
+    def record_columns(solutions):
+        scored.append(columns(solutions))
+        return scored[-1]
+
+    def record_replacement(neighborhoods, weights, ideal, population, brood):
+        # the brood is the batch scored last; the ideal covers the batches before it
+        before = np.concatenate([objectives[feasible] for objectives, feasible, _ in scored[:-1]])
+        seen.append((ideal.tolist(), before.max(axis=0, initial=0.0).tolist()))
+        return replacement(neighborhoods, weights, ideal, population, brood)
+
+    monkeypatch.setattr(moead, "_columns", record_columns)
+    monkeypatch.setattr(moead, "_replacement", record_replacement)
+    moead_run(prob, AlgoParams(seed=8, max_evaluations=400))
+    assert not scored[0][1].any() and scored[-1][1].any()
+    for got, want in seen:
+        assert got == want
 
 
 def test_tchebycheff_is_elementwise():
