@@ -5,7 +5,10 @@ The two maximized objectives are the fraction of services hosted on fog
 resources and a normalized per-application availability score.
 Constraint handling produces a non-negative violation vector (capacity
 overshoot per hardware kind plus deadline overshoot) that is all-zero
-exactly for feasible deployments.
+exactly for feasible deployments.  ``evaluate_many`` scores a block of
+deployments into two arrays, one row per deployment, with no per-row
+object; ``evaluate`` is one row of it as an ``ObjectiveVector`` and a
+``ViolationVector``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ SATURATION_PENALTY = 10.0
 #: the most resources a landscape may have: the dense R x R float64
 #: latency matrix then takes 128 MiB (65536 resources would take 32 GiB)
 MAX_RESOURCES = 4096
+
+#: the largest L * m (L the lcm of the app sizes, m the number of apps)
+#: whose availability ratio float64 divides exactly: 2**53
+MAX_AVAILABILITY_SCALE = 2**53
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,22 +118,26 @@ class ProblemInstance:
         self.n_services = offset
         self.app_offsets = np.array(app_offsets, dtype=np.int64)
         self.app_deadline = np.array([app.deadline for app in self.apps])
-        service_rows = np.array(
-            [svc_cpu, svc_ram, svc_sto, svc_rate, [1.0] * offset, svc_req], dtype=float
-        )
+        service_rows = np.array([svc_cpu, svc_ram, svc_sto, svc_rate, svc_req], dtype=float)
+        # resource_loads sums the first four rows per resource
+        self._load_weights = service_rows[:4]
         self.service_cpu, self.service_ram, self.service_storage, self.service_rate = (
-            service_rows[:4]
+            self._load_weights
         )
-        self.service_avail_req = service_rows[5]
-        # resource_loads weighs five stacked copies of the assignment by these rows
-        self._load_weights = service_rows[:5].ravel()
-        self._load_rows = np.arange(0, 5 * self.n_resources, self.n_resources)[:, None]
+        self.service_avail_req = service_rows[4]
 
         # availability as one integer count ratio: a met service of an app
         # with k services weighs L / k, L the lcm of the app sizes, so the
-        # objective is (sum of met weights) / (L * m) with a single division
+        # objective is (sum of met weights) / (L * m) with a single division.
+        # Its float64 division is the exact ratio's correctly rounded float
+        # only while both integers are exact floats, L * m <= 2**53
         sizes = [len(app.services) for app in self.apps]
         self.availability_lcm = math.lcm(*sizes)
+        if self.availability_lcm * len(sizes) > MAX_AVAILABILITY_SCALE:
+            raise ValueError(
+                f"L * m = {self.availability_lcm * len(sizes)} (L the lcm of the app sizes, "
+                f"m the number of apps) exceeds MAX_AVAILABILITY_SCALE = 2**53"
+            )
         self.service_avail_weight = np.array(
             [self.availability_lcm // k for k in sizes for _ in range(k)], dtype=np.int64
         )
@@ -174,59 +185,69 @@ class ProblemInstance:
         (P, 5, R): cpu work, ram, storage, arrival rate and number of
         services of each row.
 
-        One bincount serves the block, row p's bins 5R further on; each
-        bin adds its services in index order.
+        Row p's bins lie pR further on, and one bincount per load row
+        serves the whole block; each bin adds its services in index order.
         """
-        block, rows = 5 * self.n_resources, len(a)
-        index = a[:, None, :] + self._load_rows + np.arange(0, block * rows, block)[:, None, None]
-        weights = np.tile(self._load_weights, rows)
-        return np.bincount(index.ravel(), weights, block * rows).reshape(rows, 5, -1)
+        rows, r = a.shape[0], self.n_resources
+        bins = rows * r
+        index = (a + np.arange(0, bins, r)[:, None]).ravel()
+        weights = np.repeat(self._load_weights[:, None], rows, axis=1).reshape(4, -1)
+        loads = np.empty((rows, 5, r))
+        for k, w in enumerate(weights):
+            loads[:, k] = np.bincount(index, w, bins).reshape(rows, r)
+        loads[:, 4] = np.bincount(index, minlength=bins).reshape(rows, r)
+        return loads
 
 
 def evaluate(dep, prob: ProblemInstance) -> tuple[ObjectiveVector, ViolationVector]:
     """Objectives and violations of one deployment (N,): one row of ``evaluate_many``."""
-    return _scores(prob.as_assignment(dep)[None], prob)[0]
+    objectives, violations = _scores(prob.as_assignment(dep)[None], prob)
+    return ObjectiveVector(*objectives[0].tolist()), ViolationVector(*violations[0].tolist())
 
 
-def evaluate_many(assignments, prob: ProblemInstance) -> list[tuple[ObjectiveVector, ViolationVector]]:
-    """Objectives and violations of every row of a (P, N) block, in row order."""
+def evaluate_many(assignments, prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Objectives (P, 2) and violations (P, 4) of every row of a (P, N)
+    block, in row order: the fields of ``ObjectiveVector`` and
+    ``ViolationVector``, in field order."""
     return _scores(prob.as_assignment(assignments, rows=True), prob)
 
 
-def _scores(block: np.ndarray, prob: ProblemInstance) -> list[tuple[ObjectiveVector, ViolationVector]]:
-    """Scores of a validated (P, N) block in one pass: one bincount for
-    all loads, one critical-path DP for all rows.  A row's floats do not
-    depend on the other rows."""
+def _scores(block: np.ndarray, prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of a validated (P, N) block in one pass: one bincount per
+    load for all rows, one critical-path DP for all rows.  A row's floats
+    do not depend on the other rows."""
     m = len(prob.apps)
     if m == 0:
-        return [(ObjectiveVector(0.0, 0.0), ViolationVector(0.0, 0.0, 0.0, 0.0))] * len(block)
+        return np.zeros((len(block), 2)), np.zeros((len(block), 4))
     n, scale = prob.n_services, prob.availability_lcm * m
-    fog = np.count_nonzero(prob.is_fog[block], axis=1).tolist()
+    fog = np.count_nonzero(prob.is_fog[block], axis=1)
     met = prob.service_avail_req <= prob.up_probability[block]
-    met_weight = (met @ prob.service_avail_weight).tolist()
-    capacity, deadline = _violations(block, prob)
-    # availability is one division of integers: the correctly rounded float of the exact ratio
-    return [
-        (ObjectiveVector(float(f) / n, w / scale), ViolationVector(*c, d))
-        for f, w, c, d in zip(fog, met_weight, capacity.tolist(), deadline.tolist())
-    ]
+    objectives = np.empty((len(block), 2))
+    objectives[:, 0] = fog / n
+    # availability is one division of integers no larger than 2**53, exact
+    # as floats: the correctly rounded float of the exact ratio
+    objectives[:, 1] = (met @ prob.service_avail_weight) / scale
+    return objectives, _violations(block, prob)
 
 
-def _violations(a: np.ndarray, prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(cpu, ram and storage excess (P, 3), deadline excess (P,)) of a
-    validated (P, N) block.
+def _violations(a: np.ndarray, prob: ProblemInstance) -> np.ndarray:
+    """cpu, ram, storage and deadline excess (P, 4) of a validated (P, N)
+    block.
 
     The loads keep resources on their last, contiguous axis, so every
     row sums its capacity overshoot in the same pairwise order.  The
     critical-path DP takes the block transposed, population last.
     """
     load = prob.resource_loads(a)
+    violations = np.empty((len(a), 4))
     overshoot = np.maximum(0.0, load[:, :3] - prob.effective_capacity).sum(axis=-1)
+    violations[:, :3] = overshoot / prob.capacity_total
     rt = timing.app_response_times(a.T, prob, load).T
     excess = np.maximum(0.0, rt - prob.app_deadline) / prob.app_deadline
     excess[rt == np.inf] = SATURATION_PENALTY
     # a left fold in app order: np.sum's pairwise order would move the last bit
-    return overshoot / prob.capacity_total, np.add.accumulate(excess, axis=1)[:, -1]
+    violations[:, 3] = np.add.accumulate(excess, axis=1)[:, -1]
+    return violations
 
 
 def fog_utilization(dep, prob: ProblemInstance) -> float:

@@ -1,48 +1,97 @@
-"""Shared multiobjective machinery: dominance, archives, metrics."""
+"""Shared multiobjective machinery: dominance, archives, metrics, and the
+run object that scores each generation.
+
+A generation is scored into arrays (``Scored``).  Its rows are offered
+to the archive on their floats (``ParetoArchive.admits``), and a
+``Solution`` is built only for a row the archive admits, or where an
+optimizer keeps whole rows as objects.
+"""
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import BudgetTooSmall, EmptyArchive, EmptyFront
-from ..fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate, evaluate_many
+from ..fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate_many
 
 
 @dataclass(frozen=True, slots=True)
 class Solution:
-    genotype: Sequence[int]  # an array('H') of resource ids from make_solution
+    genotype: Sequence[int]  # an array('H') of resource ids from Scored.packer
     objectives: ObjectiveVector
     violations: ViolationVector
-    # stored: dominance checks read these millions of times per run
-    feasible: bool = field(init=False, repr=False, compare=False)
-    total_violation: float = field(init=False, repr=False, compare=False)
+    # stored: dominance checks read these millions of times per run.  Left
+    # out, they are computed from the violations; a scored block passes
+    # the same values, computed for all its rows at once
+    feasible: bool = field(default=None, repr=False, compare=False)
+    total_violation: float = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "feasible", self.violations.is_zero())
-        object.__setattr__(self, "total_violation", self.violations.total())
+        if self.feasible is None:
+            object.__setattr__(self, "feasible", self.violations.is_zero())
+            object.__setattr__(self, "total_violation", self.violations.total())
+
+
+class Scored(NamedTuple):
+    """A block of genotypes scored as arrays, one row per genotype.
+
+    ``total`` sums each row's violations as c0 + c1 + c2 + c3 and
+    ``feasible`` is ``total == 0.0``: the same floats and flags as
+    ``ViolationVector.total`` and ``is_zero``.
+    """
+
+    genotypes: np.ndarray  # (P, N) resource ids, checked
+    objectives: np.ndarray  # (P, 2) fog utilization, availability
+    violations: np.ndarray  # (P, 4) cpu, ram, storage and deadline excess
+    feasible: np.ndarray  # (P,) bool
+    total: np.ndarray  # (P,) total violation
+
+    def packer(self) -> Callable[[int], Solution]:
+        """``pack(i)``, the Solution of row i.
+
+        The block's ids were checked when it was scored: they lie in [0,
+        n_resources), and n_resources <= MAX_RESOURCES < 65536, so one
+        conversion of the whole block packs them two bytes each, exactly,
+        and each row takes its slice as an array('H').  The array orders
+        like the tuple of its ids, but is not equal to it and is not
+        hashable.  Feasibility and total violation come from the arrays.
+        """
+        width = 2 * self.genotypes.shape[1]
+        ids = self.genotypes.astype(np.uint16).tobytes()
+        objectives, violations = self.objectives.tolist(), self.violations.tolist()
+        feasible, total = self.feasible.tolist(), self.total.tolist()
+
+        def pack(i: int) -> Solution:
+            return Solution(
+                array("H", ids[i * width:(i + 1) * width]), ObjectiveVector(*objectives[i]),
+                ViolationVector(*violations[i]), feasible[i], total[i],
+            )
+
+        return pack
+
+    def solutions(self) -> list[Solution]:
+        """The Solution of every row, in order."""
+        return list(map(self.packer(), range(len(self.genotypes))))
+
+
+def score_block(genotypes, prob: ProblemInstance) -> Scored:
+    """Score a (P, N) block of genotypes in one ``evaluate_many``."""
+    block = np.asarray(genotypes)
+    objectives, violations = evaluate_many(block, prob)
+    total = violations[:, 0] + violations[:, 1] + violations[:, 2] + violations[:, 3]
+    return Scored(block, objectives, violations, total == 0.0, total)
 
 
 def make_solution(assignment, prob: ProblemInstance) -> Solution:
-    """Score an assignment and store its ids two bytes each, as an array('H')."""
-    a = np.asarray(assignment)
-    return pack_solution(a, *evaluate(a, prob))
-
-
-def pack_solution(a: np.ndarray, objectives: ObjectiveVector, violations: ViolationVector) -> Solution:
-    """A Solution of an assignment that ``evaluate`` has just checked.
-
-    Its ids lie in [0, n_resources), and n_resources <= MAX_RESOURCES <
-    65536, so packing them two bytes each, as an array('H'), is exact.
-    The array orders like the tuple of its ids, but is not equal to it
-    and is not hashable.
-    """
-    return Solution(array("H", a.astype(np.uint16).tobytes()), objectives, violations)
+    """Score one assignment (N,) as a block of one row."""
+    return score_block(np.asarray(assignment)[None], prob).solutions()[0]
 
 
 def pareto_dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
@@ -138,6 +187,25 @@ class ParetoArchive:
     def __iter__(self):
         return iter(self.members)
 
+    def admits(self, u: float, a: float, feasible: bool, total: float) -> bool:
+        """Whether ``add`` would insert a candidate with objectives (u, a),
+        feasibility and total violation: the rule of ``add``, on floats."""
+        for member in self.members:
+            if member.feasible:
+                if not feasible:
+                    return False
+                # a member with equal objectives rejects the candidate too
+                o = member.objectives
+                if o.fog_utilization >= u and o.availability >= a:
+                    return False
+            elif not feasible:
+                if member.total_violation < total:
+                    return False
+                o = member.objectives
+                if o.fog_utilization == u and o.availability == a and not total < member.total_violation:
+                    return False
+        return True
+
     def add(self, candidate: Solution) -> bool:
         """Offer a solution; returns True when it was retained.
 
@@ -154,14 +222,14 @@ class ParetoArchive:
         self.members = [m for m in self.members if not constrained_dominates(candidate, m)]
         self.members.append(candidate)
         if len(self.members) > self.capacity:
-            self._truncate()
-        return candidate in self.members
+            return self._truncate() is not candidate
+        return True
 
-    def _truncate(self):
+    def _truncate(self) -> Solution:
+        """Drop the most crowded member and return it."""
         dist = crowding_distance(self.members)
         order = sorted(range(len(self.members)), key=lambda i: dist[i])
-        drop = order[0]
-        self.members = [m for i, m in enumerate(self.members) if i != drop]
+        return self.members.pop(order[0])
 
     def objective_set(self) -> set[tuple[float, float]]:
         return {m.objectives.as_tuple() for m in self.members}
@@ -302,17 +370,21 @@ class Search:
         """Evaluations still allowed."""
         return self.max_evaluations - self.evaluations
 
-    def evaluate_many(self, genomes) -> list[Solution]:
+    def evaluate_many(self, genomes) -> Scored:
         """Score a generation's genotypes in one batch, count them and
-        offer them to the archive in order."""
-        block = np.asarray(genomes)
-        solutions = [
-            pack_solution(a, *scores) for a, scores in zip(block, evaluate_many(block, self.prob))
-        ]
-        self.evaluations += len(solutions)
-        for sol in solutions:
-            self.archive.add(sol)
-        return solutions
+        offer them to the archive in order.
+
+        Only a row that the archive admits becomes a Solution, and it
+        goes through ``ParetoArchive.add``.
+        """
+        scored = score_block(genomes, self.prob)
+        self.evaluations += len(scored.genotypes)
+        archive, pack = self.archive, scored.packer()
+        rows = zip(scored.objectives.tolist(), scored.feasible.tolist(), scored.total.tolist())
+        for i, ((u, a), feasible, total) in enumerate(rows):
+            if archive.admits(u, a, feasible, total):
+                archive.add(pack(i))
+        return scored
 
     def report(self, feasible: Sequence[bool]) -> None:
         """Hand the trace hook this generation's stats, given the

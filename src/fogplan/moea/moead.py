@@ -8,7 +8,7 @@ solutions, anchors included, are assigned to subproblems in order of fog
 utilization, so the all-cloud anchor starts at the availability-only
 weight and the fog-rich anchor at the fog-only one.  The population is
 kept as arrays, one row per subproblem: genotypes, objectives,
-feasibility and total violation.
+feasibility and total violation, read straight from the scored block.
 
 Generations are synchronous: k subproblems breed one child each, as one
 block, from the population at the generation's start.  Its draws, in
@@ -84,15 +84,6 @@ def _replacement(neighborhoods, weights, ideal, population, brood) -> tuple[np.n
     return np.where(offered & (feasible == level), key, np.inf).argmin(axis=1) - 1, ideal
 
 
-def _columns(solutions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(objectives, feasible, total violation) arrays of scored solutions."""
-    return (
-        np.array([s.objectives.as_tuple() for s in solutions]),
-        np.array([s.feasible for s in solutions]),
-        np.array([s.total_violation for s in solutions]),
-    )
-
-
 def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
     weights = simplex_lattice_weights(params.population_size - 1)
     n_sub = len(weights)
@@ -102,11 +93,11 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     dist = np.linalg.norm(weights[:, None, :] - weights[None, :, :], axis=2)
     neighborhoods = np.argsort(dist, axis=1, kind="stable")[:, :params.neighborhood_size]
 
-    genotypes = np.array(initial_population(prob, n_sub, rng), dtype=np.int64)
-    scores = _columns(run.evaluate_many(genotypes))
-    order = np.argsort(scores[0][:, 0], kind="stable")  # by fog utilization
-    genotypes = genotypes[order]
-    objectives, feasible, violation = (a[order] for a in scores)
+    scored = run.evaluate_many(np.array(initial_population(prob, n_sub, rng), dtype=np.int64))
+    order = np.argsort(scored.objectives[:, 0], kind="stable")  # by fog utilization
+    genotypes, objectives, feasible, violation = (
+        a[order] for a in (scored.genotypes, scored.objectives, scored.feasible, scored.total)
+    )
     # the best value of each objective among feasible solutions; objectives lie in [0, 1]
     ideal = objectives[feasible].max(axis=0, initial=0.0)
     run.report(feasible)
@@ -119,10 +110,16 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         p1, p2 = genotypes[mates.T]
         child, _ = uniform_crossover(p1, p2, rng)
         children = reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
-        brood = _columns(run.evaluate_many(children))
-        holder, ideal = _replacement(neighborhoods, weights, ideal, (objectives, feasible, violation), brood)
+        brood = run.evaluate_many(children)
+        holder, ideal = _replacement(
+            neighborhoods, weights, ideal, (objectives, feasible, violation),
+            (brood.objectives, brood.feasible, brood.total),
+        )
         won = np.flatnonzero(holder >= 0)
-        for kept, offspring in zip((genotypes, objectives, feasible, violation), (children, *brood)):
+        for kept, offspring in zip(
+            (genotypes, objectives, feasible, violation),
+            (brood.genotypes, brood.objectives, brood.feasible, brood.total),
+        ):
             kept[won] = offspring[holder[won]]
         run.report(feasible)
 

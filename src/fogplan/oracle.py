@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import Saturated, SearchSpaceTooLarge
-from .fsdp import ProblemInstance, evaluate_many
-from .moea.common import Solution, pack_solution, pareto_dominates
+from .fsdp import ProblemInstance
+from .moea.common import Solution, score_block
 from .moea.common import make_solution  # noqa: F401 - perfbench/tracer.py patches this binding
 
 #: assignments scored per ``evaluate_many`` call in ``exact_pareto``:
@@ -33,8 +33,10 @@ class ExactFront:
 def exact_pareto(prob: ProblemInstance, cap: int = 10**6) -> ExactFront:
     """Exact Pareto front of all feasible assignments by enumeration.
 
-    Assignments come in ``itertools.product`` order, scored in chunks;
-    a Solution is built only for an assignment that joins the front.
+    Assignments come in ``itertools.product`` order, scored in chunks
+    as arrays.  One mask per chunk drops the infeasible rows, dominance
+    is decided on the floats, and a Solution is built only for an
+    assignment that joins the front.
     """
     r, n = prob.n_resources, prob.n_services
     size = r ** n
@@ -42,17 +44,17 @@ def exact_pareto(prob: ProblemInstance, cap: int = 10**6) -> ExactFront:
         raise SearchSpaceTooLarge(f"{size} assignments exceed cap {cap}")
     # assignment i holds the n digits of i in base r, the last varying fastest
     place = r ** np.arange(n - 1, -1, -1)
-    front: list[Solution] = []
+    front: list[tuple[float, float, Solution]] = []  # (u, a) and Solution of each member
     for start in range(0, size, ENUMERATION_CHUNK):
         block = np.arange(start, min(start + ENUMERATION_CHUNK, size))[:, None] // place % r
-        for a, (objectives, violations) in zip(block, evaluate_many(block, prob)):
-            if not violations.is_zero():
+        scored = score_block(block, prob)
+        pack, rows = scored.packer(), np.flatnonzero(scored.feasible)
+        for i, (u, a) in zip(rows.tolist(), scored.objectives[rows].tolist()):
+            if any(fu >= u and fa >= a and (fu > u or fa > a) for fu, fa, _ in front):
                 continue
-            if any(pareto_dominates(f.objectives, objectives) for f in front):
-                continue
-            front = [f for f in front if not pareto_dominates(objectives, f.objectives)]
-            front.append(pack_solution(a, objectives, violations))
-    return ExactFront(solutions=tuple(front), search_space_size=size)
+            front = [f for f in front if not (u >= f[0] and a >= f[1] and (u > f[0] or a > f[1]))]
+            front.append((u, a, pack(i)))
+    return ExactFront(solutions=tuple(s for _, _, s in front), search_space_size=size)
 
 
 def md1_simulate(arrival_rate: float, service_time: float, jobs: int = 10**6, seed: int = 0) -> float:

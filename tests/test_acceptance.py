@@ -153,9 +153,13 @@ def test_criterion_6_runtime_scaling():
         per_eval = []
         for factor in (1, 2, 4):
             prob = scaled_scenario(base, factor)
-            start = time.perf_counter()
-            run(prob, AlgoParams(seed=0, max_evaluations=budget))
-            per_eval.append((time.perf_counter() - start) / budget)
+            # the best of 3 repeats, so that one stall of a shared host cannot decide the verdict
+            seconds = []
+            for _ in range(3):
+                start = time.perf_counter()
+                run(prob, AlgoParams(seed=0, max_evaluations=budget))
+                seconds.append(time.perf_counter() - start)
+            per_eval.append(min(seconds) / budget)
         ratios = [b / a for a, b in zip(per_eval, per_eval[1:])]
         details.append(f"{name}:{'/'.join(f'{r:.2f}x' for r in ratios)}")
         ok &= all(r <= 2.5 for r in ratios)

@@ -221,12 +221,18 @@ def test_each_level_steps_over_its_own_fan_in():
 
 
 def assert_rows_match(block, prob):
-    """evaluate_many of a block equals, row by row, evaluate and the reference."""
-    scored = evaluate_many(block, prob)
-    assert len(scored) == len(block)
-    for genotype, row in zip(block, scored):
-        assert row == evaluate(genotype, prob) == reference_evaluate(genotype, prob)
-    return scored
+    """evaluate_many of a block equals, row by row, evaluate and the
+    reference: row p of its objective and violation arrays holds the
+    fields of evaluate's two vectors for genotype p.  Returns the
+    violations."""
+    objectives, violations = evaluate_many(block, prob)
+    assert objectives.shape == (len(block), 2)
+    assert violations.shape == (len(block), 4)
+    for genotype, o, v in zip(block, objectives.tolist(), violations.tolist()):
+        assert (ObjectiveVector(*o), ViolationVector(*v)) == evaluate(genotype, prob) == reference_evaluate(
+            genotype, prob
+        )
+    return violations
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,8 +257,8 @@ def test_evaluate_many_on_saturated_rows():
         n, r = prob.n_services, prob.n_resources
         piled = [rng.choice(rng.integers(0, r, k), n) for k in (1, 2, 3) * 10]
         block = np.array(piled + [rng.integers(0, r, n) for _ in range(10)])
-        scored = assert_rows_match(block, prob)
-        assert sum(v.deadline_excess >= SATURATION_PENALTY for _, v in scored) >= 5
+        violations = assert_rows_match(block, prob)
+        assert np.count_nonzero(violations[:, 3] >= SATURATION_PENALTY) >= 5
 
 
 def test_evaluate_many_sums_overshoot_over_many_hosts():

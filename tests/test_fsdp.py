@@ -112,6 +112,33 @@ class TestAvailabilityObjective:
                     exact += Fraction(met, len(app.services))
                 assert availability_objective(dep, prob) == float(exact / len(prob.apps))
 
+    # pairwise-coprime app sizes, so L is their product: L * m is 3.96e15 for
+    # the primes up to 41, below 2**53 (9.01e15), and 1.83e17 with 43 too
+    COPRIME_SIZES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+    def _coprime_problem(self, landscape, sizes):
+        apps = [chain_app(i, [make_service(i, j, avail=0.85) for j in range(k)]) for i, k in enumerate(sizes)]
+        return ProblemInstance(landscape, apps)
+
+    def test_exact_count_ratio_up_to_2_53(self, two_colony_landscape):
+        from fractions import Fraction
+
+        prob = self._coprime_problem(two_colony_landscape, self.COPRIME_SIZES)
+        assert prob.availability_lcm * len(prob.apps) == 13 * 304250263527210 <= 2**53
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            dep = rng.integers(0, prob.n_resources, prob.n_services)
+            met = (prob.service_avail_req <= prob.up_probability[dep]).tolist()
+            exact = sum(
+                Fraction(sum(met[offset:offset + k]), k)
+                for offset, k in zip(prob.app_offsets.tolist(), self.COPRIME_SIZES)
+            )
+            assert availability_objective(dep, prob) == float(exact / len(prob.apps))
+
+    def test_scale_past_2_53_rejected(self, two_colony_landscape):
+        with pytest.raises(ValueError, match=r"exceeds MAX_AVAILABILITY_SCALE = 2\*\*53"):
+            self._coprime_problem(two_colony_landscape, self.COPRIME_SIZES + (43,))
+
     def test_monotone_under_host_upgrade(self, paper_problem):
         rng = np.random.default_rng(11)
         ups = paper_problem.up_probability
@@ -218,7 +245,10 @@ class TestEvaluate:
 
     def test_block_of_int32_rows(self, paper_problem):
         block = np.zeros((3, paper_problem.n_services), dtype=np.int32)
-        assert evaluate_many(block, paper_problem) == [evaluate(block[0], paper_problem)] * 3
+        objectives, violations = evaluate_many(block, paper_problem)
+        o, v = evaluate(block[0], paper_problem)
+        assert objectives.tolist() == [[o.fog_utilization, o.availability]] * 3
+        assert violations.tolist() == [[v.cpu_excess, v.ram_excess, v.storage_excess, v.deadline_excess]] * 3
 
     def test_deterministic(self, paper_problem):
         rng = np.random.default_rng(3)

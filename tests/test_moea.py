@@ -4,6 +4,8 @@ from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_solutions, tiny_instance
 from fogplan.errors import BadLattice, BudgetTooSmall, EmptyArchive, EmptyFront, LengthMismatch
@@ -255,6 +257,36 @@ class TestParetoArchive:
         assert len(archive) <= 5
 
 
+# objectives on a grid of quarters and a few violation vectors, two of
+# them with the same total, so that ties are common
+ARCHIVED = st.builds(
+    lambda u, a, v: Solution((0,), ObjectiveVector(u / 4, a / 4), v),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from(
+        [ZERO_V, ZERO_V, BAD_V, ViolationVector(0.25, 0.0, 0.0, 0.25), ViolationVector(1.0, 0.0, 0.0, 0.0)]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ARCHIVED, max_size=8), ARCHIVED)
+def test_admits_follows_the_add_rule(members, candidate):
+    # any member list, feasible and infeasible mixed: a candidate is admitted
+    # unless a member dominates it or shares its objectives without being
+    # dominated by it, and exactly when add, with room, keeps it
+    archive = ParetoArchive(capacity=len(members) + 1)
+    archive.members = list(members)
+    expected = not any(
+        constrained_dominates(m, candidate)
+        or (m.objectives == candidate.objectives and not constrained_dominates(candidate, m))
+        for m in members
+    )
+    o = candidate.objectives
+    got = archive.admits(o.fog_utilization, o.availability, candidate.feasible, candidate.total_violation)
+    assert got == expected == archive.add(candidate)
+
+
 class TestHypervolume:
     REF = ObjectiveVector(0.0, 0.0)
 
@@ -401,10 +433,11 @@ class TestAlgorithms:
         assert front.objective_set() <= archive.objective_set()
 
 
-def test_search_evaluate_many_matches_a_loop_of_evaluate():
-    # the same Solutions, archive and count as make_solution then
-    # archive.add per genome; the genomes near the greedy anchors find
-    # more front points than the archive's 3 places
+def test_search_evaluate_many_matches_a_loop_of_evaluate(monkeypatch):
+    # each row of the scored arrays holds make_solution's fields for its
+    # genome, and the archive holds what archive.add of every such
+    # Solution gives; the genomes near the greedy anchors find more front
+    # points than the archive's 3 places
     prob = paper_scenario()
     rng = np.random.default_rng(3)
     anchors = greedy_anchors(prob)
@@ -412,14 +445,47 @@ def test_search_evaluate_many_matches_a_loop_of_evaluate():
     genomes += [reset_mutation(anchors[k % 2], 0.2, prob.n_resources, rng) for k in range(200)]
     params = AlgoParams(archive_capacity=3)
     batched, looped = Search(prob, params), ParetoArchive(capacity=3)
-    solutions = batched.evaluate_many(genomes)
+    offered = []
+    add = ParetoArchive.add
+
+    def counting_add(archive, candidate):
+        offered.append(candidate)
+        return add(archive, candidate)
+
+    monkeypatch.setattr(ParetoArchive, "add", counting_add)
+    scored = batched.evaluate_many(genomes)
+    offered_by_search = list(offered)
     expected = [make_solution(g, prob) for g in genomes]
+    admitted = []
     for sol in expected:
+        o = sol.objectives
+        if looped.admits(o.fog_utilization, o.availability, sol.feasible, sol.total_violation):
+            admitted.append(sol)
         looped.add(sol)
-    assert solutions == expected
+    rows = zip(*(a.tolist() for a in scored), strict=True)
+    for (genotype, objectives, violations, feasible, total), sol in zip(rows, expected, strict=True):
+        v = sol.violations
+        assert genotype == list(sol.genotype)
+        assert objectives == [sol.objectives.fog_utilization, sol.objectives.availability]
+        assert violations == [v.cpu_excess, v.ram_excess, v.storage_excess, v.deadline_excess]
+        # the block's feasibility and total are ViolationVector's, bit for bit
+        assert (feasible, total) == (v.is_zero(), v.total())
+    assert scored.feasible.any() and not scored.feasible.all()
+    packed = scored.solutions()
+    assert packed == expected
+    assert [(s.feasible, s.total_violation) for s in packed] == [
+        (s.violations.is_zero(), s.violations.total()) for s in expected
+    ]
     assert batched.evaluations == 240
-    assert batched.archive.members == looped.members
+
+    def fields(members):
+        return [(list(m.genotype), m.objectives, m.violations) for m in members]
+
+    assert fields(batched.archive.members) == fields(looped.members)
     assert len(batched.archive) == 3
+    # only the admitted rows reach add, and every one of them does
+    assert offered_by_search == admitted
+    assert 0 < len(admitted) < 240
 
 
 def test_nsga2_sorts_once_per_generation(monkeypatch):

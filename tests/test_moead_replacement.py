@@ -17,6 +17,7 @@ from conftest import chain_app, make_resource, make_service
 from fogplan.fsdp import ProblemInstance
 from fogplan.model import Landscape, ResourceKind
 from fogplan.moea import AlgoParams, moead, moead_run
+from fogplan.moea.common import Search
 from fogplan.moea.moead import _replacement, simplex_lattice_weights, tchebycheff
 
 
@@ -120,22 +121,22 @@ def test_ideal_is_the_best_feasible_so_far(monkeypatch):
     services = [make_service(0, j, cpu=cpu, avail=0.95) for j, cpu in enumerate([50, 50, 40, 30, 30])]
     prob = ProblemInstance(landscape, [chain_app(0, services, deadline=1e6, rate=0.001)], reserve_fraction=0.0)
     scored, seen = [], []
-    columns, replacement = moead._columns, moead._replacement
+    evaluate_many, replacement = Search.evaluate_many, moead._replacement
 
-    def record_columns(solutions):
-        scored.append(columns(solutions))
+    def record_scores(run, genomes):
+        scored.append(evaluate_many(run, genomes))
         return scored[-1]
 
     def record_replacement(neighborhoods, weights, ideal, population, brood):
         # the brood is the batch scored last; the ideal covers the batches before it
-        before = np.concatenate([objectives[feasible] for objectives, feasible, _ in scored[:-1]])
+        before = np.concatenate([s.objectives[s.feasible] for s in scored[:-1]])
         seen.append((ideal.tolist(), before.max(axis=0, initial=0.0).tolist()))
         return replacement(neighborhoods, weights, ideal, population, brood)
 
-    monkeypatch.setattr(moead, "_columns", record_columns)
+    monkeypatch.setattr(Search, "evaluate_many", record_scores)
     monkeypatch.setattr(moead, "_replacement", record_replacement)
     moead_run(prob, AlgoParams(seed=8, max_evaluations=400))
-    assert not scored[0][1].any() and scored[-1][1].any()
+    assert not scored[0].feasible.any() and scored[-1].feasible.any()
     for got, want in seen:
         assert got == want
 
