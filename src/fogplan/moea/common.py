@@ -3,8 +3,9 @@ run object that scores each generation.
 
 A generation is scored into arrays (``Scored``).  Its rows are offered
 to the archive on their floats (``ParetoArchive.admits``), and a
-``Solution`` is built only for a row the archive admits, or where an
-optimizer keeps whole rows as objects.
+``Solution`` is built only for a row the archive admits, or, once per
+row, where an optimizer keeps whole rows as objects
+(``Search.evaluate_solutions``).
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ class Solution:
     genotype: Sequence[int]  # an array('H') of resource ids from Scored.packer
     objectives: ObjectiveVector
     violations: ViolationVector
-    # stored: dominance checks read these millions of times per run.  Left
-    # out, they are computed from the violations; a scored block passes
-    # the same values, computed for all its rows at once
+    # stored: dominance checks read these millions of times per run.  A
+    # scored block passes both, computed for all its rows at once; where
+    # either is left out, both are computed from the violations
     feasible: bool = field(default=None, repr=False, compare=False)
     total_violation: float = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.feasible is None:
+        if self.feasible is None or self.total_violation is None:
             object.__setattr__(self, "feasible", self.violations.is_zero())
             object.__setattr__(self, "total_violation", self.violations.total())
 
@@ -94,11 +95,15 @@ def make_solution(assignment, prob: ProblemInstance) -> Solution:
     return score_block(np.asarray(assignment)[None], prob).solutions()[0]
 
 
+def dominates(au: float, aa: float, bu: float, ba: float) -> bool:
+    """Whether objectives (au, aa) dominate (bu, ba), both maximized:
+    >= on both, > on at least one."""
+    return au >= bu and aa >= ba and (au > bu or aa > ba)
+
+
 def pareto_dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """Dominance on maximized objectives: >= on both, > on at least one."""
-    au, av = a.fog_utilization, a.availability
-    bu, bv = b.fog_utilization, b.availability
-    return au >= bu and av >= bv and (au > bu or av > bv)
+    """``dominates`` on two objective vectors."""
+    return dominates(a.fog_utilization, a.availability, b.fog_utilization, b.availability)
 
 
 def constrained_dominates(a: Solution, b: Solution) -> bool:
@@ -115,9 +120,7 @@ def constrained_dominates(a: Solution, b: Solution) -> bool:
     if not a.feasible:
         return a.total_violation < b.total_violation
     ao, bo = a.objectives, b.objectives
-    au, av = ao.fog_utilization, ao.availability
-    bu, bv = bo.fog_utilization, bo.availability
-    return au >= bu and av >= bv and (au > bu or av > bv)
+    return dominates(ao.fog_utilization, ao.availability, bo.fog_utilization, bo.availability)
 
 
 def fast_nondominated_sort(population: list[Solution]) -> list[list[Solution]]:
@@ -188,8 +191,11 @@ class ParetoArchive:
         return iter(self.members)
 
     def admits(self, u: float, a: float, feasible: bool, total: float) -> bool:
-        """Whether ``add`` would insert a candidate with objectives (u, a),
-        feasibility and total violation: the rule of ``add``, on floats."""
+        """Whether a candidate with objectives (u, a), feasibility and total
+        violation joins the archive: no member dominates it under
+        ``constrained_dominates``, and none shares its objectives unless
+        the candidate dominates that member.  Decided on floats, so a
+        scored row is tested before it is packed."""
         for member in self.members:
             if member.feasible:
                 if not feasible:
@@ -213,12 +219,11 @@ class ParetoArchive:
         equal a member's is rejected unless it dominates that member
         (a feasible candidate replacing an infeasible one, or less
         violation), so the first genotype found for a point is kept.
+        ``admits`` decides.
         """
-        for member in self.members:
-            if constrained_dominates(member, candidate):
-                return False
-            if member.objectives == candidate.objectives and not constrained_dominates(candidate, member):
-                return False
+        o = candidate.objectives
+        if not self.admits(o.fog_utilization, o.availability, candidate.feasible, candidate.total_violation):
+            return False
         self.members = [m for m in self.members if not constrained_dominates(candidate, m)]
         self.members.append(candidate)
         if len(self.members) > self.capacity:
@@ -378,13 +383,27 @@ class Search:
         goes through ``ParetoArchive.add``.
         """
         scored = score_block(genomes, self.prob)
+        self._offer(scored, scored.packer())
+        return scored
+
+    def evaluate_solutions(self, genomes) -> list[Solution]:
+        """``evaluate_many`` for an optimizer that keeps every row: the
+        Solution of each row, packed once, and the archive holds the same
+        objects."""
+        scored = score_block(genomes, self.prob)
+        solutions = scored.solutions()
+        self._offer(scored, solutions.__getitem__)
+        return solutions
+
+    def _offer(self, scored: Scored, pack: Callable[[int], Solution]) -> None:
+        """Count a scored block and pass ``add`` the Solution of each row
+        that the archive admits, in order."""
         self.evaluations += len(scored.genotypes)
-        archive, pack = self.archive, scored.packer()
+        archive = self.archive
         rows = zip(scored.objectives.tolist(), scored.feasible.tolist(), scored.total.tolist())
         for i, ((u, a), feasible, total) in enumerate(rows):
             if archive.admits(u, a, feasible, total):
                 archive.add(pack(i))
-        return scored
 
     def report(self, feasible: Sequence[bool]) -> None:
         """Hand the trace hook this generation's stats, given the

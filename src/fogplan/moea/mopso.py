@@ -68,7 +68,7 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     pull = np.array([params.inertia, params.cognitive, params.social], dtype=float)
     pull = pull / pull.sum() if pull.sum() > 0 else None
 
-    current = run.evaluate_many(initial_population(prob, swarm, rng)).solutions()
+    current = run.evaluate_solutions(initial_population(prob, swarm, rng))
     pbest = list(current)
     run.report([s.feasible for s in current])
 
@@ -81,7 +81,7 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         mutants = np.flatnonzero(rng.random(k) < params.mutation_rate)
         where = rng.integers(0, n, size=mutants.size)
         moves[mutants, where] = rng.integers(0, prob.n_resources, size=mutants.size)
-        for i, sol in enumerate(run.evaluate_many(moves).solutions()):
+        for i, sol in enumerate(run.evaluate_solutions(moves)):
             current[i] = sol
             if constrained_dominates(sol, pbest[i]) or (
                 not constrained_dominates(pbest[i], sol) and rng.random() < 0.5

@@ -32,7 +32,7 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     run = Search(prob, params, trace_hook)
     rng = run.rng
 
-    population = run.evaluate_many(initial_population(prob, pop_size, rng)).solutions()
+    population = run.evaluate_solutions(initial_population(prob, pop_size, rng))
     population, standing = _environmental_selection(population, pop_size)
     run.report([s.feasible for s in population])
 
@@ -45,7 +45,7 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         # children c1, c2 of each pair in turn
         children = np.stack([np.where(cross, c1, p1), np.where(cross, c2, p2)], axis=1).reshape(2 * pairs, -1)
         children = reset_mutation(children[:k], run.mutation_prob, prob.n_resources, rng)
-        offspring = run.evaluate_many(children).solutions()
+        offspring = run.evaluate_solutions(children)
         population, standing = _environmental_selection(population + offspring, pop_size)
         run.report([s.feasible for s in population])
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import Saturated, SearchSpaceTooLarge
 from .fsdp import ProblemInstance
-from .moea.common import Solution, score_block
+from .moea.common import Solution, dominates, score_block
 from .moea.common import make_solution  # noqa: F401 - perfbench/tracer.py patches this binding
 
 #: assignments scored per ``evaluate_many`` call in ``exact_pareto``:
@@ -50,9 +50,9 @@ def exact_pareto(prob: ProblemInstance, cap: int = 10**6) -> ExactFront:
         scored = score_block(block, prob)
         pack, rows = scored.packer(), np.flatnonzero(scored.feasible)
         for i, (u, a) in zip(rows.tolist(), scored.objectives[rows].tolist()):
-            if any(fu >= u and fa >= a and (fu > u or fa > a) for fu, fa, _ in front):
+            if any(dominates(fu, fa, u, a) for fu, fa, _ in front):
                 continue
-            front = [f for f in front if not (u >= f[0] and a >= f[1] and (u > f[0] or a > f[1]))]
+            front = [f for f in front if not dominates(u, a, f[0], f[1])]
             front.append((u, a, pack(i)))
     return ExactFront(solutions=tuple(s for _, _, s in front), search_space_size=size)
 

@@ -102,6 +102,16 @@ class TestGenotype:
         assert list(sol.genotype) == [0] * 25
 
 
+def test_solution_computes_feasibility_and_total_as_a_pair():
+    # either field left out: both come from the violations
+    v = ViolationVector(0.25, 0.0, 0.0, 0.5)
+    for kwargs in ({}, {"feasible": False}, {"total_violation": 0.75}):
+        sol = Solution((0,), ObjectiveVector(0.5, 0.5), v, **kwargs)
+        assert (sol.feasible, sol.total_violation) == (False, 0.75)
+    given_both = Solution((0,), ObjectiveVector(0.5, 0.5), ZERO_V, True, 0.0)
+    assert (given_both.feasible, given_both.total_violation) == (True, 0.0)
+
+
 class TestConstrainedDominance:
     def test_feasible_beats_infeasible(self):
         assert constrained_dominates(feas(0.8, 0.6), infeas(0.9, 0.9))
@@ -400,13 +410,14 @@ class TestAlgorithms:
         monkeypatch.setattr(fogplan.fsdp, "evaluate", single)
         monkeypatch.setattr(fogplan.moea.common, "make_solution", single)
         batches = []
-        evaluate_many = Search.evaluate_many
+        evaluate_many = fogplan.moea.common.evaluate_many
 
-        def counting(run, genomes):
-            batches.append(len(genomes))
-            return evaluate_many(run, genomes)
+        def counting(block, prob):
+            batches.append(len(block))
+            return evaluate_many(block, prob)
 
-        monkeypatch.setattr(Search, "evaluate_many", counting)
+        # the kernel call that every scored block goes through
+        monkeypatch.setattr(fogplan.moea.common, "evaluate_many", counting)
         # the initial population, two whole broods, then a partial one, even or odd
         for budget, last in [(130, 10), (127, 7)]:
             batches.clear()
@@ -486,6 +497,20 @@ def test_search_evaluate_many_matches_a_loop_of_evaluate(monkeypatch):
     # only the admitted rows reach add, and every one of them does
     assert offered_by_search == admitted
     assert 0 < len(admitted) < 240
+
+    # evaluate_solutions packs each row once: add is offered the very
+    # objects it returns, and the archive ends as evaluate_many's does
+    offered.clear()
+    kept = Search(prob, params)
+    solutions = kept.evaluate_solutions(genomes)
+    assert solutions == expected
+    assert [(s.feasible, s.total_violation) for s in solutions] == [(s.feasible, s.total_violation) for s in packed]
+    assert offered == admitted
+    ids = {id(s) for s in solutions}
+    assert all(id(s) in ids for s in offered)
+    assert fields(kept.archive.members) == fields(looped.members)
+    assert all(id(m) in ids for m in kept.archive.members)
+    assert kept.evaluations == 240
 
 
 def test_nsga2_sorts_once_per_generation(monkeypatch):
