@@ -29,15 +29,9 @@ class Solution:
     objectives: ObjectiveVector
     violations: ViolationVector
     # stored: dominance checks read these millions of times per run.  A
-    # scored block passes both, computed for all its rows at once; where
-    # either is left out, both are computed from the violations
-    feasible: bool = field(default=None, repr=False, compare=False)
-    total_violation: float = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.feasible is None or self.total_violation is None:
-            object.__setattr__(self, "feasible", self.violations.is_zero())
-            object.__setattr__(self, "total_violation", self.violations.total())
+    # scored block computes both for all its rows at once (Scored.packer)
+    feasible: bool = field(repr=False, compare=False)
+    total_violation: float = field(repr=False, compare=False)
 
 
 class Scored(NamedTuple):
@@ -283,6 +277,8 @@ class AlgoParams:
     """Run parameters shared by the three algorithms.
 
     Unused knobs are ignored by algorithms that do not need them.
+    MOEA/D has no knob of its own: it decomposes into one subproblem per
+    population member, and every child competes for every subproblem.
     """
 
     population_size: int = 40
@@ -295,13 +291,12 @@ class AlgoParams:
     # external archive of every algorithm; reference-scenario fronts have
     # at most 17 points, a 400-service front about 200
     archive_capacity: int = 50
-    grid_divisions: int = 7
-    mutation_rate: float = 0.1
+    grid_divisions: int = 7  # MOPSO's guide grid over the archive
+    mutation_rate: float = 0.1  # MOPSO
     # NSGA-II
     crossover_prob: float = 0.9
-    mutation_prob: float | None = None  # default 1 / genotype length
-    # MOEA/D
-    neighborhood_size: int = 10
+    # NSGA-II and MOEA/D, per gene; default 1 / genotype length
+    mutation_prob: float | None = None
 
     def __post_init__(self):
         if self.population_size < 4 or self.population_size % 2:
@@ -310,8 +305,8 @@ class AlgoParams:
             raise ValueError("seed must be >= 0")
         if min(self.inertia, self.cognitive, self.social) < 0:
             raise ValueError("inertia, cognitive and social must be >= 0 (MOPSO move weights)")
-        if min(self.archive_capacity, self.grid_divisions, self.neighborhood_size) < 1:
-            raise ValueError("archive_capacity, grid_divisions and neighborhood_size must be >= 1")
+        if min(self.archive_capacity, self.grid_divisions) < 1:
+            raise ValueError("archive_capacity and grid_divisions must be >= 1")
         probabilities = (self.crossover_prob, self.mutation_rate, self.mutation_prob)
         if not all(p is None or 0.0 <= p <= 1.0 for p in probabilities):
             raise ValueError("crossover_prob, mutation_rate and mutation_prob must lie in [0, 1]")

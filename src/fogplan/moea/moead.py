@@ -1,26 +1,26 @@
 """MOEA/D with Tchebycheff decomposition on a simplex-lattice of weights.
 
-One subproblem per weight vector; mating and replacement happen inside
-neighborhoods of the ``min(neighborhood_size, population_size)`` closest
-weight vectors (Zhang & Li, IEEE TEC 2007).  Feasibility rules take
-precedence over the scalarized value during replacement.  The initial
-solutions, anchors included, are assigned to subproblems in order of fog
-utilization, so the all-cloud anchor starts at the availability-only
-weight and the fog-rich anchor at the fog-only one.  The population is
-kept as arrays, one row per subproblem: genotypes, objectives,
-feasibility and total violation, read straight from the scored block.
+One subproblem per weight vector, each keeping the best solution under
+its own weight (Zhang & Li, IEEE TEC 2007).  Mates are drawn from the
+whole population, and every child is offered to every subproblem.
+Feasibility rules take precedence over the scalarized value during
+replacement.  The initial solutions, anchors included, are assigned to
+subproblems in order of fog utilization, so the all-cloud anchor starts
+at the availability-only weight and the fog-rich anchor at the fog-only
+one.  The population is kept as arrays, one row per subproblem:
+genotypes, objectives, feasibility and total violation, read straight
+from the scored block.
 
 Generations are synchronous: k subproblems breed one child each, as one
 block, from the population at the generation's start.  Its draws, in
-order: a (k, T) block of keys, whose two smallest in a row pick that
-subproblem's mates; one crossover mask; one reset mutation.  The
-children are scored in one batch; the feasible ones raise the ideal
-point, then, as if child by child in index order, each child replaces
-the neighbours it beats.  With the ideal fixed for the brood every key
-is fixed too, so each subproblem ends with the first best of its
-incumbent and the children whose neighbourhood holds it, in child
-order: one masked argmin.  An external archive of non-dominated
-feasible solutions is returned.
+order: a (k, n_sub) block of keys, whose two smallest in a row pick two
+distinct subproblems as that child's mates; one crossover mask; one
+reset mutation.  The children are scored in one batch; the feasible
+ones raise the ideal point, then, as if child by child in index order,
+each child replaces the incumbents it beats.  With the ideal fixed for
+the brood every key is fixed too, so each subproblem ends with the first
+best of its incumbent and the children, in child order: one argmin.  An
+external archive of non-dominated feasible solutions is returned.
 """
 
 from __future__ import annotations
@@ -55,20 +55,20 @@ def tchebycheff(objectives, weights, ideal) -> np.ndarray:
     return np.maximum(d[..., 0], d[..., 1])
 
 
-def _replacement(neighborhoods, weights, ideal, population, brood) -> tuple[np.ndarray, np.ndarray]:
+def _replacement(weights, ideal, population, brood) -> tuple[np.ndarray, np.ndarray]:
     """The child that holds each subproblem after a brood's replacements
     (-1 where none does), and the ideal point raised by the brood.
 
     ``population`` and ``brood`` are (objectives, feasible, total
-    violation) arrays; the brood is children 0..k-1, child i offered to
-    the subproblems in ``neighborhoods[i]``.  A child beats an incumbent
-    if only it is feasible, else if its key is lower: the total
-    violation when both are infeasible, the Tchebycheff value when both
-    are feasible.  Ties keep the incumbent, or the earlier child.
+    violation) arrays; the brood is children 0..k-1, each offered to
+    every subproblem.  A child beats an incumbent if only it is
+    feasible, else if its key is lower: the total violation when both
+    are infeasible, the Tchebycheff value when both are feasible.  Ties
+    keep the incumbent, or the earlier child.
     """
     objectives, feasible, violation = population
     child_objectives, child_feasible, child_violation = brood
-    n_sub, k = len(feasible), len(child_feasible)
+    n_sub = len(feasible)
     ideal = np.maximum(ideal, child_objectives[child_feasible].max(axis=0, initial=0.0))
     # column 0 is each subproblem's incumbent, column 1 + i child i
     key = np.column_stack([
@@ -76,12 +76,9 @@ def _replacement(neighborhoods, weights, ideal, population, brood) -> tuple[np.n
         np.where(child_feasible, tchebycheff(child_objectives, weights[:, None], ideal), child_violation),
     ])
     feasible = np.column_stack([feasible, np.tile(child_feasible, (n_sub, 1))])
-    offered = np.zeros_like(feasible)
-    offered[:, 0] = True
-    offered[neighborhoods[:k], np.arange(1, k + 1)[:, None]] = True
-    # a feasible candidate beats every infeasible one, so only the best feasibility offered competes
-    level = (offered & feasible).any(axis=1, keepdims=True)
-    return np.where(offered & (feasible == level), key, np.inf).argmin(axis=1) - 1, ideal
+    # a feasible candidate beats every infeasible one, so only the best feasibility present competes
+    level = feasible.any(axis=1, keepdims=True)
+    return np.where(feasible == level, key, np.inf).argmin(axis=1) - 1, ideal
 
 
 def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
@@ -90,8 +87,6 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
 
     run = Search(prob, params, trace_hook)
     rng = run.rng
-    dist = np.linalg.norm(weights[:, None, :] - weights[None, :, :], axis=2)
-    neighborhoods = np.argsort(dist, axis=1, kind="stable")[:, :params.neighborhood_size]
 
     scored = run.evaluate_many(np.array(initial_population(prob, n_sub, rng), dtype=np.int64))
     order = np.argsort(scored.objectives[:, 0], kind="stable")  # by fog utilization
@@ -104,15 +99,14 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
 
     while run.left:
         k = min(n_sub, run.left)
-        # the neighbours with the two smallest keys mate; with T = 1, the one with itself
-        picks = rng.random(neighborhoods[:k].shape).argsort(axis=1)[:, :2]
-        mates = np.take_along_axis(neighborhoods[:k], picks, axis=1)[:, [0, -1]]
+        # each child's two distinct mates: the subproblems with its two smallest keys
+        mates = rng.random((k, n_sub)).argsort(axis=1)[:, :2]
         p1, p2 = genotypes[mates.T]
         child, _ = uniform_crossover(p1, p2, rng)
         children = reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
         brood = run.evaluate_many(children)
         holder, ideal = _replacement(
-            neighborhoods, weights, ideal, (objectives, feasible, violation),
+            weights, ideal, (objectives, feasible, violation),
             (brood.objectives, brood.feasible, brood.total),
         )
         won = np.flatnonzero(holder >= 0)

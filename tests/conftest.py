@@ -9,6 +9,7 @@ from fogplan.model import (
     ResourceKind,
     Service,
 )
+from fogplan.moea import Solution
 from fogplan.scenario import ScenarioSpec, build_instance
 
 
@@ -128,6 +129,12 @@ def tiny_instance(seed):
     )
 
 
+def solution(genotype, objectives, violations):
+    """A Solution whose feasibility and total violation are its
+    ViolationVector's, as a scored block computes them."""
+    return Solution(genotype, objectives, violations, violations.is_zero(), violations.total())
+
+
 def random_solutions(rng, count, feasible_fraction=0.7, violation_levels=None):
     """Synthetic evaluated solutions for dominance/archive property tests.
 
@@ -135,7 +142,6 @@ def random_solutions(rng, count, feasible_fraction=0.7, violation_levels=None):
     one of that many values, so that infeasible members share totals.
     """
     from fogplan.fsdp import ObjectiveVector, ViolationVector
-    from fogplan.moea import Solution
 
     out = []
     for i in range(count):
@@ -150,13 +156,13 @@ def random_solutions(rng, count, feasible_fraction=0.7, violation_levels=None):
             cpu_excess=cpu, ram_excess=0.0, storage_excess=0.0, deadline_excess=deadline
         )
         out.append(
-            Solution(
-                genotype=(i,),
-                objectives=ObjectiveVector(
+            solution(
+                (i,),
+                ObjectiveVector(
                     fog_utilization=float(rng.integers(0, 5)) / 4.0,
                     availability=float(rng.integers(0, 5)) / 4.0,
                 ),
-                violations=violations,
+                violations,
             )
         )
     return out

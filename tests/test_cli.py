@@ -63,18 +63,14 @@ class TestEvolutionExperiment:
         assert main(["--experiment", "evolution", "--algo", "all", "--seeds", "0",
                      "--evals", "200", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
-        assert digest == "e034a6cbb789272464288a1a890f625d3ed945af553568a5061ce218e090c3e3"
+        assert digest == "8a442a17e7811b6ac5d7dacf075a5f496b193378b6ad51bb4a486ca955c5e270"
 
     @pytest.mark.parametrize(("extra", "expected"), [
-        (["--seeds", "0..4"], "821582142374ff574f4fc37188174166d79b4ec7739576a18262e6b9e1c8ba00"),
-        (["--seeds", "0", "--param", "neighborhood_size=1"],
-         "99614088295d72685039f3f6220c699496dbb4c38cf6393b8a3d9f58990a7ce2"),
-        (["--seeds", "0", "--param", "neighborhood_size=40"],
-         "412f2f06995352024f154850765a24528e70b97ebadf15652c18d0433e01a2f4"),
-    ], ids=["seeds0-4", "T1", "T40"])
+        (["--seeds", "0..4"], "15cbbf40e2770f2a4ca3c249787f44f97d8397e59a71968aae7fff5f91bab09a"),
+    ], ids=["seeds0-4"])
     def test_moead_csv_bytes_pinned(self, tmp_path, monkeypatch, extra, expected):
         # 1013 evaluations: 24 whole generations of 40 and a last one of 13,
-        # so the neighbourhood replacement runs over a partial brood too
+        # so the replacement runs over a partial brood too
         monkeypatch.setenv("FOGPLAN_WORKERS", "1")
         assert main(["--experiment", "evolution", "--algo", "moead", *extra,
                      "--evals", "1013", "--out", str(tmp_path)]) == 0
@@ -142,7 +138,7 @@ class TestDeadlineExperiment:
         assert main(["--experiment", "deadline", "--algo", "all", "--seeds", "0",
                      "--evals", "200", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "deadline.csv").read_bytes()).hexdigest()
-        assert digest == "23c1b1886b5e26c2352619aa8fc9b68848d9dbcf0fa5ee5226c16646b91b7cfd"
+        assert digest == "bf043726256422dab148c2909008332faccd43ea93cf20bddbcaac88d5677c8d"
 
     def test_too_many_resources_fail_before_building_them(self, tmp_path, capsys):
         # 4097 resources: the spec is refused, not a 128 MiB latency matrix built
@@ -223,6 +219,14 @@ class TestParamOverrides:
                    "--param", "bogus=1", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_neighborhood_size_is_rejected(self, tmp_path, capsys):
+        # MOEA/D offers every child to every subproblem: it has no neighbourhood to size
+        rc = main(["--algo", "moead", "--seeds", "0", "--evals", "40",
+                   "--param", "neighborhood_size=10", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "neighborhood_size" in capsys.readouterr().err
+        assert not (tmp_path / "evolution.csv").exists()
+
     def test_bad_seeds_exits_2(self, tmp_path):
         for seeds in ("zero", "-1"):
             assert main(["--algo", "nsga2", f"--seeds={seeds}", "--out", str(tmp_path)]) == 2
@@ -251,7 +255,6 @@ class TestParamOverrides:
     @pytest.mark.parametrize("pair", [
         "population_size=3",
         "archive_capacity=0",
-        "neighborhood_size=0",
         "grid_divisions=2.5",
         "inertia=nan",
         "crossover_prob=-3",

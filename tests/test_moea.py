@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_solutions, tiny_instance
+from conftest import random_solutions, solution, tiny_instance
 from fogplan.errors import BadLattice, BudgetTooSmall, EmptyArchive, EmptyFront, LengthMismatch
 from fogplan.fsdp import ObjectiveVector, ProblemInstance, ViolationVector, audit_capacity
 from fogplan.moea import (
@@ -20,6 +20,7 @@ from fogplan.moea import (
     fast_nondominated_sort,
     hypervolume_2d,
     make_solution,
+    moead_run,
     mopso_run,
     nsga2_run,
     select_compromise,
@@ -41,15 +42,11 @@ BAD_V = ViolationVector(0.5, 0.0, 0.0, 0.0)
 
 
 def feas(u, a, genotype=(0,)):
-    return Solution(genotype=genotype, objectives=ObjectiveVector(u, a), violations=ZERO_V)
+    return solution(genotype, ObjectiveVector(u, a), ZERO_V)
 
 
 def infeas(u, a, violation=0.5):
-    return Solution(
-        genotype=(9,),
-        objectives=ObjectiveVector(u, a),
-        violations=ViolationVector(violation, 0.0, 0.0, 0.0),
-    )
+    return solution((9,), ObjectiveVector(u, a), ViolationVector(violation, 0.0, 0.0, 0.0))
 
 
 class TestGenotype:
@@ -102,14 +99,14 @@ class TestGenotype:
         assert list(sol.genotype) == [0] * 25
 
 
-def test_solution_computes_feasibility_and_total_as_a_pair():
-    # either field left out: both come from the violations
+def test_solution_requires_feasibility_and_total():
+    # nothing computes them from the violations: a scored block passes both
     v = ViolationVector(0.25, 0.0, 0.0, 0.5)
     for kwargs in ({}, {"feasible": False}, {"total_violation": 0.75}):
-        sol = Solution((0,), ObjectiveVector(0.5, 0.5), v, **kwargs)
-        assert (sol.feasible, sol.total_violation) == (False, 0.75)
-    given_both = Solution((0,), ObjectiveVector(0.5, 0.5), ZERO_V, True, 0.0)
-    assert (given_both.feasible, given_both.total_violation) == (True, 0.0)
+        with pytest.raises(TypeError):
+            Solution((0,), ObjectiveVector(0.5, 0.5), v, **kwargs)
+    given_both = Solution((0,), ObjectiveVector(0.5, 0.5), v, False, 0.75)
+    assert (given_both.feasible, given_both.total_violation) == (False, 0.75)
 
 
 class TestConstrainedDominance:
@@ -270,7 +267,7 @@ class TestParetoArchive:
 # objectives on a grid of quarters and a few violation vectors, two of
 # them with the same total, so that ties are common
 ARCHIVED = st.builds(
-    lambda u, a, v: Solution((0,), ObjectiveVector(u / 4, a / 4), v),
+    lambda u, a, v: solution((0,), ObjectiveVector(u / 4, a / 4), v),
     st.integers(0, 4),
     st.integers(0, 4),
     st.sampled_from(
@@ -603,7 +600,8 @@ def test_block_operators_copy_and_keep_parent_genes():
 
 
 @pytest.mark.parametrize("name, knob", [
-    ("moead", dict(neighborhood_size=1)),
+    # the smallest lattice: each child's two mates are 2 of 4 subproblems
+    ("moead", dict(population_size=4)),
     ("nsga2", dict(crossover_prob=0.0)),
     ("nsga2", dict(crossover_prob=1.0)),
 ])
@@ -613,6 +611,15 @@ def test_edge_parameters_reach_the_budget_with_a_feasible_archive(name, knob):
                                trace_hook=trace.append)
     assert trace[-1].evaluations == 300
     assert len(archive) > 0 and all(m.feasible for m in archive)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_moead_keeps_a_front_on_scaled16(seed):
+    # instances where replacement inside neighbourhoods of 10 of the 40
+    # subproblems left a final archive of 2 members
+    prob = scaled_scenario(ScenarioSpec(seed=seed), 16)
+    archive = moead_run(prob, AlgoParams(seed=seed, max_evaluations=1000))
+    assert len(archive) >= 10
 
 
 def test_nsga2_archive_honours_capacity():

@@ -1,11 +1,11 @@
-"""MOEA/D's neighbourhood replacement against a per-child loop.
+"""MOEA/D's replacement against a per-child loop.
 
 The reference is the rule as a loop: the brood's feasible children raise
 the ideal point, then, child by child in order, each child replaces each
-neighbour it beats by feasibility, then total violation, then the
-Tchebycheff value under that ideal point, in plain Python floats.  The
-argmin performs the same float operations per key, so the two must
-agree exactly.
+incumbent it beats, in every subproblem, by feasibility, then total
+violation, then the Tchebycheff value under that ideal point, in plain
+Python floats.  The argmin performs the same float operations per key,
+so the two must agree exactly.
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ def reference_tchebycheff(objectives, weights, ideal):
     return max(w * abs(i - o) for w, i, o in zip(weights, ideal, objectives))
 
 
-def reference_replacement(neighborhoods, weights, ideal, population, brood):
+def reference_replacement(weights, ideal, population, brood):
     """(holder of each subproblem, -1 for none; ideal after the brood), child by child."""
     objectives, feasible, violation = (a.tolist() for a in population)
     ideal = ideal.tolist()
@@ -36,7 +36,7 @@ def reference_replacement(neighborhoods, weights, ideal, population, brood):
         if feas:
             ideal = [max(best, got) for best, got in zip(ideal, obj)]
     for i, (obj, feas, viol) in enumerate(children):
-        for j in neighborhoods[i].tolist():
+        for j in range(len(objectives)):
             if feas != feasible[j]:
                 better = feas
             elif not feas:
@@ -68,43 +68,38 @@ def members(count, top):
 @st.composite
 def replacement_cases(draw):
     n_sub = draw(st.integers(2, 12))
-    size = min(n_sub, draw(st.sampled_from([1, 3, n_sub])))
-    # any neighbourhoods of distinct subproblems, not only the lattice's nearest
-    neighborhoods = np.array([
-        draw(st.permutations(range(n_sub)))[:size] for _ in range(n_sub)
-    ])
     k = draw(st.integers(1, n_sub))
     # children may pass the population's best, which raises the ideal point
-    return neighborhoods, draw(members(n_sub, 6)), draw(members(k, 8))
+    return draw(members(n_sub, 6)), draw(members(k, 8))
 
 
 @settings(max_examples=300, deadline=None)
 @given(replacement_cases())
 def test_replacement_matches_per_child_loop(case):
-    neighborhoods, population, brood = case
+    population, brood = case
     objectives, feasible, _ = population
-    weights = simplex_lattice_weights(len(neighborhoods) - 1)
+    weights = simplex_lattice_weights(len(objectives) - 1)
     ideal = objectives[feasible].max(axis=0, initial=0.0)
-    holder, new_ideal = _replacement(neighborhoods, weights, ideal, population, brood)
-    want_holder, want_ideal = reference_replacement(neighborhoods, weights, ideal, population, brood)
+    holder, new_ideal = _replacement(weights, ideal, population, brood)
+    want_holder, want_ideal = reference_replacement(weights, ideal, population, brood)
     assert holder.tolist() == want_holder
     assert new_ideal.tolist() == want_ideal
 
 
 @pytest.mark.parametrize("feasible", [True, False], ids=["feasible", "infeasible"])
 def test_ties_keep_the_incumbent_then_the_earlier_child(feasible):
-    # child 0 is offered subproblem 0, children 1 and 2 subproblem 1
-    neighborhoods = np.array([[0], [1], [1]])
-    weights = simplex_lattice_weights(2)
+    # every child is offered both subproblems
+    weights = simplex_lattice_weights(1)
     ideal = np.array([1.0, 1.0])
-    objectives = np.array([[0.5, 0.5], [0.25, 0.25], [0.0, 0.0]])
-    violation = np.zeros(3) if feasible else np.array([1.0, 2.0, 3.0])
-    population = (objectives, np.full(3, feasible), violation)
-    # child 0 equals incumbent 0; children 1 and 2 are equal and beat incumbent 1
-    children = np.array([[0.5, 0.5], [0.75, 0.75], [0.75, 0.75]])
-    brood = (children, np.full(3, feasible), np.zeros(3) if feasible else np.array([1.0, 0.5, 0.5]))
-    holder, _ = _replacement(neighborhoods, weights, ideal, population, brood)
-    assert holder.tolist() == [-1, 1, -1]
+    objectives = np.array([[0.5, 0.5], [0.25, 0.0]])
+    violation = np.zeros(2) if feasible else np.array([1.0, 2.0])
+    population = (objectives, np.full(2, feasible), violation)
+    # children 1 and 2 are equal, the best of the brood in both subproblems
+    # and child 0 worse: they equal incumbent 0 and beat incumbent 1
+    children = np.array([[0.25, 0.25], [0.5, 0.5], [0.5, 0.5]])
+    brood = (children, np.full(3, feasible), np.zeros(3) if feasible else np.array([1.5, 1.0, 1.0]))
+    holder, _ = _replacement(weights, ideal, population, brood)
+    assert holder.tolist() == [-1, 1]
 
 
 def test_ideal_is_the_best_feasible_so_far(monkeypatch):
@@ -127,11 +122,11 @@ def test_ideal_is_the_best_feasible_so_far(monkeypatch):
         scored.append(evaluate_many(run, genomes))
         return scored[-1]
 
-    def record_replacement(neighborhoods, weights, ideal, population, brood):
+    def record_replacement(weights, ideal, population, brood):
         # the brood is the batch scored last; the ideal covers the batches before it
         before = np.concatenate([s.objectives[s.feasible] for s in scored[:-1]])
         seen.append((ideal.tolist(), before.max(axis=0, initial=0.0).tolist()))
-        return replacement(neighborhoods, weights, ideal, population, brood)
+        return replacement(weights, ideal, population, brood)
 
     monkeypatch.setattr(Search, "evaluate_many", record_scores)
     monkeypatch.setattr(moead, "_replacement", record_replacement)
