@@ -10,42 +10,41 @@ row, where an optimizer keeps whole rows as objects
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import BudgetTooSmall, EmptyArchive, EmptyFront
-from ..fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate_many
+from ..fsdp import ObjectiveVector, ProblemInstance, evaluate_many
 
 
 @dataclass(frozen=True, slots=True)
 class Solution:
     genotype: Sequence[int]  # an array('H') of resource ids from Scored.packer
     objectives: ObjectiveVector
-    violations: ViolationVector
-    # stored: dominance checks read these millions of times per run.  A
-    # scored block computes both for all its rows at once (Scored.packer)
-    feasible: bool = field(repr=False, compare=False)
-    total_violation: float = field(repr=False, compare=False)
+    total_violation: float  # cpu, ram, storage and deadline excess summed; 0 is feasible
+
+    @property
+    def feasible(self) -> bool:
+        return self.total_violation == 0.0
 
 
 class Scored(NamedTuple):
     """A block of genotypes scored as arrays, one row per genotype.
 
-    ``total`` sums each row's violations as c0 + c1 + c2 + c3 and
-    ``feasible`` is ``total == 0.0``: the same floats and flags as
-    ``ViolationVector.total`` and ``is_zero``.
+    ``total`` sums each row's violations as c0 + c1 + c2 + c3, the same
+    float as ``ViolationVector.total``; a row is feasible where it is 0.
     """
 
     genotypes: np.ndarray  # (P, N) resource ids, checked
     objectives: np.ndarray  # (P, 2) fog utilization, availability
-    violations: np.ndarray  # (P, 4) cpu, ram, storage and deadline excess
-    feasible: np.ndarray  # (P,) bool
     total: np.ndarray  # (P,) total violation
 
     def packer(self) -> Callable[[int], Solution]:
@@ -56,18 +55,14 @@ class Scored(NamedTuple):
         conversion of the whole block packs them two bytes each, exactly,
         and each row takes its slice as an array('H').  The array orders
         like the tuple of its ids, but is not equal to it and is not
-        hashable.  Feasibility and total violation come from the arrays.
+        hashable.
         """
         width = 2 * self.genotypes.shape[1]
         ids = self.genotypes.astype(np.uint16).tobytes()
-        objectives, violations = self.objectives.tolist(), self.violations.tolist()
-        feasible, total = self.feasible.tolist(), self.total.tolist()
+        objectives, total = self.objectives.tolist(), self.total.tolist()
 
         def pack(i: int) -> Solution:
-            return Solution(
-                array("H", ids[i * width:(i + 1) * width]), ObjectiveVector(*objectives[i]),
-                ViolationVector(*violations[i]), feasible[i], total[i],
-            )
+            return Solution(array("H", ids[i * width:(i + 1) * width]), ObjectiveVector(*objectives[i]), total[i])
 
         return pack
 
@@ -80,8 +75,7 @@ def score_block(genotypes, prob: ProblemInstance) -> Scored:
     """Score a (P, N) block of genotypes in one ``evaluate_many``."""
     block = np.asarray(genotypes)
     objectives, violations = evaluate_many(block, prob)
-    total = violations[:, 0] + violations[:, 1] + violations[:, 2] + violations[:, 3]
-    return Scored(block, objectives, violations, total == 0.0, total)
+    return Scored(block, objectives, violations[:, 0] + violations[:, 1] + violations[:, 2] + violations[:, 3])
 
 
 def make_solution(assignment, prob: ProblemInstance) -> Solution:
@@ -101,20 +95,12 @@ def pareto_dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
 
 
 def constrained_dominates(a: Solution, b: Solution) -> bool:
-    """Feasibility-first dominance.
-
-    A feasible solution beats any infeasible one; among infeasible
-    solutions less total violation wins; among feasible ones standard
-    Pareto dominance applies.
-    """
-    if a.feasible and not b.feasible:
-        return True
-    if not a.feasible and b.feasible:
-        return False
-    if not a.feasible:
+    """Feasibility-first dominance (Deb et al., IEEE TEC 2002): less
+    total violation wins, and standard Pareto dominance applies only
+    between two feasible solutions."""
+    if a.total_violation != b.total_violation:
         return a.total_violation < b.total_violation
-    ao, bo = a.objectives, b.objectives
-    return dominates(ao.fog_utilization, ao.availability, bo.fog_utilization, bo.availability)
+    return not a.total_violation and pareto_dominates(a.objectives, b.objectives)
 
 
 def fast_nondominated_sort(population: list[Solution]) -> list[list[Solution]]:
@@ -128,19 +114,18 @@ def fast_nondominated_sort(population: list[Solution]) -> list[list[Solution]]:
     one front per distinct total violation, least first.
     """
     fronts = []
-    feasible = sorted(
-        (s for s in population if s.feasible),
-        key=lambda s: (-s.objectives.fog_utilization, -s.objectives.availability),
-    )
-    for s in feasible:
-        k = bisect_left(
-            fronts, True, key=lambda front: not pareto_dominates(front[-1].objectives, s.objectives)
-        )
-        if k == len(fronts):
-            fronts.append([])
-        fronts[k].append(s)
-    infeasible = sorted((s for s in population if not s.feasible), key=lambda s: s.total_violation)
-    fronts.extend(list(group) for _, group in groupby(infeasible, key=lambda s: s.total_violation))
+    violation = attrgetter("total_violation")
+    for total, group in groupby(sorted(population, key=violation), key=violation):
+        if total:
+            fronts.append(list(group))
+            continue
+        for s in sorted(group, key=lambda s: (-s.objectives.fog_utilization, -s.objectives.availability)):
+            k = bisect_left(
+                fronts, True, key=lambda front: not pareto_dominates(front[-1].objectives, s.objectives)
+            )
+            if k == len(fronts):
+                fronts.append([])
+            fronts[k].append(s)
     return fronts
 
 
@@ -164,9 +149,14 @@ def crowding_distance(front: list[Solution]) -> list[float]:
 
 
 class ParetoArchive:
-    """Bounded archive of mutually non-dominated, feasible-first solutions.
+    """Bounded archive under feasibility-first dominance.
 
-    No two members share an objective vector.
+    Every member has the same total violation, ``violation`` (``inf``
+    while empty): a candidate with less clears the archive, and one with
+    more is rejected.  At 0 the members are mutually non-dominated;
+    above it they are the distinct objective vectors found at that
+    violation.  No two members share an objective vector, and the first
+    genotype found for a point is kept.
 
     Truncation beyond capacity drops the most crowded member (smallest
     crowding distance).
@@ -177,6 +167,7 @@ class ParetoArchive:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.members: list[Solution] = []
+        self.violation = math.inf
 
     def __len__(self):
         return len(self.members)
@@ -184,51 +175,40 @@ class ParetoArchive:
     def __iter__(self):
         return iter(self.members)
 
-    def admits(self, u: float, a: float, feasible: bool, total: float) -> bool:
-        """Whether a candidate with objectives (u, a), feasibility and total
-        violation joins the archive: no member dominates it under
-        ``constrained_dominates``, and none shares its objectives unless
-        the candidate dominates that member.  Decided on floats, so a
-        scored row is tested before it is packed."""
-        for member in self.members:
-            if member.feasible:
-                if not feasible:
-                    return False
-                # a member with equal objectives rejects the candidate too
-                o = member.objectives
-                if o.fog_utilization >= u and o.availability >= a:
-                    return False
-            elif not feasible:
-                if member.total_violation < total:
-                    return False
-                o = member.objectives
-                if o.fog_utilization == u and o.availability == a and not total < member.total_violation:
-                    return False
+    def admits(self, u: float, a: float, total: float) -> bool:
+        """Whether a candidate with objectives (u, a) and total violation
+        joins the archive.  Decided on floats, so a scored row is tested
+        before it is packed."""
+        if total != self.violation:
+            return total < self.violation
+        if total:  # only a member with equal objectives rejects it
+            return (u, a) not in [m.objectives.as_tuple() for m in self.members]
+        for m in self.members:
+            o = m.objectives
+            if o.fog_utilization >= u and o.availability >= a:  # equal objectives reject it too
+                return False
         return True
 
     def add(self, candidate: Solution) -> bool:
-        """Offer a solution; returns True when it was retained.
-
-        One genotype per objective vector: a candidate whose objectives
-        equal a member's is rejected unless it dominates that member
-        (a feasible candidate replacing an infeasible one, or less
-        violation), so the first genotype found for a point is kept.
-        ``admits`` decides.
-        """
-        o = candidate.objectives
-        if not self.admits(o.fog_utilization, o.availability, candidate.feasible, candidate.total_violation):
+        """Offer a solution; returns True when it was retained.  ``admits``
+        decides; a feasible candidate then drops the members it dominates."""
+        u, a = candidate.objectives.fog_utilization, candidate.objectives.availability
+        total = candidate.total_violation
+        if not self.admits(u, a, total):
             return False
-        self.members = [m for m in self.members if not constrained_dominates(candidate, m)]
+        if total < self.violation:
+            self.violation, self.members = total, []
+        elif not total:
+            self.members = [m for m in self.members if not pareto_dominates(candidate.objectives, m.objectives)]
         self.members.append(candidate)
         if len(self.members) > self.capacity:
             return self._truncate() is not candidate
         return True
 
     def _truncate(self) -> Solution:
-        """Drop the most crowded member and return it."""
+        """Drop the most crowded member, the first of them, and return it."""
         dist = crowding_distance(self.members)
-        order = sorted(range(len(self.members)), key=lambda i: dist[i])
-        return self.members.pop(order[0])
+        return self.members.pop(min(range(len(dist)), key=dist.__getitem__))
 
     def objective_set(self) -> set[tuple[float, float]]:
         return {m.objectives.as_tuple() for m in self.members}
@@ -303,10 +283,11 @@ class AlgoParams:
             raise ValueError("population_size must be >= 4 and even")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if min(self.inertia, self.cognitive, self.social) < 0:
-            raise ValueError("inertia, cognitive and social must be >= 0 (MOPSO move weights)")
-        if min(self.archive_capacity, self.grid_divisions) < 1:
-            raise ValueError("archive_capacity and grid_divisions must be >= 1")
+        # a NaN weight would freeze the swarm, an infinite grid give NaN cells
+        if not all(0 <= w < math.inf for w in (self.inertia, self.cognitive, self.social)):
+            raise ValueError("inertia, cognitive and social must be finite and >= 0 (MOPSO move weights)")
+        if not all(float(n).is_integer() and n >= 1 for n in (self.archive_capacity, self.grid_divisions)):
+            raise ValueError("archive_capacity and grid_divisions must be integers >= 1")
         probabilities = (self.crossover_prob, self.mutation_rate, self.mutation_prob)
         if not all(p is None or 0.0 <= p <= 1.0 for p in probabilities):
             raise ValueError("crossover_prob, mutation_rate and mutation_prob must lie in [0, 1]")
@@ -395,9 +376,8 @@ class Search:
         that the archive admits, in order."""
         self.evaluations += len(scored.genotypes)
         archive = self.archive
-        rows = zip(scored.objectives.tolist(), scored.feasible.tolist(), scored.total.tolist())
-        for i, ((u, a), feasible, total) in enumerate(rows):
-            if archive.admits(u, a, feasible, total):
+        for i, ((u, a), total) in enumerate(zip(scored.objectives.tolist(), scored.total.tolist())):
+            if archive.admits(u, a, total):
                 archive.add(pack(i))
 
     def report(self, feasible: Sequence[bool]) -> None:

@@ -3,13 +3,13 @@
 One subproblem per weight vector, each keeping the best solution under
 its own weight (Zhang & Li, IEEE TEC 2007).  Mates are drawn from the
 whole population, and every child is offered to every subproblem.
-Feasibility rules take precedence over the scalarized value during
+Less total violation takes precedence over the scalarized value during
 replacement.  The initial solutions, anchors included, are assigned to
 subproblems in order of fog utilization, so the all-cloud anchor starts
 at the availability-only weight and the fog-rich anchor at the fog-only
 one.  The population is kept as arrays, one row per subproblem:
-genotypes, objectives, feasibility and total violation, read straight
-from the scored block.
+genotypes, objectives and total violation, read straight from the
+scored block.
 
 Generations are synchronous: k subproblems breed one child each, as one
 block, from the population at the generation's start.  Its draws, in
@@ -59,26 +59,25 @@ def _replacement(weights, ideal, population, brood) -> tuple[np.ndarray, np.ndar
     """The child that holds each subproblem after a brood's replacements
     (-1 where none does), and the ideal point raised by the brood.
 
-    ``population`` and ``brood`` are (objectives, feasible, total
-    violation) arrays; the brood is children 0..k-1, each offered to
-    every subproblem.  A child beats an incumbent if only it is
-    feasible, else if its key is lower: the total violation when both
-    are infeasible, the Tchebycheff value when both are feasible.  Ties
-    keep the incumbent, or the earlier child.
+    ``population`` and ``brood`` are (objectives, total violation)
+    arrays; the brood is children 0..k-1, each offered to every
+    subproblem.  In each subproblem only the least violation present
+    competes: by the Tchebycheff value when it is 0, else the first
+    such candidate wins.  Ties keep the incumbent, or the earlier child.
     """
-    objectives, feasible, violation = population
-    child_objectives, child_feasible, child_violation = brood
-    n_sub = len(feasible)
-    ideal = np.maximum(ideal, child_objectives[child_feasible].max(axis=0, initial=0.0))
+    objectives, violation = population
+    child_objectives, child_violation = brood
+    ideal = np.maximum(ideal, child_objectives[child_violation == 0].max(axis=0, initial=0.0))
     # column 0 is each subproblem's incumbent, column 1 + i child i
     key = np.column_stack([
-        np.where(feasible, tchebycheff(objectives, weights, ideal), violation),
-        np.where(child_feasible, tchebycheff(child_objectives, weights[:, None], ideal), child_violation),
+        tchebycheff(objectives, weights, ideal),
+        tchebycheff(child_objectives, weights[:, None], ideal),
     ])
-    feasible = np.column_stack([feasible, np.tile(child_feasible, (n_sub, 1))])
-    # a feasible candidate beats every infeasible one, so only the best feasibility present competes
-    level = feasible.any(axis=1, keepdims=True)
-    return np.where(feasible == level, key, np.inf).argmin(axis=1) - 1, ideal
+    violation = np.column_stack([violation, np.tile(child_violation, (len(violation), 1))])
+    # only the least violation present competes; above 0 the first such candidate wins
+    least = violation.min(axis=1, keepdims=True)
+    key = np.where(least == 0, key, 0.0)
+    return np.where(violation == least, key, np.inf).argmin(axis=1) - 1, ideal
 
 
 def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
@@ -90,12 +89,10 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
 
     scored = run.evaluate_many(np.array(initial_population(prob, n_sub, rng), dtype=np.int64))
     order = np.argsort(scored.objectives[:, 0], kind="stable")  # by fog utilization
-    genotypes, objectives, feasible, violation = (
-        a[order] for a in (scored.genotypes, scored.objectives, scored.feasible, scored.total)
-    )
+    genotypes, objectives, violation = (a[order] for a in scored)
     # the best value of each objective among feasible solutions; objectives lie in [0, 1]
-    ideal = objectives[feasible].max(axis=0, initial=0.0)
-    run.report(feasible)
+    ideal = objectives[violation == 0].max(axis=0, initial=0.0)
+    run.report(violation == 0)
 
     while run.left:
         k = min(n_sub, run.left)
@@ -105,16 +102,10 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         child, _ = uniform_crossover(p1, p2, rng)
         children = reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
         brood = run.evaluate_many(children)
-        holder, ideal = _replacement(
-            weights, ideal, (objectives, feasible, violation),
-            (brood.objectives, brood.feasible, brood.total),
-        )
+        holder, ideal = _replacement(weights, ideal, (objectives, violation), (brood.objectives, brood.total))
         won = np.flatnonzero(holder >= 0)
-        for kept, offspring in zip(
-            (genotypes, objectives, feasible, violation),
-            (brood.genotypes, brood.objectives, brood.feasible, brood.total),
-        ):
+        for kept, offspring in zip((genotypes, objectives, violation), brood):
             kept[won] = offspring[holder[won]]
-        run.report(feasible)
+        run.report(violation == 0)
 
     return run.archive

@@ -48,7 +48,7 @@ def exact_pareto(prob: ProblemInstance, cap: int = 10**6) -> ExactFront:
     for start in range(0, size, ENUMERATION_CHUNK):
         block = np.arange(start, min(start + ENUMERATION_CHUNK, size))[:, None] // place % r
         scored = score_block(block, prob)
-        pack, rows = scored.packer(), np.flatnonzero(scored.feasible)
+        pack, rows = scored.packer(), np.flatnonzero(scored.total == 0)
         for i, (u, a) in zip(rows.tolist(), scored.objectives[rows].tolist()):
             if any(dominates(fu, fa, u, a) for fu, fa, _ in front):
                 continue

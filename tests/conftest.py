@@ -130,9 +130,9 @@ def tiny_instance(seed):
 
 
 def solution(genotype, objectives, violations):
-    """A Solution whose feasibility and total violation are its
-    ViolationVector's, as a scored block computes them."""
-    return Solution(genotype, objectives, violations, violations.is_zero(), violations.total())
+    """A Solution whose total violation is its ViolationVector's, as a
+    scored block computes it."""
+    return Solution(genotype, objectives, violations.total())
 
 
 def random_solutions(rng, count, feasible_fraction=0.7, violation_levels=None):

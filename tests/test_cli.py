@@ -8,8 +8,8 @@ import yaml
 
 from conftest import BAD_SCENARIO_FIELDS, scenario_error_names, set_scenario_key
 from fogplan.cli import ConfigError, _parse_params, _parse_seeds, main
-from fogplan.moea import ALGORITHMS
-from fogplan.scenario import ScenarioSpec, save
+from fogplan.moea import ALGORITHMS, AlgoParams
+from fogplan.scenario import ScenarioSpec, build_instance, load, save
 
 
 def read_rows(path):
@@ -172,6 +172,24 @@ class TestDeadlineExperiment:
                    str(scenario_path), "--seeds", "0", "--evals", "40", "--out", str(tmp_path)])
         assert rc == 2
         assert scenario_error_names(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+def test_search_where_nothing_is_feasible(tmp_path, algo):
+    # at a 1 us deadline every placement overshoots: the runs keep an
+    # archive of the least violation found, and no deadline is met
+    scenario_path = tmp_path / "unmeetable.yaml"
+    save(ScenarioSpec(deadlines=(1e-6,)), scenario_path)
+    args = ["--algo", algo, "--scenario", str(scenario_path), "--seeds", "0,1", "--evals", "120",
+            "--out", str(tmp_path)]
+    assert main(["--experiment", "evolution", *args]) == 0
+    assert {row[-1] for row in read_rows(tmp_path / "evolution.csv")[1:]} == {"0"}  # feasible_fraction
+    assert main(["--experiment", "deadline", *args]) == 0
+    rows = read_rows(tmp_path / "deadline.csv")[1:]
+    assert len(rows) == 2 * ScenarioSpec().apps and {row[5] for row in rows} == {"false"}
+    archive = ALGORITHMS[algo](build_instance(load(scenario_path)), AlgoParams(seed=0, max_evaluations=120))
+    assert len(archive) > 0 and archive.violation > 0
+    assert {m.total_violation for m in archive} == {archive.violation}
 
 
 class TestScalingExperiment:

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import pickle
 import sys
 from array import array
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_solutions, solution, tiny_instance
 from fogplan.errors import BadLattice, BudgetTooSmall, EmptyArchive, EmptyFront, LengthMismatch
-from fogplan.fsdp import ObjectiveVector, ProblemInstance, ViolationVector, audit_capacity
+from fogplan.fsdp import ObjectiveVector, ProblemInstance, ViolationVector, audit_capacity, evaluate
 from fogplan.moea import (
     ALGORITHMS,
     AlgoParams,
@@ -100,13 +102,16 @@ class TestGenotype:
 
 
 def test_solution_requires_feasibility_and_total():
-    # nothing computes them from the violations: a scored block passes both
-    v = ViolationVector(0.25, 0.0, 0.0, 0.5)
-    for kwargs in ({}, {"feasible": False}, {"total_violation": 0.75}):
-        with pytest.raises(TypeError):
-            Solution((0,), ObjectiveVector(0.5, 0.5), v, **kwargs)
-    given_both = Solution((0,), ObjectiveVector(0.5, 0.5), v, False, 0.75)
-    assert (given_both.feasible, given_both.total_violation) == (False, 0.75)
+    # nothing computes the total from per-kind violations, and feasibility
+    # is no field: a solution is feasible exactly when its total is 0
+    with pytest.raises(TypeError):
+        Solution((0,), ObjectiveVector(0.5, 0.5))
+    with pytest.raises(TypeError):
+        Solution((0,), ObjectiveVector(0.5, 0.5), 0.75, feasible=False)
+    infeasible, feasible = (Solution((0,), ObjectiveVector(0.5, 0.5), total) for total in (0.75, 0.0))
+    assert (infeasible.feasible, infeasible.total_violation) == (False, 0.75)
+    assert (feasible.feasible, feasible.total_violation) == (True, 0.0)
+    assert [f.name for f in dataclasses.fields(Solution)] == ["genotype", "objectives", "total_violation"]
 
 
 class TestConstrainedDominance:
@@ -256,6 +261,23 @@ class TestParetoArchive:
         assert archive.add(feas(0.5, 0.5))
         assert [m.feasible for m in archive] == [True]
 
+    @pytest.mark.parametrize("capacity", [2, 5, 16])
+    def test_members_share_one_violation_and_form_a_staircase(self, capacity):
+        # the invariant a sorted-staircase archive would rest on
+        regimes = set()
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            archive = ParetoArchive(capacity=capacity)
+            for sol in random_solutions(rng, 60, feasible_fraction=0.1 + 0.06 * seed, violation_levels=2):
+                archive.add(sol)
+                assert all(m.total_violation == archive.violation for m in archive)
+                regimes.add(archive.violation)
+                if archive.violation == 0:
+                    us, as_ = zip(*sorted(m.objectives.as_tuple() for m in archive))
+                    assert len(set(us)) == len(us) and len(set(as_)) == len(as_)
+                    assert all(x > y for x, y in zip(as_, as_[1:]))
+        assert regimes == {0.0, 1.0, 2.0}
+
     def test_truncation_respects_capacity(self):
         rng = np.random.default_rng(41)
         archive = ParetoArchive(capacity=5)
@@ -279,18 +301,21 @@ ARCHIVED = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(ARCHIVED, max_size=8), ARCHIVED)
 def test_admits_follows_the_add_rule(members, candidate):
-    # any member list, feasible and infeasible mixed: a candidate is admitted
-    # unless a member dominates it or shares its objectives without being
-    # dominated by it, and exactly when add, with room, keeps it
+    # an archive that add built from any list, feasible and infeasible
+    # mixed: a candidate is admitted unless a member dominates it or shares
+    # its objectives without being dominated by it, and exactly when add,
+    # with room, keeps it
     archive = ParetoArchive(capacity=len(members) + 1)
-    archive.members = list(members)
+    for member in members:
+        archive.add(member)
+    assert {m.total_violation for m in archive} <= {archive.violation}
     expected = not any(
         constrained_dominates(m, candidate)
         or (m.objectives == candidate.objectives and not constrained_dominates(candidate, m))
-        for m in members
+        for m in archive
     )
     o = candidate.objectives
-    got = archive.admits(o.fog_utilization, o.availability, candidate.feasible, candidate.total_violation)
+    got = archive.admits(o.fog_utilization, o.availability, candidate.total_violation)
     assert got == expected == archive.add(candidate)
 
 
@@ -467,27 +492,25 @@ def test_search_evaluate_many_matches_a_loop_of_evaluate(monkeypatch):
     admitted = []
     for sol in expected:
         o = sol.objectives
-        if looped.admits(o.fog_utilization, o.availability, sol.feasible, sol.total_violation):
+        if looped.admits(o.fog_utilization, o.availability, sol.total_violation):
             admitted.append(sol)
         looped.add(sol)
+    assert scored._fields == ("genotypes", "objectives", "total")
     rows = zip(*(a.tolist() for a in scored), strict=True)
-    for (genotype, objectives, violations, feasible, total), sol in zip(rows, expected, strict=True):
-        v = sol.violations
+    for (genotype, objectives, total), sol, genome in zip(rows, expected, genomes, strict=True):
+        v = evaluate(genome, prob)[1]
         assert genotype == list(sol.genotype)
         assert objectives == [sol.objectives.fog_utilization, sol.objectives.availability]
-        assert violations == [v.cpu_excess, v.ram_excess, v.storage_excess, v.deadline_excess]
-        # the block's feasibility and total are ViolationVector's, bit for bit
-        assert (feasible, total) == (v.is_zero(), v.total())
-    assert scored.feasible.any() and not scored.feasible.all()
+        # the block's total and feasibility are ViolationVector's, bit for bit
+        assert (total, total == 0) == (v.total(), v.is_zero())
+    assert (scored.total == 0).any() and not (scored.total == 0).all()
     packed = scored.solutions()
     assert packed == expected
-    assert [(s.feasible, s.total_violation) for s in packed] == [
-        (s.violations.is_zero(), s.violations.total()) for s in expected
-    ]
+    assert [s.total_violation for s in packed] == scored.total.tolist()
     assert batched.evaluations == 240
 
     def fields(members):
-        return [(list(m.genotype), m.objectives, m.violations) for m in members]
+        return [(list(m.genotype), m.objectives, m.total_violation) for m in members]
 
     assert fields(batched.archive.members) == fields(looped.members)
     assert len(batched.archive) == 3
@@ -501,7 +524,7 @@ def test_search_evaluate_many_matches_a_loop_of_evaluate(monkeypatch):
     kept = Search(prob, params)
     solutions = kept.evaluate_solutions(genomes)
     assert solutions == expected
-    assert [(s.feasible, s.total_violation) for s in solutions] == [(s.feasible, s.total_violation) for s in packed]
+    assert [s.total_violation for s in solutions] == [s.total_violation for s in packed]
     assert offered == admitted
     ids = {id(s) for s in solutions}
     assert all(id(s) in ids for s in offered)
@@ -655,6 +678,17 @@ class TestMopsoFrozenDynamics:
     def test_negative_move_weight_rejected(self):
         with pytest.raises(ValueError):
             AlgoParams(social=-0.5)
+
+    @pytest.mark.parametrize("knob", [
+        # a NaN weight makes pull.sum() > 0 False, which would freeze the swarm
+        dict(inertia=math.nan), dict(cognitive=math.inf), dict(social=math.nan),
+        dict(archive_capacity=2.5), dict(archive_capacity=math.inf),
+        # an infinite grid would give NaN cells
+        dict(grid_divisions=math.inf), dict(grid_divisions=math.nan), dict(grid_divisions=6.5),
+    ], ids=lambda knob: "{}={}".format(*next(iter(knob.items()))))
+    def test_non_finite_or_fractional_knob_rejected(self, knob):
+        with pytest.raises(ValueError):
+            AlgoParams(**knob)
 
     def test_stationary_swarm(self):
         prob = tiny_instance(4)

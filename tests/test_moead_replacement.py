@@ -2,10 +2,10 @@
 
 The reference is the rule as a loop: the brood's feasible children raise
 the ideal point, then, child by child in order, each child replaces each
-incumbent it beats, in every subproblem, by feasibility, then total
-violation, then the Tchebycheff value under that ideal point, in plain
-Python floats.  The argmin performs the same float operations per key,
-so the two must agree exactly.
+incumbent it beats, in every subproblem, by feasibility (a total
+violation of 0), then total violation, then the Tchebycheff value under
+that ideal point, in plain Python floats.  The argmin performs the same
+float operations per key, so the two must agree exactly.
 """
 
 import numpy as np
@@ -27,11 +27,12 @@ def reference_tchebycheff(objectives, weights, ideal):
 
 def reference_replacement(weights, ideal, population, brood):
     """(holder of each subproblem, -1 for none; ideal after the brood), child by child."""
-    objectives, feasible, violation = (a.tolist() for a in population)
+    objectives, violation = (a.tolist() for a in population)
+    feasible = [v == 0.0 for v in violation]
     ideal = ideal.tolist()
     weights = weights.tolist()
     holder = [-1] * len(objectives)
-    children = list(zip(*(a.tolist() for a in brood)))
+    children = [(obj, viol == 0.0, viol) for obj, viol in zip(*(a.tolist() for a in brood))]
     for obj, feas, _ in children:
         if feas:
             ideal = [max(best, got) for best, got in zip(ideal, obj)]
@@ -51,8 +52,8 @@ def reference_replacement(weights, ideal, population, brood):
 
 
 def members(count, top):
-    """(objectives, feasible, total violation) of ``count`` members; 0
-    violation is feasible.  Objectives lie on a grid of eighths up to
+    """(objectives, total violation) of ``count`` members; 0 violation
+    is feasible.  Objectives lie on a grid of eighths up to
     ``top``, so that equal objectives are common, or anywhere below it."""
     objective = st.one_of(st.integers(0, top).map(lambda x: x / 8), st.floats(0.0, top / 8))
     violation = st.one_of(st.sampled_from([0.0, 0.0, 1.0, 2.0]), st.floats(0.0, 3.0))
@@ -60,7 +61,6 @@ def members(count, top):
         st.tuples(objective, objective, violation), min_size=count, max_size=count
     ).map(lambda rows: (
         np.array([r[:2] for r in rows]),
-        np.array([r[2] == 0.0 for r in rows]),
         np.array([r[2] for r in rows]),
     ))
 
@@ -77,9 +77,9 @@ def replacement_cases(draw):
 @given(replacement_cases())
 def test_replacement_matches_per_child_loop(case):
     population, brood = case
-    objectives, feasible, _ = population
+    objectives, violation = population
     weights = simplex_lattice_weights(len(objectives) - 1)
-    ideal = objectives[feasible].max(axis=0, initial=0.0)
+    ideal = objectives[violation == 0].max(axis=0, initial=0.0)
     holder, new_ideal = _replacement(weights, ideal, population, brood)
     want_holder, want_ideal = reference_replacement(weights, ideal, population, brood)
     assert holder.tolist() == want_holder
@@ -93,11 +93,11 @@ def test_ties_keep_the_incumbent_then_the_earlier_child(feasible):
     ideal = np.array([1.0, 1.0])
     objectives = np.array([[0.5, 0.5], [0.25, 0.0]])
     violation = np.zeros(2) if feasible else np.array([1.0, 2.0])
-    population = (objectives, np.full(2, feasible), violation)
+    population = (objectives, violation)
     # children 1 and 2 are equal, the best of the brood in both subproblems
     # and child 0 worse: they equal incumbent 0 and beat incumbent 1
     children = np.array([[0.25, 0.25], [0.5, 0.5], [0.5, 0.5]])
-    brood = (children, np.full(3, feasible), np.zeros(3) if feasible else np.array([1.5, 1.0, 1.0]))
+    brood = (children, np.zeros(3) if feasible else np.array([1.5, 1.0, 1.0]))
     holder, _ = _replacement(weights, ideal, population, brood)
     assert holder.tolist() == [-1, 1]
 
@@ -124,14 +124,14 @@ def test_ideal_is_the_best_feasible_so_far(monkeypatch):
 
     def record_replacement(weights, ideal, population, brood):
         # the brood is the batch scored last; the ideal covers the batches before it
-        before = np.concatenate([s.objectives[s.feasible] for s in scored[:-1]])
+        before = np.concatenate([s.objectives[s.total == 0] for s in scored[:-1]])
         seen.append((ideal.tolist(), before.max(axis=0, initial=0.0).tolist()))
         return replacement(weights, ideal, population, brood)
 
     monkeypatch.setattr(Search, "evaluate_many", record_scores)
     monkeypatch.setattr(moead, "_replacement", record_replacement)
     moead_run(prob, AlgoParams(seed=8, max_evaluations=400))
-    assert not scored[0].feasible.any() and scored[-1].feasible.any()
+    assert (scored[0].total > 0).all() and (scored[-1].total == 0).any()
     for got, want in seen:
         assert got == want
 
