@@ -65,6 +65,15 @@ class TestEvolutionExperiment:
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
         assert digest == "8a442a17e7811b6ac5d7dacf075a5f496b193378b6ad51bb4a486ca955c5e270"
 
+    def test_truncated_archive_csv_bytes_pinned(self, tmp_path, monkeypatch):
+        # paper fronts hold at most 17 points, so the default capacity of 50
+        # never truncates: capacity 5 pins the truncation rule's results too
+        monkeypatch.setenv("FOGPLAN_WORKERS", "1")
+        assert main(["--experiment", "evolution", "--algo", "all", "--seeds", "0..2", "--evals", "400",
+                     "--param", "archive_capacity=5", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
+        assert digest == "6fc80c410fd7815463ffd5a86f1241980da416277067d9f5cdc2d01404c679f3"
+
     @pytest.mark.parametrize(("extra", "expected"), [
         (["--seeds", "0..4"], "15cbbf40e2770f2a4ca3c249787f44f97d8397e59a71968aae7fff5f91bab09a"),
     ], ids=["seeds0-4"])
