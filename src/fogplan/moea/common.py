@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, neg
 from typing import NamedTuple
 
 import numpy as np
@@ -158,16 +158,24 @@ class ParetoArchive:
     violation.  No two members share an objective vector, and the first
     genotype found for a point is kept.
 
+    ``members`` keeps insertion order.  At 0 the members are also kept
+    as a staircase sorted by fog utilization, so by availability
+    descending (Fieldsend et al., IEEE TEC 2003): one bisect tests a
+    candidate, and the members it dominates form one contiguous run.
+
     Truncation beyond capacity drops the most crowded member (smallest
-    crowding distance).
+    crowding distance), the earliest inserted of them on a tie.
     """
 
     def __init__(self, capacity: int = 100):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+        if not (float(capacity).is_integer() and capacity >= 1):
+            raise ValueError("capacity must be an integer >= 1")
         self.capacity = capacity
         self.members: list[Solution] = []
         self.violation = math.inf
+        # the staircase at violation 0, sorted by u; a member's u names it
+        self._us: list[float] = []
+        self._as: list[float] = []
 
     def __len__(self):
         return len(self.members)
@@ -183,11 +191,10 @@ class ParetoArchive:
             return total < self.violation
         if total:  # only a member with equal objectives rejects it
             return (u, a) not in [m.objectives.as_tuple() for m in self.members]
-        for m in self.members:
-            o = m.objectives
-            if o.fog_utilization >= u and o.availability >= a:  # equal objectives reject it too
-                return False
-        return True
+        # of the members with u' >= u, the first has the largest a'; one
+        # with a' >= a dominates the candidate or equals it
+        p = bisect_left(self._us, u)
+        return p == len(self._us) or self._as[p] < a
 
     def add(self, candidate: Solution) -> bool:
         """Offer a solution; returns True when it was retained.  ``admits``
@@ -197,9 +204,15 @@ class ParetoArchive:
         if not self.admits(u, a, total):
             return False
         if total < self.violation:
-            self.violation, self.members = total, []
-        elif not total:
-            self.members = [m for m in self.members if not pareto_dominates(candidate.objectives, m.objectives)]
+            self.violation, self.members, self._us, self._as = total, [], [], []
+        if not total:
+            # the dominated members: u' <= u, so below j, and a' <= a, so from k on
+            j = bisect_right(self._us, u)
+            k = bisect_left(self._as, -a, 0, j, key=neg)
+            if k < j:
+                gone = set(self._us[k:j])
+                self.members = [m for m in self.members if m.objectives.fog_utilization not in gone]
+            self._us[k:j], self._as[k:j] = [u], [a]
         self.members.append(candidate)
         if len(self.members) > self.capacity:
             return self._truncate() is not candidate
@@ -207,8 +220,21 @@ class ParetoArchive:
 
     def _truncate(self) -> Solution:
         """Drop the most crowded member, the first of them, and return it."""
-        dist = crowding_distance(self.members)
-        return self.members.pop(min(range(len(dist)), key=dist.__getitem__))
+        if self.violation:
+            dist = crowding_distance(self.members)
+            return self.members.pop(min(range(len(dist)), key=dist.__getitem__))
+        # crowding_distance on the staircase: each member's neighbours give
+        # its gaps, the u term added first, and the two ends are inf
+        us, as_ = self._us, self._as
+        span_u, span_a = us[-1] - us[0], as_[0] - as_[-1]
+        dist = [(u2 - u0) / span_u + (a0 - a2) / span_a for u0, u2, a0, a2 in zip(us, us[2:], as_, as_[2:])]
+        dist = [math.inf, *dist, math.inf]
+        least = min(dist)
+        tied = {u for u, d in zip(us, dist) if d == least}
+        victim = self.members.pop(next(i for i, m in enumerate(self.members) if m.objectives.fog_utilization in tied))
+        p = bisect_left(us, victim.objectives.fog_utilization)
+        del us[p], as_[p]
+        return victim
 
     def objective_set(self) -> set[tuple[float, float]]:
         return {m.objectives.as_tuple() for m in self.members}

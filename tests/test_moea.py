@@ -25,6 +25,7 @@ from fogplan.moea import (
     moead_run,
     mopso_run,
     nsga2_run,
+    pareto_dominates,
     select_compromise,
     simplex_lattice_weights,
     tchebycheff,
@@ -261,9 +262,21 @@ class TestParetoArchive:
         assert archive.add(feas(0.5, 0.5))
         assert [m.feasible for m in archive] == [True]
 
+    @pytest.mark.parametrize("capacity", [0, -1, 2.5, float("nan"), float("inf")])
+    def test_capacity_must_be_an_integer_of_at_least_one(self, capacity):
+        # a NaN capacity never truncates: nan < 1 and len > nan are both False
+        with pytest.raises(ValueError, match="capacity"):
+            ParetoArchive(capacity=capacity)
+
+    def test_integral_float_capacity_bounds_the_archive(self):
+        archive = ParetoArchive(capacity=5.0)
+        for i in range(10):
+            assert archive.add(feas(i / 10, 1 - i / 10, genotype=(i,))) or i >= 5
+        assert len(archive) == 5
+
     @pytest.mark.parametrize("capacity", [2, 5, 16])
     def test_members_share_one_violation_and_form_a_staircase(self, capacity):
-        # the invariant a sorted-staircase archive would rest on
+        # the invariant the staircase rests on, and the staircase itself
         regimes = set()
         for seed in range(10):
             rng = np.random.default_rng(seed)
@@ -276,6 +289,7 @@ class TestParetoArchive:
                     us, as_ = zip(*sorted(m.objectives.as_tuple() for m in archive))
                     assert len(set(us)) == len(us) and len(set(as_)) == len(as_)
                     assert all(x > y for x, y in zip(as_, as_[1:]))
+                    assert_staircase(archive)
         assert regimes == {0.0, 1.0, 2.0}
 
     def test_truncation_respects_capacity(self):
@@ -317,6 +331,64 @@ def test_admits_follows_the_add_rule(members, candidate):
     o = candidate.objectives
     got = archive.admits(o.fog_utilization, o.availability, candidate.total_violation)
     assert got == expected == archive.add(candidate)
+
+
+def assert_staircase(archive):
+    """At violation 0 the sorted lists hold the members' objectives, by u."""
+    assert list(zip(archive._us, archive._as)) == sorted(m.objectives.as_tuple() for m in archive)
+
+
+class ReferenceArchive:
+    """``ParetoArchive``'s rule as member-by-member scans: the staircase's
+    reference.  Truncation drops the first member, in insertion order,
+    with the least ``crowding_distance``."""
+
+    def __init__(self, capacity):
+        self.capacity, self.members, self.violation = capacity, [], math.inf
+
+    def admits(self, u, a, total):
+        if total != self.violation:
+            return total < self.violation
+        if total:
+            return (u, a) not in [m.objectives.as_tuple() for m in self.members]
+        return not any(m.objectives.fog_utilization >= u and m.objectives.availability >= a for m in self.members)
+
+    def add(self, candidate):
+        o, total = candidate.objectives, candidate.total_violation
+        if not self.admits(o.fog_utilization, o.availability, total):
+            return False
+        if total < self.violation:
+            self.violation, self.members = total, []
+        elif not total:
+            self.members = [m for m in self.members if not pareto_dominates(o, m.objectives)]
+        self.members.append(candidate)
+        if len(self.members) <= self.capacity:
+            return True
+        dist = crowding_distance(self.members)
+        return self.members.pop(min(range(len(dist)), key=dist.__getitem__)) is not candidate
+
+
+# feasible three times in five; on a grid of quarters, so that equal
+# objectives and equal crowding distances are common
+OFFERED = st.builds(
+    lambda u, a, v: Solution(array("H", [0]), ObjectiveVector(u / 4, a / 4), v),
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(OFFERED, max_size=40))
+def test_archive_matches_the_reference(capacity, offers):
+    archive, reference = ParetoArchive(capacity), ReferenceArchive(capacity)
+    for candidate in offers:
+        assert archive.add(candidate) == reference.add(candidate)
+        assert archive.violation == reference.violation
+        assert len(archive.members) == len(reference.members)
+        assert all(m is r for m, r in zip(archive.members, reference.members))
+        if archive.violation == 0:
+            assert_staircase(archive)
 
 
 class TestHypervolume:
