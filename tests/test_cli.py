@@ -9,7 +9,7 @@ import yaml
 from conftest import BAD_SCENARIO_FIELDS, scenario_error_names, set_scenario_key
 from fogplan.cli import ConfigError, _parse_params, _parse_seeds, main
 from fogplan.moea import ALGORITHMS, AlgoParams
-from fogplan.scenario import ScenarioSpec, build_instance, load, save
+from fogplan.scenario import ScenarioSpec, build_instance, load, save, scaled_spec
 
 
 def read_rows(path):
@@ -84,6 +84,21 @@ class TestEvolutionExperiment:
         assert main(["--experiment", "evolution", "--algo", "moead", *extra,
                      "--evals", "1013", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
+        assert digest == expected
+
+    @pytest.mark.parametrize(("experiment", "expected"), [
+        ("evolution", "080bb04e30ee4565e97cd7b5b4beb0ef2ec54ab4651a7dd89cf8d9dd2a913173"),
+        ("deadline", "389769c9ad01622e7b610fdf614de6df6476b6c528e55b051a5e8692e1135f72"),
+    ])
+    def test_scaled16_csv_bytes_pinned(self, tmp_path, monkeypatch, experiment, expected):
+        # N=400, R=161: the paper pins hold at most 11 resources, this one
+        # pins the kernel and the anchors where apps hold many sinks
+        scenario_path = tmp_path / "scaled16.yaml"
+        save(scaled_spec(ScenarioSpec(), 16), scenario_path)
+        monkeypatch.setenv("FOGPLAN_WORKERS", "1")
+        assert main(["--experiment", experiment, "--algo", "all", "--seeds", "0..1", "--evals", "400",
+                     "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / f"{experiment}.csv").read_bytes()).hexdigest()
         assert digest == expected
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
