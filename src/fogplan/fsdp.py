@@ -163,6 +163,12 @@ class ProblemInstance:
             (dst[first], src[first], first, tuple((src[r], r) for r in joins))
             for first, *joins in spans
         ]
+        # (K, m) sinks, services that precede none: row k holds every app's
+        # k-th sink, or its last where it has fewer
+        sinks = np.flatnonzero(np.bincount(src, minlength=self.n_services) == 0)
+        first = np.searchsorted(sinks, self.app_offsets)
+        count = np.diff(first, append=len(sinks))
+        self.sink_ranks = sinks[first + np.minimum(np.arange(count.max(initial=1))[:, None], count - 1)]
 
     def as_assignment(self, dep, rows: bool = False) -> np.ndarray:
         """One assignment as an (N,) array of int64 resource ids, checked;
@@ -171,9 +177,9 @@ class ProblemInstance:
             arr = np.asarray(dep)
         except ValueError as exc:  # ragged rows
             raise LengthMismatch(f"assignments of unequal lengths: {exc}") from None
-        shape = (*arr.shape[:1], self.n_services) if rows else (self.n_services,)
-        if arr.shape != shape:
-            raise LengthMismatch(f"assignment shape {arr.shape} != {shape}")
+        n = self.n_services
+        if arr.shape != ((*arr.shape[:1], n) if rows else (n,)):
+            raise LengthMismatch(f"assignment shape {arr.shape} != {f'(P, {n})' if rows else (n,)}")
         if arr.size and arr.dtype.kind not in "iu":
             raise LengthMismatch(f"assignment must hold integer resource ids, got {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() >= self.n_resources):
@@ -220,25 +226,25 @@ def _scores(block: np.ndarray, prob: ProblemInstance) -> tuple[np.ndarray, np.nd
     if m == 0:
         return np.zeros((len(block), 2)), np.zeros((len(block), 4))
     n, scale = prob.n_services, prob.availability_lcm * m
-    fog = np.count_nonzero(prob.is_fog[block], axis=1)
+    load = prob.resource_loads(block)
     met = prob.service_avail_req <= prob.up_probability[block]
     objectives = np.empty((len(block), 2))
-    objectives[:, 0] = fog / n
+    # the landscape holds one cloud, and every service not on it is on fog
+    objectives[:, 0] = (n - load[:, 4, prob.landscape.cloud]) / n
     # availability is one division of integers no larger than 2**53, exact
     # as floats: the correctly rounded float of the exact ratio
     objectives[:, 1] = (met @ prob.service_avail_weight) / scale
-    return objectives, _violations(block, prob)
+    return objectives, _violations(block, prob, load)
 
 
-def _violations(a: np.ndarray, prob: ProblemInstance) -> np.ndarray:
+def _violations(a: np.ndarray, prob: ProblemInstance, load: np.ndarray) -> np.ndarray:
     """cpu, ram, storage and deadline excess (P, 4) of a validated (P, N)
-    block.
+    block with its ``resource_loads``.
 
     The loads keep resources on their last, contiguous axis, so every
     row sums its capacity overshoot in the same pairwise order.  The
     critical-path DP takes the block transposed, population last.
     """
-    load = prob.resource_loads(a)
     violations = np.empty((len(a), 4))
     overshoot = np.maximum(0.0, load[:, :3] - prob.effective_capacity).sum(axis=-1)
     violations[:, :3] = overshoot / prob.capacity_total

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import groupby
@@ -426,31 +426,34 @@ def greedy_anchors(prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     """
     cloud = prob.landscape.cloud
     fog = np.flatnonzero(prob.is_fog)
-    fog = fog[np.argsort(prob.up_probability[fog], kind="stable")]  # least available first
-    up = prob.up_probability[fog]
-    capacity = prob.effective_capacity.T[fog]
-    demand = np.stack([prob.service_cpu, prob.service_ram, prob.service_storage], axis=1)
-    used = np.zeros_like(capacity)
-    order = np.argsort(-prob.service_cpu, kind="stable")
+    fog = fog[np.argsort(prob.up_probability[fog], kind="stable")].tolist()  # least available first
+    up, req = prob.up_probability[fog].tolist(), prob.service_avail_req.tolist()
+    capacity = prob.effective_capacity.T[fog].tolist()
+    demand = np.stack([prob.service_cpu, prob.service_ram, prob.service_storage], axis=1).tolist()
+    used = [[0.0, 0.0, 0.0] for _ in fog]
+    order = np.argsort(-prob.service_cpu, kind="stable").tolist()
 
-    def room(svc) -> np.ndarray:
-        return (used + demand[svc] <= capacity).all(axis=1)
+    def place(genotype, svc, hosts) -> int | None:
+        """Put ``svc`` on the first of ``hosts`` with room; that host's position in ``hosts``."""
+        dc, dr, ds = demand[svc]
+        for i, k in enumerate(hosts):
+            (cpu, ram, sto), (cc, cr, cs) = used[k], capacity[k]
+            if cpu + dc <= cc and ram + dr <= cr and sto + ds <= cs:
+                genotype[svc], used[k] = fog[k], [cpu + dc, ram + dr, sto + ds]
+                return i
 
-    def place(genotype, svc, k):
-        genotype[svc] = fog[k]
-        used[k] += demand[svc]
-
-    available = np.full(prob.n_services, cloud, dtype=np.int64)
-    for svc in order:
-        hosts = np.flatnonzero(room(svc) & (up >= prob.service_avail_req[svc]))
-        if hosts.size:
-            place(available, svc, hosts[0])
+    available = [cloud] * prob.n_services
+    for svc in order:  # the hosts from bisect_left on meet the requirement
+        place(available, svc, range(bisect_left(up, req[svc]), len(fog)))
     fog_rich = available.copy()
-    for svc in order[fog_rich[order] == cloud]:
-        hosts = np.flatnonzero(room(svc))
-        if hosts.size:
-            place(fog_rich, svc, hosts[np.argmax(capacity[hosts, 0] - used[hosts, 0])])
-    return available, fog_rich
+    # (used - capacity cpu, k) ascending: the first entry with room has the
+    # most cpu left, and the first such host on a tie, as argmax picks
+    free = sorted((u[0] - c[0], k) for k, (u, c) in enumerate(zip(used, capacity)))
+    for svc in [svc for svc in order if available[svc] == cloud]:
+        if (i := place(fog_rich, svc, (k for _, k in free))) is not None:
+            k = free.pop(i)[1]
+            insort(free, (used[k][0] - capacity[k][0], k))
+    return np.array(available, dtype=np.int64), np.array(fog_rich, dtype=np.int64)
 
 
 def initial_population(prob: ProblemInstance, size: int, rng: np.random.Generator) -> list[np.ndarray]:

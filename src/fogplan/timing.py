@@ -93,18 +93,20 @@ def app_response_times(a: np.ndarray, prob, load: np.ndarray) -> np.ndarray:
     A DP over global topological levels: a service's distance is its
     host's sojourn plus the largest predecessor distance plus link
     latency.  Latencies are non-negative (the model rejects others), so
-    a source's distance is its sojourn alone.  A saturated host's inf
-    sojourn reaches its app's max.
+    a source's distance is its sojourn alone, and no distance falls along
+    an edge: an app's max lies at a sink, where a saturated host's inf
+    sojourn reaches too.  Row p of the (P, R) sojourns starts at pR.
     """
-    dist = sojourn_times(prob, load)[np.arange(a.shape[1]), a]
+    r = prob.n_resources
+    dist = sojourn_times(prob, load).ravel().take(a + np.arange(0, a.shape[1] * r, r))
     src, dst = prob.level_links
-    lat = prob.latency_s[a[src], a[dst]]
+    lat = prob.latency_s.ravel().take(a[src] * r + a[dst])
     for nodes, preds, links, joins in prob.level_steps:
         best = dist[preds] + lat[links]
         for preds, links in joins:
             best = np.maximum(best, dist[preds] + lat[links])
         dist[nodes] += best
-    return np.maximum.reduceat(dist, prob.app_offsets)
+    return dist[prob.sink_ranks].max(axis=0)
 
 
 def response_time_report(dep, prob) -> ResponseTimeReport:

@@ -220,6 +220,33 @@ def test_each_level_steps_over_its_own_fan_in():
         assert evaluate(genotype, prob) == reference_evaluate(genotype, prob)
 
 
+def test_each_app_reads_its_maximum_from_every_sink():
+    # one app forks into sinks at depths 1, 2 and 3, next to a chain (one
+    # sink) and a lone service: three sink ranks, and whichever sink holds
+    # the maximum, saturated or not, every kernel path agrees with the
+    # reference.  A service of 100 cpu at 0.5/s saturates an FC at 5.
+    def app(i, k, edges):
+        services = tuple(Service((i, j), 100.0, 10.0, 10.0, 0.5) for j in range(k))
+        return Application(i, services, tuple(edges), deadline=1.0, request_rate=0.5)
+
+    fork = app(0, 7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+    chain = app(1, 4, [(0, 1), (1, 2), (2, 3)])
+    landscape = build_landscape(ScenarioSpec(colonies=2, cells_per_colony=2))
+    prob = ProblemInstance(landscape, [fork, chain, app(2, 1, [])])
+    assert len(prob.sink_ranks) == 3
+    rng = np.random.default_rng(9)
+    n, r = prob.n_services, prob.n_resources
+    piled = [rng.choice(rng.integers(0, r, k), n) for k in (1, 2, 3) * 10]
+    block = np.array(piled + [rng.integers(0, r, n) for _ in range(30)])
+    for genotype in block:
+        report = response_time_report(genotype, prob)
+        assert [report.app_rt[a.id] for a in prob.apps] == reference_response_times(genotype, prob)
+    violations = assert_rows_match(block, prob)
+    assert np.count_nonzero(violations[:, 3] >= SATURATION_PENALTY) >= 5
+    objectives, violations = evaluate_many(np.zeros((0, n), dtype=int), prob)
+    assert objectives.shape == (0, 2) and violations.shape == (0, 4)
+
+
 def assert_rows_match(block, prob):
     """evaluate_many of a block equals, row by row, evaluate and the
     reference: row p of its objective and violation arrays holds the

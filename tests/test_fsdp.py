@@ -243,6 +243,12 @@ class TestEvaluate:
         with pytest.raises(LengthMismatch):
             evaluate_many(block, paper_problem)
 
+    def test_one_row_where_a_block_is_due_names_the_block_shape(self, paper_problem):
+        with pytest.raises(LengthMismatch, match=r"shape \(25,\) != \(P, 25\)$"):
+            evaluate_many(np.zeros(25, dtype=int), paper_problem)
+        with pytest.raises(LengthMismatch, match=r"shape \(24,\) != \(25,\)$"):
+            evaluate(np.zeros(24, dtype=int), paper_problem)
+
     def test_block_of_int32_rows(self, paper_problem):
         block = np.zeros((3, paper_problem.n_services), dtype=np.int32)
         objectives, violations = evaluate_many(block, paper_problem)

@@ -38,7 +38,14 @@ from fogplan.moea.common import (
     uniform_crossover,
 )
 from fogplan.moea.mopso import _guide_grid
-from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
+from fogplan.scenario import (
+    ResourceTemplate,
+    ScenarioSpec,
+    ServiceTemplate,
+    build_instance,
+    paper_scenario,
+    scaled_scenario,
+)
 
 ZERO_V = ViolationVector(0.0, 0.0, 0.0, 0.0)
 BAD_V = ViolationVector(0.5, 0.0, 0.0, 0.0)
@@ -721,6 +728,81 @@ def test_nsga2_archive_honours_capacity():
     prob = scaled_scenario(ScenarioSpec(seed=1), 16)
     params = AlgoParams(population_size=60, archive_capacity=50, max_evaluations=1000)
     assert len(nsga2_run(prob, params)) <= 50
+
+
+def reference_greedy_anchors(prob):
+    """greedy_anchors as numpy calls over every fog host per service."""
+    cloud = prob.landscape.cloud
+    fog = np.flatnonzero(prob.is_fog)
+    fog = fog[np.argsort(prob.up_probability[fog], kind="stable")]  # least available first
+    up = prob.up_probability[fog]
+    capacity = prob.effective_capacity.T[fog]
+    demand = np.stack([prob.service_cpu, prob.service_ram, prob.service_storage], axis=1)
+    used = np.zeros_like(capacity)
+    order = np.argsort(-prob.service_cpu, kind="stable")
+
+    def room(svc):
+        return (used + demand[svc] <= capacity).all(axis=1)
+
+    def place(genotype, svc, k):
+        genotype[svc] = fog[k]
+        used[k] += demand[svc]
+
+    available = np.full(prob.n_services, cloud, dtype=np.int64)
+    for svc in order:
+        hosts = np.flatnonzero(room(svc) & (up >= prob.service_avail_req[svc]))
+        if hosts.size:
+            place(available, svc, hosts[0])
+    fog_rich = available.copy()
+    for svc in order[fog_rich[order] == cloud]:
+        hosts = np.flatnonzero(room(svc))
+        if hosts.size:
+            place(fog_rich, svc, hosts[np.argmax(capacity[hosts, 0] - used[hosts, 0])])
+    return available, fog_rich
+
+
+@st.composite
+def anchor_specs(draw):
+    """Float demands and capacities, with the hosts' failure probabilities
+    drawn from two or three values, so that up-probabilities tie, and
+    some requirements equal to an up-probability."""
+    positive = st.floats(1.0, 400.0)
+    failures = draw(st.lists(st.floats(0.0, 0.3), min_size=2, max_size=3))
+
+    def host():
+        return ResourceTemplate(draw(positive), draw(positive), draw(positive), draw(st.sampled_from(failures)))
+
+    def requirement():
+        lo = draw(st.floats(0.6, 0.8) | st.sampled_from([1.0 - f for f in failures]))
+        return lo, min(1.0, lo + draw(st.just(0.0) | st.floats(0.0, 0.2)))
+
+    templates = tuple(
+        ServiceTemplate("process", draw(positive), draw(positive), draw(positive), *requirement())
+        for _ in range(draw(st.integers(1, 4)))
+    )
+    return ScenarioSpec(
+        colonies=draw(st.integers(1, 4)), cells_per_colony=draw(st.integers(1, 5)),
+        apps=draw(st.integers(1, 6)), services_per_app=draw(st.integers(1, 6)),
+        service_templates=templates, fcm=host(), fc=host(),
+        reserve_fraction=draw(st.floats(0.0, 0.5)), seed=draw(st.integers(0, 100)),
+    )
+
+
+def assert_anchors_match_reference(prob):
+    for got, want in zip(greedy_anchors(prob), reference_greedy_anchors(prob), strict=True):
+        assert got.tolist() == want.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(anchor_specs())
+def test_greedy_anchors_match_reference(spec):
+    assert_anchors_match_reference(build_instance(spec))
+
+
+@pytest.mark.parametrize("factor", [1, 4, 16])
+def test_greedy_anchors_match_reference_at_scale(factor):
+    for seed in range(10):
+        assert_anchors_match_reference(scaled_scenario(ScenarioSpec(seed=seed), factor))
 
 
 class TestInitialPopulation:
