@@ -163,12 +163,12 @@ class ProblemInstance:
             (dst[first], src[first], first, tuple((src[r], r) for r in joins))
             for first, *joins in spans
         ]
-        # (K, m) sinks, services that precede none: row k holds every app's
-        # k-th sink, or its last where it has fewer
+        # (K, m) sinks, the services that precede none: row k holds sink
+        # k mod c of every app with c sinks (a max ignores repeats)
         sinks = np.flatnonzero(np.bincount(src, minlength=self.n_services) == 0)
-        first = np.searchsorted(sinks, self.app_offsets)
-        count = np.diff(first, append=len(sinks))
-        self.sink_ranks = sinks[first + np.minimum(np.arange(count.max(initial=1))[:, None], count - 1)]
+        bounds = np.searchsorted(sinks, app_offsets + [self.n_services])
+        first, count = bounds[:-1], bounds[1:] - bounds[:-1]
+        self.sink_ranks = sinks[first + np.arange(count.max(initial=1))[:, None] % count]
 
     def as_assignment(self, dep, rows: bool = False) -> np.ndarray:
         """One assignment as an (N,) array of int64 resource ids, checked;
