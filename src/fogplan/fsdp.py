@@ -165,8 +165,8 @@ class ProblemInstance:
         ]
         # (K, m) sinks, the services that precede none: row k holds sink
         # k mod c of every app with c sinks (a max ignores repeats)
-        sinks = np.flatnonzero(np.bincount(src, minlength=self.n_services) == 0)
-        bounds = np.searchsorted(sinks, app_offsets + [self.n_services])
+        sinks = (np.bincount(src, minlength=self.n_services) == 0).nonzero()[0]
+        bounds = sinks.searchsorted(app_offsets + [self.n_services])
         first, count = bounds[:-1], bounds[1:] - bounds[:-1]
         self.sink_ranks = sinks[first + np.arange(count.max(initial=1))[:, None] % count]
 
