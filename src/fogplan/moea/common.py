@@ -434,7 +434,7 @@ def greedy_anchors(prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-prob.service_cpu, kind="stable").tolist()
 
     def place(genotype, svc, hosts) -> int | None:
-        """Put ``svc`` on the first of ``hosts`` with room; that host's position in ``hosts``."""
+        """Put ``svc`` on the first of ``hosts`` with room and return its position there, or None."""
         dc, dr, ds = demand[svc]
         for i, k in enumerate(hosts):
             (cpu, ram, sto), (cc, cr, cs) = used[k], capacity[k]

@@ -17,6 +17,7 @@ from fogplan.fsdp import (
 from fogplan.model import Landscape, ResourceKind
 from fogplan.moea import make_solution
 from fogplan.scenario import paper_scenario
+from fogplan.timing import response_time_report
 
 
 def single_colony_landscape():
@@ -178,6 +179,7 @@ class TestCapacityViolation:
         prob = ProblemInstance(single_colony_landscape(), [])
         assert capacity_violation([], prob) == (0.0, 0.0, 0.0)
         assert is_feasible([], prob)
+        assert response_time_report([], prob).app_rt == {}  # no app, no sink
 
 
 class TestDeadlineViolation:
