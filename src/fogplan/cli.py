@@ -65,7 +65,7 @@ def _run_all(algorithms: list[str], spec: scenario_mod.ScenarioSpec, params: lis
     if workers == 1 or len(jobs) == 1:
         results = [_run_one(job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_run_one, jobs))
     results.sort(key=lambda r: (algorithms.index(r[0]), r[1]))
     return results

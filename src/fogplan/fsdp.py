@@ -116,7 +116,6 @@ class ProblemInstance:
                 preds[offset + v].append(offset + u)
             offset += len(app.services)
         self.n_services = offset
-        self.app_offsets = np.array(app_offsets, dtype=np.int64)
         self.app_deadline = np.array([app.deadline for app in self.apps])
         service_rows = np.array([svc_cpu, svc_ram, svc_sto, svc_rate, svc_req], dtype=float)
         # resource_loads sums the first four rows per resource
@@ -142,27 +141,20 @@ class ProblemInstance:
             [self.availability_lcm // k for k in sizes for _ in range(k)], dtype=np.int64
         )
 
-        # critical-path DP by global topological level.  level_links holds
-        # (predecessor, service) links of the services of levels 1, 2, ...:
-        # a level takes one row of links per in-edge rank up to its own
-        # largest fan-in, and a service with fewer in-edges repeats its
-        # first (a max ignores repeats)
-        src, dst, spans = [], [], []
+        # critical-path DP by global topological level: per level, its k
+        # services, a (fan-in, k) table of their predecessors (a service with
+        # fewer in-edges repeats its first; a max ignores repeats) and the
+        # slice of level_links holding the same links row by row
+        src, dst, self.level_steps = [], [], []
         for level in range(1, len(by_level) + 1):
             nodes = by_level[level]
-            ranks = []
-            for k in range(max(len(preds[v]) for v in nodes)):
-                ranks.append(slice(len(src), len(src) + len(nodes)))
-                src += [preds[v][min(k, len(preds[v]) - 1)] for v in nodes]
-                dst += nodes
-            spans.append(ranks)
+            fan_in = max(len(preds[v]) for v in nodes)
+            table = [preds[v][min(j, len(preds[v]) - 1)] for j in range(fan_in) for v in nodes]
+            links = slice(len(src), len(src) + len(table))
+            self.level_steps.append((np.array(nodes), np.array(table).reshape(fan_in, -1), links))
+            src += table
+            dst += nodes * fan_in
         self.level_links = src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-        # per level: its services, then (predecessors, slice of level_links)
-        # of its first rank and of each further one
-        self.level_steps = [
-            (dst[first], src[first], first, tuple((src[r], r) for r in joins))
-            for first, *joins in spans
-        ]
         # (K, m) sinks, the services that precede none: row k holds sink
         # k mod c of every app with c sinks (a max ignores repeats)
         sinks = (np.bincount(src, minlength=self.n_services) == 0).nonzero()[0]

@@ -176,8 +176,8 @@ def latency_matrix(landscape: Landscape) -> np.ndarray:
     """Full pairwise resource latency matrix in milliseconds.
 
     The vector form of ``latency_ms``, bit for bit: entry (i, j) adds
-    the same terms in the same order as ``latency_ms(landscape, min(i, j),
-    max(i, j))``.
+    the same terms in the same order as ``latency_ms(landscape, i, j)``.
+    A hop is 0 or ``fc_fcm_ms``, so entry (j, i) is the same float.
     """
     res = landscape.resources
     hop = np.array([_hop_ms(landscape, r) for r in res])
@@ -186,7 +186,5 @@ def latency_matrix(landscape: Landscape) -> np.ndarray:
     inter = np.where(colony[:, None] == colony, 0.0, landscape.fcm_fcm_ms)
     inter[cloud[:, None] != cloud] = landscape.fcm_cloud_ms
     mat = hop[:, None] + inter + hop
-    # keep the upper triangle, latency_ms(i, j) for i < j, and mirror it
-    ids = np.arange(len(res))
-    mat = np.where(ids[:, None] < ids, mat, 0.0)
-    return mat + mat.T
+    np.fill_diagonal(mat, 0.0)
+    return mat

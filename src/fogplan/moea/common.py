@@ -305,6 +305,9 @@ class AlgoParams:
     mutation_prob: float | None = None
 
     def __post_init__(self):
+        # a float count fails deep in numpy, and an infinite or NaN budget never runs out
+        if not all(isinstance(n, (int, np.integer)) for n in (self.population_size, self.max_evaluations, self.seed)):
+            raise ValueError("population_size, max_evaluations and seed must be integers")
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be >= 4 and even")
         if self.seed < 0:

@@ -101,11 +101,9 @@ def app_response_times(a: np.ndarray, prob, load: np.ndarray) -> np.ndarray:
     dist = sojourn_times(prob, load).ravel().take(a + np.arange(0, a.shape[1] * r, r))
     src, dst = prob.level_links
     lat = prob.latency_s.ravel().take(a[src] * r + a[dst])
-    for nodes, preds, links, joins in prob.level_steps:
-        best = dist[preds] + lat[links]
-        for preds, links in joins:
-            best = np.maximum(best, dist[preds] + lat[links])
-        dist[nodes] += best
+    for nodes, preds, links in prob.level_steps:
+        best = dist.take(preds, axis=0) + lat[links].reshape(preds.shape + lat.shape[1:])
+        dist[nodes] += best[0] if len(best) == 1 else best.max(axis=0)
     return dist[prob.sink_ranks].max(axis=0)
 
 

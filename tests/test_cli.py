@@ -55,6 +55,29 @@ class TestEvolutionExperiment:
         assert main(args) == 0
         assert (tmp_path / "evolution.csv").read_bytes() == serial
 
+    def test_worker_count_capped_at_run_count(self, tmp_path, monkeypatch):
+        # a forking pool starts every worker at its first submit: a stand-in
+        # records the count asked for and runs the jobs in this process
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr("fogplan.cli.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv("FOGPLAN_WORKERS", "64")
+        assert main(["--algo", "nsga2", "--seeds", "0,1", "--evals", "40", "--out", str(tmp_path)]) == 0
+        assert asked == [2]
+
     def test_paper_csv_bytes_pinned(self, tmp_path, monkeypatch):
         # Pins the results, not only their repeatability: a change that
         # alters results on purpose re-pins this digest and says why in

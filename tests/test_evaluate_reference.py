@@ -50,13 +50,18 @@ def reference_sojourn(a, prob):
     return sojourn, saturated
 
 
+def app_offsets(prob):
+    """Index of each app's first service in the genotype."""
+    return np.cumsum([0] + [len(app.services) for app in prob.apps[:-1]])
+
+
 def reference_response_times(dep, prob):
     """Per-app critical-path response time in app order, None where saturated."""
     a = np.asarray(dep)
     sojourn, saturated = reference_sojourn(a, prob)
     lat = prob.latency_s
     out = []
-    for offset, app in zip(prob.app_offsets, prob.apps):
+    for offset, app in zip(app_offsets(prob), prob.apps):
         n = len(app.services)
         preds = {i: [] for i in range(n)}
         indeg = [0] * n
@@ -93,7 +98,7 @@ def reference_evaluate(dep, prob):
     m = len(prob.apps)
     fog = float(np.count_nonzero(prob.is_fog[a])) / prob.n_services
     share = Fraction(0)
-    for offset, app in zip(prob.app_offsets, prob.apps):
+    for offset, app in zip(app_offsets(prob), prob.apps):
         k = len(app.services)
         hosts = a[offset:offset + k]
         met = prob.service_avail_req[offset:offset + k] <= prob.up_probability[hosts]
@@ -213,7 +218,7 @@ def test_each_level_steps_over_its_own_fan_in():
     chain = app(1, 4, [(0, 1), (1, 2), (2, 3)])
     landscape = build_landscape(ScenarioSpec(colonies=2, cells_per_colony=2))
     prob = ProblemInstance(landscape, [join, chain])
-    assert [1 + len(joins) for *_, joins in prob.level_steps] == [8, 1, 1]
+    assert [len(preds) for _, preds, _ in prob.level_steps] == [8, 1, 1]
     rng = np.random.default_rng(5)
     for _ in range(50):
         genotype = rng.integers(0, prob.n_resources, prob.n_services)

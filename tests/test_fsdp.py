@@ -127,12 +127,13 @@ class TestAvailabilityObjective:
         prob = self._coprime_problem(two_colony_landscape, self.COPRIME_SIZES)
         assert prob.availability_lcm * len(prob.apps) == 13 * 304250263527210 <= 2**53
         rng = np.random.default_rng(23)
+        offsets = np.cumsum((0,) + self.COPRIME_SIZES).tolist()
         for _ in range(40):
             dep = rng.integers(0, prob.n_resources, prob.n_services)
             met = (prob.service_avail_req <= prob.up_probability[dep]).tolist()
             exact = sum(
                 Fraction(sum(met[offset:offset + k]), k)
-                for offset, k in zip(prob.app_offsets.tolist(), self.COPRIME_SIZES)
+                for offset, k in zip(offsets, self.COPRIME_SIZES)
             )
             assert availability_objective(dep, prob) == float(exact / len(prob.apps))
 

@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_app, make_resource, make_service
 from fogplan.errors import CycleDetected, DanglingEdge
@@ -11,7 +15,7 @@ from fogplan.model import (
     latency_ms,
     service_levels,
 )
-from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
+from fogplan.scenario import ScenarioSpec, build_landscape, paper_scenario, scaled_scenario
 
 
 class TestValidateDag:
@@ -89,6 +93,14 @@ def celled_landscape():
 CELLED = celled_landscape()
 
 
+def assert_matrix_matches(scape):
+    mat = latency_matrix(scape)
+    n = len(scape.resources)
+    for i in range(n):
+        for j in range(n):
+            assert mat[i, j] == latency_ms(scape, i, j) == latency_ms(scape, j, i)
+
+
 class TestLandscape:
     @pytest.mark.parametrize("kinds", [
         (ResourceKind.FC, ResourceKind.FC),
@@ -157,11 +169,15 @@ class TestLatency:
             # a cell-to-cell sum that took both hops first would round otherwise
             hop, inter = scape.fc_fcm_ms, scape.fcm_fcm_ms
             assert hop + inter + hop != hop + hop + inter
-        mat = latency_matrix(scape)
-        n = len(scape.resources)
-        for i in range(n):
-            for j in range(n):
-                assert mat[i, j] == latency_ms(scape, min(i, j), max(i, j))
+        assert_matrix_matches(scape)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0, 1000), min_size=3, max_size=3), st.integers(1, 3), st.integers(1, 3))
+    def test_matrix_equals_pairwise_reference_drawn(self, latencies, colonies, cells):
+        # drawn latencies round in their sums, so both orders of a pair are
+        # checked on values where the order of addition could show
+        spec = ScenarioSpec(colonies=colonies, cells_per_colony=cells)
+        assert_matrix_matches(dataclasses.replace(build_landscape(spec), **dict(zip(LATENCIES, latencies))))
 
     def test_symmetry(self, two_colony_landscape):
         for a in range(6):

@@ -839,6 +839,9 @@ class TestMopsoFrozenDynamics:
         dict(archive_capacity=2.5), dict(archive_capacity=math.inf),
         # an infinite grid would give NaN cells
         dict(grid_divisions=math.inf), dict(grid_divisions=math.nan), dict(grid_divisions=6.5),
+        # an infinite or NaN budget never runs out; a float count fails deep in numpy
+        dict(max_evaluations=math.inf), dict(max_evaluations=math.nan), dict(max_evaluations=100.5),
+        dict(population_size=40.0), dict(seed=1.5),
     ], ids=lambda knob: "{}={}".format(*next(iter(knob.items()))))
     def test_non_finite_or_fractional_knob_rejected(self, knob):
         with pytest.raises(ValueError):
