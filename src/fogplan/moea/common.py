@@ -1,22 +1,23 @@
 """Shared multiobjective machinery: dominance, archives, metrics, and the
 run object that scores each generation.
 
-A generation is scored into arrays (``Scored``).  Its rows are offered
-to the archive on their floats (``ParetoArchive.admits``), and a
-``Solution`` is built only for a row the archive admits, or, once per
-row, where an optimizer keeps whole rows as objects
-(``Search.evaluate_solutions``).
+A generation is scored into arrays (``Scored``), and every optimizer
+keeps its population as such rows.  The rows are offered to the archive
+on their floats (``ParetoArchive.admits``), and a ``Solution`` is built
+only for a row the archive admits.  The non-dominated sort and crowding
+run on row indices over float lists; their ``Solution`` forms adapt.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter, neg
+from operator import neg
 from typing import NamedTuple
 
 import numpy as np
@@ -66,10 +67,6 @@ class Scored(NamedTuple):
 
         return pack
 
-    def solutions(self) -> list[Solution]:
-        """The Solution of every row, in order."""
-        return list(map(self.packer(), range(len(self.genotypes))))
-
 
 def score_block(genotypes, prob: ProblemInstance) -> Scored:
     """Score a (P, N) block of genotypes in one ``evaluate_many``."""
@@ -80,7 +77,7 @@ def score_block(genotypes, prob: ProblemInstance) -> Scored:
 
 def make_solution(assignment, prob: ProblemInstance) -> Solution:
     """Score one assignment (N,) as a block of one row."""
-    return score_block(np.asarray(assignment)[None], prob).solutions()[0]
+    return score_block(np.asarray(assignment)[None], prob).packer()(0)
 
 
 def dominates(au: float, aa: float, bu: float, ba: float) -> bool:
@@ -103,49 +100,67 @@ def constrained_dominates(a: Solution, b: Solution) -> bool:
     return not a.total_violation and pareto_dominates(a.objectives, b.objectives)
 
 
-def fast_nondominated_sort(population: list[Solution]) -> list[list[Solution]]:
-    """Partition a population into constrained-dominance fronts.
+def nondominated_rows(u: list[float], a: list[float], total: list[float]) -> list[list[int]]:
+    """Constrained-dominance fronts of rows (objectives u[i], a[i], total[i]), as row indices.
 
     Two objectives let one sort find the feasible fronts (Jensen, IEEE
-    TEC 2003): in order of decreasing (u, a), each member joins the
-    first front whose latest member does not dominate it.  Those latest
-    members dominate a newcomer up to some front and not from it on, so
-    a binary search finds that front.  The infeasible members follow,
-    one front per distinct total violation, least first.
+    TEC 2003): in order of decreasing (u, a), each row joins the first
+    front whose latest row does not dominate it.  Those latest rows
+    dominate a newcomer up to some front and not from it on, so a binary
+    search finds that front.  The infeasible rows follow, one front per
+    distinct total violation, least first.  Ties keep index order.
     """
     fronts = []
-    violation = attrgetter("total_violation")
-    for total, group in groupby(sorted(population, key=violation), key=violation):
-        if total:
+    for t, group in groupby(sorted(range(len(total)), key=total.__getitem__), key=total.__getitem__):
+        if t:
             fronts.append(list(group))
             continue
-        for s in sorted(group, key=lambda s: (-s.objectives.fog_utilization, -s.objectives.availability)):
-            k = bisect_left(
-                fronts, True, key=lambda front: not pareto_dominates(front[-1].objectives, s.objectives)
-            )
+        for i in sorted(group, key=lambda i: (-u[i], -a[i])):
+            ui, ai = u[i], a[i]
+            k = bisect_left(fronts, True, key=lambda front: not dominates(u[front[-1]], a[front[-1]], ui, ai))
             if k == len(fronts):
                 fronts.append([])
-            fronts[k].append(s)
+            fronts[k].append(i)
     return fronts
 
 
-def crowding_distance(front: list[Solution]) -> list[float]:
-    """NSGA-II crowding distance per front member (order independent)."""
+def row_crowding(front: Sequence[int], u: list[float], a: list[float], genotype: Sequence) -> list[float]:
+    """NSGA-II crowding distance of each row in ``front``; equal values are ordered by ``genotype[i]``."""
     n = len(front)
     if n == 0:
         return []
     dist = [0.0] * n
-    for key in (lambda s: s.objectives.fog_utilization, lambda s: s.objectives.availability):
-        order = sorted(range(n), key=lambda i: (key(front[i]), front[i].genotype))
-        lo, hi = key(front[order[0]]), key(front[order[-1]])
-        dist[order[0]] = dist[order[-1]] = float("inf")
-        span = hi - lo
+    for objective in (u, a):
+        values = [objective[i] for i in front]
+        order = sorted(range(n), key=lambda p: (values[p], genotype[front[p]]))
+        dist[order[0]] = dist[order[-1]] = math.inf
+        span = values[order[-1]] - values[order[0]]
         if span <= 0:
             continue
         for pos in range(1, n - 1):
-            gap = key(front[order[pos + 1]]) - key(front[order[pos - 1]])
-            dist[order[pos]] += gap / span
+            dist[order[pos]] += (values[order[pos + 1]] - values[order[pos - 1]]) / span
     return dist
+
+
+def _columns(population: Sequence[Solution]) -> list[list[float]]:
+    """The u, a and total violation lists of a list of solutions."""
+    return [[s.objectives.fog_utilization for s in population], [s.objectives.availability for s in population],
+            [s.total_violation for s in population]]
+
+
+def fast_nondominated_sort(population: list[Solution]) -> list[list[Solution]]:
+    """``nondominated_rows`` of a list of solutions: fronts of solutions."""
+    return [[population[i] for i in front] for front in nondominated_rows(*_columns(population))]
+
+
+def crowding_distance(front: list[Solution]) -> list[float]:
+    """``row_crowding`` of a front given as solutions."""
+    return row_crowding(range(len(front)), *_columns(front)[:2], [s.genotype for s in front])
+
+
+def _is_count(n) -> bool:
+    """Whether n is a whole number >= 1 that a float holds: 5.0, not 2.5, inf, NaN or 10**400."""
+    return 1 <= n <= sys.float_info.max and float(n).is_integer()
 
 
 class ParetoArchive:
@@ -168,8 +183,8 @@ class ParetoArchive:
     """
 
     def __init__(self, capacity: int = 100):
-        if not (float(capacity).is_integer() and capacity >= 1):
-            raise ValueError("capacity must be an integer >= 1")
+        if not _is_count(capacity):
+            raise ValueError("capacity must be an integer >= 1 within float range")
         self.capacity = capacity
         self.members: list[Solution] = []
         self.violation = math.inf
@@ -315,8 +330,8 @@ class AlgoParams:
         # a NaN weight would freeze the swarm, an infinite grid give NaN cells
         if not all(0 <= w < math.inf for w in (self.inertia, self.cognitive, self.social)):
             raise ValueError("inertia, cognitive and social must be finite and >= 0 (MOPSO move weights)")
-        if not all(float(n).is_integer() and n >= 1 for n in (self.archive_capacity, self.grid_divisions)):
-            raise ValueError("archive_capacity and grid_divisions must be integers >= 1")
+        if not all(_is_count(n) for n in (self.archive_capacity, self.grid_divisions)):
+            raise ValueError("archive_capacity and grid_divisions must be integers >= 1 within float range")
         probabilities = (self.crossover_prob, self.mutation_rate, self.mutation_prob)
         if not all(p is None or 0.0 <= p <= 1.0 for p in probabilities):
             raise ValueError("crossover_prob, mutation_rate and mutation_prob must lie in [0, 1]")
@@ -388,26 +403,12 @@ class Search:
         goes through ``ParetoArchive.add``.
         """
         scored = score_block(genomes, self.prob)
-        self._offer(scored, scored.packer())
-        return scored
-
-    def evaluate_solutions(self, genomes) -> list[Solution]:
-        """``evaluate_many`` for an optimizer that keeps every row: the
-        Solution of each row, packed once, and the archive holds the same
-        objects."""
-        scored = score_block(genomes, self.prob)
-        solutions = scored.solutions()
-        self._offer(scored, solutions.__getitem__)
-        return solutions
-
-    def _offer(self, scored: Scored, pack: Callable[[int], Solution]) -> None:
-        """Count a scored block and pass ``add`` the Solution of each row
-        that the archive admits, in order."""
         self.evaluations += len(scored.genotypes)
-        archive = self.archive
+        archive, pack = self.archive, scored.packer()
         for i, ((u, a), total) in enumerate(zip(scored.objectives.tolist(), scored.total.tolist())):
             if archive.admits(u, a, total):
                 archive.add(pack(i))
+        return scored
 
     def report(self, feasible: Sequence[bool]) -> None:
         """Hand the trace hook this generation's stats, given the

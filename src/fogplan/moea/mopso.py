@@ -12,7 +12,9 @@ applies a one-gene reset mutation.  The swarm moves synchronously
 guide from one grid of the archive's objective-space hypercubes, built
 once per generation, by roulette favoring sparsely populated cells;
 the swarm moves as one block and is scored in one batch, and only then
-are the personal bests updated.  Its draws, in order: k guide cells,
+are the personal bests updated.  Swarm and personal bests are rows
+(genotypes, objectives, total violation) updated in place, compared on
+their floats.  Its draws, in order: k guide cells,
 a member of each; each gene's source (unless all move weights are 0);
 a mutation flag per particle; the mutants' genes, then their new ids;
 the personal-best coin flips.
@@ -28,9 +30,10 @@ from ..fsdp import ProblemInstance
 from .common import (
     AlgoParams,
     ParetoArchive,
+    Scored,
     Search,
     Solution,
-    constrained_dominates,
+    dominates,
     initial_population,
 )
 
@@ -60,6 +63,13 @@ def _guide_grid(members: list[Solution], divisions: int) -> Callable[[np.random.
     return draw
 
 
+def _contest(u: float, a: float, total: float, bu: float, ba: float, best_total: float) -> tuple[bool, bool]:
+    """(wins, loses) of a new row against a personal best: ``constrained_dominates`` both ways, on floats."""
+    if total != best_total or total:
+        return total < best_total, best_total < total
+    return dominates(u, a, bu, ba), dominates(bu, ba, u, a)
+
+
 def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
     run = Search(prob, params, trace_hook)
     rng = run.rng
@@ -68,25 +78,29 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     pull = np.array([params.inertia, params.cognitive, params.social], dtype=float)
     pull = pull / pull.sum() if pull.sum() > 0 else None
 
-    current = run.evaluate_solutions(initial_population(prob, swarm, rng))
-    pbest = list(current)
-    run.report([s.feasible for s in current])
+    current = run.evaluate_many(initial_population(prob, swarm, rng))
+    pbest = Scored(*(column.copy() for column in current))
+    run.report(current.total == 0)
 
     while run.left:
         k = min(swarm, run.left)
         guides = _guide_grid(run.archive.members, params.grid_divisions)(rng, k)
-        hosts = np.array([s.genotype for s in current[:k] + pbest[:k] + guides], dtype=np.int64).reshape(3, k, n)
+        hosts = np.stack([current.genotypes[:k], pbest.genotypes[:k], np.array([s.genotype for s in guides])])
         source = 0 if pull is None else rng.choice(3, size=(k, n), p=pull)
         moves = hosts[source, np.arange(k)[:, None], np.arange(n)]
         mutants = np.flatnonzero(rng.random(k) < params.mutation_rate)
         where = rng.integers(0, n, size=mutants.size)
         moves[mutants, where] = rng.integers(0, prob.n_resources, size=mutants.size)
-        for i, sol in enumerate(run.evaluate_solutions(moves)):
-            current[i] = sol
-            if constrained_dominates(sol, pbest[i]) or (
-                not constrained_dominates(pbest[i], sol) and rng.random() < 0.5
-            ):
-                pbest[i] = sol
-        run.report([s.feasible for s in current])
+        scored = run.evaluate_many(moves)
+        won = []
+        rows = zip(scored.objectives.tolist(), scored.total.tolist(), pbest.objectives.tolist(), pbest.total.tolist())
+        for i, ((u, a), total, (bu, ba), best_total) in enumerate(rows):
+            wins, loses = _contest(u, a, total, bu, ba, best_total)
+            if wins or (not loses and rng.random() < 0.5):
+                won.append(i)
+        for kept, best, moved in zip(current, pbest, scored):
+            kept[:k] = moved
+            best[won] = moved[won]
+        run.report(current.total == 0)
 
     return run.archive

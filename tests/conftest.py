@@ -10,6 +10,7 @@ from fogplan.model import (
     Service,
 )
 from fogplan.moea import Solution
+from fogplan.moea.common import Scored
 from fogplan.scenario import ScenarioSpec, build_instance
 
 
@@ -133,6 +134,15 @@ def solution(genotype, objectives, violations):
     """A Solution whose total violation is its ViolationVector's, as a
     scored block computes it."""
     return Solution(genotype, objectives, violations.total())
+
+
+def scored_rows(solutions):
+    """The Scored block whose rows hold ``solutions``' fields."""
+    return Scored(
+        np.array([list(s.genotype) for s in solutions], dtype=np.int64),
+        np.array([s.objectives.as_tuple() for s in solutions]).reshape(-1, 2),
+        np.array([s.total_violation for s in solutions]),
+    )
 
 
 def random_solutions(rng, count, feasible_fraction=0.7, violation_levels=None):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_solutions, solution, tiny_instance
+from conftest import random_solutions, scored_rows, solution, tiny_instance
 from fogplan.errors import BadLattice, BudgetTooSmall, EmptyArchive, EmptyFront, LengthMismatch
 from fogplan.fsdp import ObjectiveVector, ProblemInstance, ViolationVector, audit_capacity, evaluate
 from fogplan.moea import (
@@ -31,6 +31,7 @@ from fogplan.moea import (
     tchebycheff,
 )
 from fogplan.moea.common import (
+    Scored,
     Search,
     greedy_anchors,
     initial_population,
@@ -269,7 +270,7 @@ class TestParetoArchive:
         assert archive.add(feas(0.5, 0.5))
         assert [m.feasible for m in archive] == [True]
 
-    @pytest.mark.parametrize("capacity", [0, -1, 2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("capacity", [0, -1, 2.5, float("nan"), float("inf"), pytest.param(10**400, id="10**400")])
     def test_capacity_must_be_an_integer_of_at_least_one(self, capacity):
         # a NaN capacity never truncates: nan < 1 and len > nan are both False
         with pytest.raises(ValueError, match="capacity"):
@@ -583,7 +584,9 @@ def test_search_evaluate_many_matches_a_loop_of_evaluate(monkeypatch):
         # the block's total and feasibility are ViolationVector's, bit for bit
         assert (total, total == 0) == (v.total(), v.is_zero())
     assert (scored.total == 0).any() and not (scored.total == 0).all()
-    packed = scored.solutions()
+    # the packer's Solution of every row is make_solution's of its genome
+    pack = scored.packer()
+    packed = [pack(i) for i in range(len(genomes))]
     assert packed == expected
     assert [s.total_violation for s in packed] == scored.total.tolist()
     assert batched.evaluations == 240
@@ -597,31 +600,18 @@ def test_search_evaluate_many_matches_a_loop_of_evaluate(monkeypatch):
     assert offered_by_search == admitted
     assert 0 < len(admitted) < 240
 
-    # evaluate_solutions packs each row once: add is offered the very
-    # objects it returns, and the archive ends as evaluate_many's does
-    offered.clear()
-    kept = Search(prob, params)
-    solutions = kept.evaluate_solutions(genomes)
-    assert solutions == expected
-    assert [s.total_violation for s in solutions] == [s.total_violation for s in packed]
-    assert offered == admitted
-    ids = {id(s) for s in solutions}
-    assert all(id(s) in ids for s in offered)
-    assert fields(kept.archive.members) == fields(looped.members)
-    assert all(id(m) in ids for m in kept.archive.members)
-    assert kept.evaluations == 240
-
 
 def test_nsga2_sorts_once_per_generation(monkeypatch):
     import fogplan.moea.nsga2 as nsga2
 
     sorts = []
+    row_sort = nsga2.nondominated_rows
 
-    def counting_sort(population):
-        sorts.append(len(population))
-        return fast_nondominated_sort(population)
+    def counting_sort(u, a, total):
+        sorts.append(len(total))
+        return row_sort(u, a, total)
 
-    monkeypatch.setattr(nsga2, "fast_nondominated_sort", counting_sort)
+    monkeypatch.setattr(nsga2, "nondominated_rows", counting_sort)
     reports = []
     nsga2.nsga2_run(tiny_instance(1), AlgoParams(max_evaluations=200), trace_hook=reports.append)
     # the initial population, then one sort of parents plus offspring per generation
@@ -659,12 +649,14 @@ def test_nsga2_selection_ignores_member_order():
     rng = np.random.default_rng(8)
     for _ in range(20):
         pop = random_solutions(rng, 60, violation_levels=3)
-        combined = pop + pop[:20]  # a population may hold one genotype twice
-        expected = _environmental_selection(combined, 40)
-        assert expected[1] == sorted(expected[1]) and len(expected[0]) == 40
+        combined = scored_rows(pop + pop[:20])  # a population may hold one genotype twice
+        survivors, standing = _environmental_selection(combined, 40)
+        assert standing == sorted(standing) and len(survivors.total) == 40
         for _ in range(5):
-            shuffled = [combined[i] for i in rng.permutation(len(combined))]
-            assert _environmental_selection(shuffled, 40) == expected
+            perm = rng.permutation(len(combined.total))
+            shuffled, shuffled_standing = _environmental_selection(Scored(*(column[perm] for column in combined)), 40)
+            assert shuffled_standing == standing
+            assert all((x == y).all() for x, y in zip(shuffled, survivors))
 
 
 # sorted (front, -crowding) keys, with ties, and all tied
@@ -837,6 +829,9 @@ class TestMopsoFrozenDynamics:
         # a NaN weight makes pull.sum() > 0 False, which would freeze the swarm
         dict(inertia=math.nan), dict(cognitive=math.inf), dict(social=math.nan),
         dict(archive_capacity=2.5), dict(archive_capacity=math.inf),
+        # float() of either overflows
+        pytest.param(dict(archive_capacity=10**400), id="archive_capacity=10**400"),
+        pytest.param(dict(grid_divisions=10**400), id="grid_divisions=10**400"),
         # an infinite grid would give NaN cells
         dict(grid_divisions=math.inf), dict(grid_divisions=math.nan), dict(grid_divisions=6.5),
         # an infinite or NaN budget never runs out; a float count fails deep in numpy
@@ -846,6 +841,10 @@ class TestMopsoFrozenDynamics:
     def test_non_finite_or_fractional_knob_rejected(self, knob):
         with pytest.raises(ValueError):
             AlgoParams(**knob)
+
+    def test_integral_float_counts_accepted(self):
+        params = AlgoParams(archive_capacity=5.0, grid_divisions=7.0)
+        assert (params.archive_capacity, params.grid_divisions) == (5, 7)
 
     def test_stationary_swarm(self):
         prob = tiny_instance(4)

@@ -1,0 +1,102 @@
+"""NSGA-II's row selection and MOPSO's float personal-best rule, each
+against its reference on packed ``Solution`` objects."""
+
+from array import array
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_solutions, scored_rows
+from fogplan.fsdp import ObjectiveVector
+from fogplan.moea import AlgoParams, Solution, constrained_dominates, crowding_distance, fast_nondominated_sort
+from fogplan.moea import nsga2
+from fogplan.moea.common import Scored
+from fogplan.moea.mopso import _contest
+from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
+
+POP = 40
+
+
+def reference_selection(block: Scored, pop_size: int):
+    """The ``pop_size`` best packed rows by (front, -crowding, genotype),
+    every front ranked, and their (front, -crowding) standings."""
+    pack = block.packer()
+    solutions = [pack(i) for i in range(len(block.total))]
+    ranked = []
+    for level, front in enumerate(fast_nondominated_sort(solutions)):
+        ranked.extend(((level, -d), s.genotype, s) for s, d in zip(front, crowding_distance(front)))
+    ranked.sort(key=lambda r: r[:2])
+    return [s for _, _, s in ranked[:pop_size]], [key for key, _, _ in ranked[:pop_size]]
+
+
+def assert_selects_like_the_reference(block: Scored, pop_size: int = POP):
+    survivors, standing = nsga2._environmental_selection(block, pop_size)
+    expected, expected_standing = reference_selection(block, pop_size)
+    assert standing == expected_standing
+    rows = list(zip(*(column.tolist() for column in survivors), strict=True))
+    assert rows == [(list(s.genotype), list(s.objectives.as_tuple()), s.total_violation) for s in expected]
+
+
+@pytest.fixture(scope="module")
+def run_blocks():
+    """Every block NSGA-II selected from in runs on ``paper`` and the
+    reference scenario replicated 16x, two seeds each."""
+    blocks = []
+    select = nsga2._environmental_selection
+
+    def recording(combined, pop_size):
+        blocks.append(Scored(*(column.copy() for column in combined)))
+        return select(combined, pop_size)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nsga2, "_environmental_selection", recording)
+        for seed in (0, 1):
+            for prob in (paper_scenario(seed), scaled_scenario(ScenarioSpec(seed=seed), 16)):
+                nsga2.nsga2_run(prob, AlgoParams(population_size=POP, seed=seed))
+    return blocks
+
+
+def test_row_selection_matches_the_reference_in_real_runs(run_blocks):
+    # the initial population, then parents plus offspring in each of 24 generations, per run
+    assert [len(block.total) for block in run_blocks] == ([POP] + [2 * POP] * 24) * 4
+    # mid-run blocks hold infeasible rows and genotypes more than once
+    assert any((block.total > 0).any() for block in run_blocks[1:])
+    assert any(len(np.unique(block.genotypes, axis=0)) < len(block.total) for block in run_blocks)
+    for block in run_blocks:
+        assert_selects_like_the_reference(block)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_row_selection_matches_the_reference_on_drawn_blocks(seed):
+    rng = np.random.default_rng(seed)
+    # infeasible rows share three violation levels, and objectives lie on a 5 x 5 grid
+    pop = random_solutions(rng, 2 * POP, violation_levels=3)
+    drawn = scored_rows(pop)
+    assert_selects_like_the_reference(drawn)
+    # a population may hold one genotype twice
+    twice = np.r_[0:60, 0:20]
+    assert_selects_like_the_reference(Scored(*(column[twice] for column in drawn)))
+    # equal objectives, so crowding ties, decided by genotypes whose ids need both bytes
+    # (256 > 255 only in big-endian byte order)
+    genotypes = rng.choice([0, 1, 255, 256, 257, 65535], size=(2 * POP, 3))
+    objectives = rng.integers(0, 3, size=(2 * POP, 2)) / 2
+    total = rng.choice([0.0, 0.0, 0.0, 1.0, 2.0], size=2 * POP)
+    assert_selects_like_the_reference(Scored(genotypes, objectives, total))
+
+
+# a row's objectives on a grid of quarters and its total equal, 0 or positive
+ROW = st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([0.0, 0.0, 0.5, 1.0]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ROW, ROW)
+def test_mopso_float_rule_is_constrained_dominance(new, best):
+    (u, a, total), (bu, ba, best_total) = new, best
+    u, a, bu, ba = u / 4, a / 4, bu / 4, ba / 4
+    moved = Solution(array("H", [0]), ObjectiveVector(u, a), total)
+    kept = Solution(array("H", [1]), ObjectiveVector(bu, ba), best_total)
+    assert _contest(u, a, total, bu, ba, best_total) == (
+        constrained_dominates(moved, kept), constrained_dominates(kept, moved)
+    )
