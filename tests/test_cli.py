@@ -109,6 +109,19 @@ class TestEvolutionExperiment:
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
         assert digest == expected
 
+    @pytest.mark.parametrize(("algo", "expected"), [
+        ("nsga2", "a7801110e2888b5b0116960b3e55034ae607c2282247b450efe4735fee7828cc"),
+        ("mopso", "9518a724f9cd40a508b1d64b7723018195c8a67adcef7e64c0e970c1681e573d"),
+    ])
+    def test_partial_generation_csv_bytes_pinned(self, tmp_path, monkeypatch, algo, expected):
+        # as test_moead_csv_bytes_pinned: the last generation holds 13 of 40,
+        # which the 200- and 400-evaluation pins never reach
+        monkeypatch.setenv("FOGPLAN_WORKERS", "1")
+        assert main(["--experiment", "evolution", "--algo", algo, "--seeds", "0..4",
+                     "--evals", "1013", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
+        assert digest == expected
+
     @pytest.mark.parametrize(("experiment", "expected"), [
         ("evolution", "080bb04e30ee4565e97cd7b5b4beb0ef2ec54ab4651a7dd89cf8d9dd2a913173"),
         ("deadline", "389769c9ad01622e7b610fdf614de6df6476b6c528e55b051a5e8692e1135f72"),
