@@ -159,8 +159,8 @@ def crowding_distance(front: list[Solution]) -> list[float]:
 
 
 def _is_count(n) -> bool:
-    """Whether n is a whole number >= 1 that a float holds: 5.0, not 2.5, inf, NaN or 10**400."""
-    return 1 <= n <= sys.float_info.max and float(n).is_integer()
+    """Whether n is a whole number >= 1 that a float holds: 5.0, not True, 2.5, inf, NaN or 10**400."""
+    return not isinstance(n, (bool, np.bool_)) and 1 <= n <= sys.float_info.max and float(n).is_integer()
 
 
 class ParetoArchive:
@@ -256,7 +256,8 @@ class ParetoArchive:
 
 
 def hypervolume_2d(front: list[ObjectiveVector], ref: ObjectiveVector) -> float:
-    """Area dominated by a maximized 2-objective front, bounded by ref."""
+    """Area dominated by a maximized 2-objective front, bounded by ref;
+    a point at or below ref in either objective adds nothing."""
     if not front:
         raise EmptyFront("hypervolume of an empty front")
     pts = sorted(
@@ -266,7 +267,7 @@ def hypervolume_2d(front: list[ObjectiveVector], ref: ObjectiveVector) -> float:
     hv = 0.0
     best_second = ref.availability
     for f1, f2 in pts:
-        if f2 > best_second:
+        if f2 > best_second and f1 > ref.fog_utilization:
             hv += (f1 - ref.fog_utilization) * (f2 - best_second)
             best_second = f2
     return hv
@@ -321,8 +322,9 @@ class AlgoParams:
 
     def __post_init__(self):
         # a float count fails deep in numpy, and an infinite or NaN budget never runs out
-        if not all(isinstance(n, (int, np.integer)) for n in (self.population_size, self.max_evaluations, self.seed)):
-            raise ValueError("population_size, max_evaluations and seed must be integers")
+        integers = (self.population_size, self.max_evaluations, self.seed)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in integers):
+            raise ValueError("population_size, max_evaluations and seed must be integers, not bools")
         if self.population_size < 4 or self.population_size % 2:
             raise ValueError("population_size must be >= 4 and even")
         if self.seed < 0:

@@ -33,6 +33,7 @@ from .common import (
     AlgoParams,
     ParetoArchive,
     Search,
+    _is_count,
     initial_population,
     reset_mutation,
     uniform_crossover,
@@ -41,8 +42,8 @@ from .common import (
 
 def simplex_lattice_weights(resolution: int) -> np.ndarray:
     """Two-objective simplex-lattice weight vectors (i/H, 1 - i/H)."""
-    if resolution < 1:
-        raise BadLattice(f"lattice resolution {resolution} < 1")
+    if not _is_count(resolution):
+        raise BadLattice(f"lattice resolution {resolution} is not an integer >= 1")
     steps = np.arange(resolution + 1) / resolution
     return np.column_stack([steps, 1.0 - steps])
 

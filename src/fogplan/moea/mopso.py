@@ -14,34 +14,26 @@ once per generation, by roulette favoring sparsely populated cells;
 the swarm moves as one block and is scored in one batch, and only then
 are the personal bests updated.  Swarm and personal bests are rows
 (genotypes, objectives, total violation) updated in place, compared on
-their floats.  Its draws, in order: k guide cells,
-a member of each; each gene's source (unless all move weights are 0);
-a mutation flag per particle; the mutants' genes, then their new ids;
-the personal-best coin flips.
+their floats.  A generation is a fixed set of array expressions: one
+uniform per gene, held against the cumulative move shares, picks its
+source, and a row takes its personal best's place by one mask.  Its
+draws, in order: k guide cells, a member of each; one uniform per gene
+(unless all move weights are 0); a mutation flag per particle; the
+mutants' genes, then their new ids; one block of personal-best coin
+flips, one per tie.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from ..fsdp import ProblemInstance
-from .common import (
-    AlgoParams,
-    ParetoArchive,
-    Scored,
-    Search,
-    Solution,
-    dominates,
-    initial_population,
-)
+from .common import AlgoParams, ParetoArchive, Scored, Search, Solution, initial_population
 
 
-def _guide_grid(members: list[Solution], divisions: int) -> Callable[[np.random.Generator, int], list[Solution]]:
-    """The guide draw of one generation: ``draw(rng, k)`` picks k cells by
-    roulette over the archive's hypercube cells, sparse cells favored,
-    then a member of each."""
+def _guides(members: list[Solution], divisions: int, rng: np.random.Generator, k: int) -> np.ndarray:
+    """The (k, N) genotypes of k guides: k cells by roulette over the
+    archive's hypercube cells, sparse cells favored, then a member of each."""
     objs = np.array([[m.objectives.fog_utilization, m.objectives.availability] for m in members])
     lo = objs.min(axis=0)
     hi = objs.max(axis=0)
@@ -55,19 +47,27 @@ def _guide_grid(members: list[Solution], divisions: int) -> Callable[[np.random.
     p = 1.0 / sizes / (1.0 / sizes).sum()
     # the members cell by cell, each cell's in order, and where each cell starts
     by_cell, starts = np.argsort(cell_of, kind="stable"), np.cumsum(sizes) - sizes
-
-    def draw(rng: np.random.Generator, k: int) -> list[Solution]:
-        picked = rng.choice(len(sizes), size=k, p=p)
-        return [members[i] for i in by_cell[starts[picked] + rng.integers(0, sizes[picked])]]
-
-    return draw
+    picked = rng.choice(len(sizes), size=k, p=p)
+    return np.array([members[i].genotype for i in by_cell[starts[picked] + rng.integers(0, sizes[picked])]])
 
 
-def _contest(u: float, a: float, total: float, bu: float, ba: float, best_total: float) -> tuple[bool, bool]:
-    """(wins, loses) of a new row against a personal best: ``constrained_dominates`` both ways, on floats."""
-    if total != best_total or total:
-        return total < best_total, best_total < total
-    return dominates(u, a, bu, ba), dominates(bu, ba, u, a)
+def _improves(new: Scored, best: Scored, rng: np.random.Generator) -> np.ndarray:
+    """Which rows of ``new`` take their personal best's place: those where
+    ``constrained_dominates(new, best)``, and a coin where neither dominates."""
+    x, y, feasible = new.objectives, best.objectives, (new.total == 0) & (best.total == 0)
+    wins = np.where(feasible, (x >= y).all(axis=1) & (x > y).any(axis=1), new.total < best.total)
+    ties = ~wins & ~np.where(feasible, (y >= x).all(axis=1) & (y > x).any(axis=1), best.total < new.total)
+    wins[ties] = rng.random(np.count_nonzero(ties)) < 0.5
+    return wins
+
+
+def _move(rng: np.random.Generator, pull: np.ndarray, stay: np.ndarray, own: np.ndarray, guide: np.ndarray) -> np.ndarray:
+    """Each gene from ``stay``, ``own`` or ``guide`` with probabilities ``pull``, as
+    ``Generator.choice`` picks them: one uniform per gene against the cumulative shares."""
+    shares = pull.cumsum()
+    shares /= shares[-1]
+    u = rng.random(stay.shape)
+    return np.where(u < shares[0], stay, np.where(u < shares[1], own, guide))
 
 
 def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
@@ -84,23 +84,17 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
 
     while run.left:
         k = min(swarm, run.left)
-        guides = _guide_grid(run.archive.members, params.grid_divisions)(rng, k)
-        hosts = np.stack([current.genotypes[:k], pbest.genotypes[:k], np.array([s.genotype for s in guides])])
-        source = 0 if pull is None else rng.choice(3, size=(k, n), p=pull)
-        moves = hosts[source, np.arange(k)[:, None], np.arange(n)]
+        guides = _guides(run.archive.members, params.grid_divisions, rng, k)
+        stay = current.genotypes[:k]
+        moves = stay.copy() if pull is None else _move(rng, pull, stay, pbest.genotypes[:k], guides)
         mutants = np.flatnonzero(rng.random(k) < params.mutation_rate)
         where = rng.integers(0, n, size=mutants.size)
         moves[mutants, where] = rng.integers(0, prob.n_resources, size=mutants.size)
         scored = run.evaluate_many(moves)
-        won = []
-        rows = zip(scored.objectives.tolist(), scored.total.tolist(), pbest.objectives.tolist(), pbest.total.tolist())
-        for i, ((u, a), total, (bu, ba), best_total) in enumerate(rows):
-            wins, loses = _contest(u, a, total, bu, ba, best_total)
-            if wins or (not loses and rng.random() < 0.5):
-                won.append(i)
+        won = _improves(scored, Scored(*(column[:k] for column in pbest)), rng)
         for kept, best, moved in zip(current, pbest, scored):
             kept[:k] = moved
-            best[won] = moved[won]
+            best[:k][won] = moved[won]
         run.report(current.total == 0)
 
     return run.archive

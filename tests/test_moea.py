@@ -38,7 +38,7 @@ from fogplan.moea.common import (
     reset_mutation,
     uniform_crossover,
 )
-from fogplan.moea.mopso import _guide_grid
+from fogplan.moea.mopso import _guides
 from fogplan.scenario import (
     ResourceTemplate,
     ScenarioSpec,
@@ -270,7 +270,7 @@ class TestParetoArchive:
         assert archive.add(feas(0.5, 0.5))
         assert [m.feasible for m in archive] == [True]
 
-    @pytest.mark.parametrize("capacity", [0, -1, 2.5, float("nan"), float("inf"), pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("capacity", [0, -1, 2.5, float("nan"), float("inf"), pytest.param(10**400, id="10**400"), True])
     def test_capacity_must_be_an_integer_of_at_least_one(self, capacity):
         # a NaN capacity never truncates: nan < 1 and len > nan are both False
         with pytest.raises(ValueError, match="capacity"):
@@ -420,6 +420,13 @@ class TestHypervolume:
         with pytest.raises(EmptyFront):
             hypervolume_2d([], self.REF)
 
+    def test_point_left_of_reference_adds_nothing(self):
+        ref = ObjectiveVector(0.6, 0.0)
+        assert hypervolume_2d([ObjectiveVector(0.5, 0.9)], ref) == 0.0
+        assert hypervolume_2d([ObjectiveVector(0.6, 0.9)], ref) == 0.0
+        front = [ObjectiveVector(0.8, 0.2), ObjectiveVector(0.5, 0.9)]
+        assert hypervolume_2d(front, ref) == pytest.approx(0.2 * 0.2)
+
 
 class TestSelectCompromise:
     def _archive(self, sols):
@@ -474,8 +481,10 @@ class TestMoeadPieces:
         assert best[0] == max(p[0] for p in pts)
 
     def test_bad_lattice(self):
-        with pytest.raises(BadLattice):
-            simplex_lattice_weights(0)
+        # 2.5 would give the weights (1.2, -0.2)
+        for resolution in (0, 2.5, math.inf, math.nan, 10**400):
+            with pytest.raises(BadLattice):
+                simplex_lattice_weights(resolution)
 
 
 @pytest.mark.parametrize("name", list(ALGORITHMS))
@@ -624,23 +633,16 @@ def test_mopso_builds_its_guide_grid_once_per_generation(monkeypatch):
 
     draws = []
 
-    def counting_grid(members, divisions):
-        grid = len(draws)
-        draws.append([])
-        draw = _guide_grid(members, divisions)
+    def counting_guides(members, divisions, rng, k):
+        draws.append(k)
+        return _guides(members, divisions, rng, k)
 
-        def counting_draw(rng, k):
-            draws[grid].append(k)
-            return draw(rng, k)
-
-        return counting_draw
-
-    monkeypatch.setattr(mopso, "_guide_grid", counting_grid)
+    monkeypatch.setattr(mopso, "_guides", counting_guides)
     reports = []
     mopso.mopso_run(tiny_instance(1), AlgoParams(max_evaluations=200), trace_hook=reports.append)
-    # the initial swarm, then one grid per generation and one draw of the whole swarm's guides
+    # the initial swarm, then per generation one grid and one draw of the whole swarm's guides
     assert len(reports) == 5
-    assert draws == [[40]] * 4
+    assert draws == [40] * 4
 
 
 def test_nsga2_selection_ignores_member_order():
@@ -837,6 +839,8 @@ class TestMopsoFrozenDynamics:
         # an infinite or NaN budget never runs out; a float count fails deep in numpy
         dict(max_evaluations=math.inf), dict(max_evaluations=math.nan), dict(max_evaluations=100.5),
         dict(population_size=40.0), dict(seed=1.5),
+        # a bool is an int to isinstance, but no count or seed
+        dict(seed=True), dict(archive_capacity=True), dict(grid_divisions=True),
     ], ids=lambda knob: "{}={}".format(*next(iter(knob.items()))))
     def test_non_finite_or_fractional_knob_rejected(self, knob):
         with pytest.raises(ValueError):
@@ -857,8 +861,8 @@ class TestMopsoFrozenDynamics:
     def test_guide_counts_only_occupied_cells(self, divisions):
         # a cell table of divisions**2 entries would need exabytes here
         members = [feas(0.1 * i, 1.0 - 0.1 * i, genotype=(i,)) for i in range(9)]
-        guide = _guide_grid(members, divisions)(np.random.default_rng(0), 1)[0]
-        assert any(guide is m for m in members)
+        guide = _guides(members, divisions, np.random.default_rng(0), 1)[0].tolist()
+        assert any(guide == list(m.genotype) for m in members)
 
     @pytest.mark.parametrize("divisions", [7, 10**9, 2**40])
     def test_guide_cells_match_unique_over_rows(self, divisions):
@@ -892,9 +896,10 @@ class TestMopsoFrozenDynamics:
                 members = [feas(float(x), float(y), genotype=(i,)) for i, (x, y) in enumerate(zip(u, a))]
                 members.append(feas(1.0, 1.0, genotype=(count,)))
             seed = int(rng.integers(1 << 30))
-            got = _guide_grid(members, divisions)(np.random.default_rng(seed), 40)
+            # every member's genotype is its own, so a genotype row names the member drawn
+            got = _guides(members, divisions, np.random.default_rng(seed), 40)
             want = axis0_draw(members, np.random.default_rng(seed), 40)
-            assert all(g is w for g, w in zip(got, want))
+            assert got.tolist() == [list(w.genotype) for w in want]
 
     @pytest.mark.parametrize("divisions", [1, 2, 3, 7, 50])
     def test_guide_roulette_over_occupied_cells(self, divisions):
@@ -914,4 +919,4 @@ class TestMopsoFrozenDynamics:
             cell = occupied[expect.choice(len(occupied), p=weights / weights.sum())]
             candidates = np.flatnonzero(keys == cell)
             want = members[candidates[expect.integers(0, len(candidates))]]
-            assert _guide_grid(members, divisions)(np.random.default_rng(seed), 1)[0] is want
+            assert _guides(members, divisions, np.random.default_rng(seed), 1).tolist() == [list(want.genotype)]

@@ -1,5 +1,6 @@
-"""NSGA-II's row selection and MOPSO's float personal-best rule, each
-against its reference on packed ``Solution`` objects."""
+"""NSGA-II's row selection and MOPSO's personal-best mask, each against
+its reference on packed ``Solution`` objects, and MOPSO's move against
+``Generator.choice``."""
 
 from array import array
 
@@ -13,7 +14,7 @@ from fogplan.fsdp import ObjectiveVector
 from fogplan.moea import AlgoParams, Solution, constrained_dominates, crowding_distance, fast_nondominated_sort
 from fogplan.moea import nsga2
 from fogplan.moea.common import Scored
-from fogplan.moea.mopso import _contest
+from fogplan.moea.mopso import _improves, _move
 from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
 
 POP = 40
@@ -91,12 +92,33 @@ ROW = st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([0.0, 0.0,
 
 
 @settings(max_examples=500, deadline=None)
-@given(ROW, ROW)
-def test_mopso_float_rule_is_constrained_dominance(new, best):
-    (u, a, total), (bu, ba, best_total) = new, best
-    u, a, bu, ba = u / 4, a / 4, bu / 4, ba / 4
-    moved = Solution(array("H", [0]), ObjectiveVector(u, a), total)
-    kept = Solution(array("H", [1]), ObjectiveVector(bu, ba), best_total)
-    assert _contest(u, a, total, bu, ba, best_total) == (
-        constrained_dominates(moved, kept), constrained_dominates(kept, moved)
-    )
+@given(st.lists(st.tuples(ROW, ROW), min_size=1, max_size=40), st.integers(0, 2**32 - 1))
+def test_mopso_float_rule_is_constrained_dominance(pairs, seed):
+    """Each row wins where it constrained-dominates its personal best, and
+    by a coin where neither dominates the other; the coins are the scalar
+    ``random()`` draws of the ties in row order."""
+    moved = [Solution(array("H", [0]), ObjectiveVector(u / 4, a / 4), total) for (u, a, total), _ in pairs]
+    kept = [Solution(array("H", [1]), ObjectiveVector(u / 4, a / 4), total) for _, (u, a, total) in pairs]
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    wins = _improves(scored_rows(moved), scored_rows(kept), rng)
+    assert wins.tolist() == [
+        constrained_dominates(m, b) or (not constrained_dominates(b, m) and reference.random() < 0.5)
+        for m, b in zip(moved, kept)
+    ]
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+# the default weights, each source alone, two sources, and a share near 0
+@pytest.mark.parametrize("weights", [(0.4, 1.5, 1.5), (1, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 2), (1e-9, 1, 1)])
+def test_mopso_move_picks_what_choice_picks(weights):
+    pull = np.array(weights, dtype=float) / sum(weights)
+    shape = np.random.default_rng(len(weights))
+    for seed in range(30):
+        k, n = int(shape.integers(1, POP + 1)), int(shape.integers(1, 30))
+        # each source's ids in its own range, so an id names its source
+        hosts = np.arange(3)[:, None, None] * 1000 + shape.integers(0, 1000, size=(3, k, n))
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        source = reference.choice(3, size=(k, n), p=pull)
+        want = hosts[source, np.arange(k)[:, None], np.arange(n)]
+        assert (_move(rng, pull, *hosts) == want).all()
+        assert rng.bit_generator.state == reference.bit_generator.state
