@@ -8,19 +8,18 @@ move draws every gene from the particle's current host, its personal
 best's host or its guide's host, with probabilities in the ratio
 inertia : cognitive : social (all zero keeps the particle still), then
 applies a one-gene reset mutation.  The swarm moves synchronously
-(Coello, Pulido & Lechuga, IEEE TEC 2004): every particle draws its
-guide from one grid of the archive's objective-space hypercubes, built
-once per generation, by roulette favoring sparsely populated cells;
-the swarm moves as one block and is scored in one batch, and only then
-are the personal bests updated.  Swarm and personal bests are rows
-(genotypes, objectives, total violation) updated in place, compared on
-their floats.  A generation is a fixed set of array expressions: one
-uniform per gene, held against the cumulative move shares, picks its
-source, and a row takes its personal best's place by one mask.  Its
-draws, in order: k guide cells, a member of each; one uniform per gene
-(unless all move weights are 0); a mutation flag per particle; the
-mutants' genes, then their new ids; one block of personal-best coin
-flips, one per tie.
+(Coello, Pulido & Lechuga, IEEE TEC 2004): one call per generation
+builds a grid of the archive's objective-space hypercubes and draws
+every guide's genotype from it, by roulette favoring sparsely populated
+cells; the swarm moves as one block and is scored in one batch, and
+only then are the personal bests updated, by one mask over the rows.
+Swarm and personal bests are rows (genotypes, objectives, total
+violation) updated in place, compared on their floats.  Its draws, in
+order: k guide cells, a member of each; one uniform per gene, held
+against the cumulative move shares as ``Generator.choice`` sums them
+(none if all move weights are 0); a mutation flag per particle; the
+mutants' genes, then their new ids; one block of personal-best coins,
+one per row where neither row dominates.
 """
 
 from __future__ import annotations
@@ -28,7 +27,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..fsdp import ProblemInstance
-from .common import AlgoParams, ParetoArchive, Scored, Search, Solution, initial_population
+from .common import (
+    AlgoParams,
+    ParetoArchive,
+    Scored,
+    Search,
+    Solution,
+    initial_population,
+)
 
 
 def _guides(members: list[Solution], divisions: int, rng: np.random.Generator, k: int) -> np.ndarray:
@@ -61,22 +67,17 @@ def _improves(new: Scored, best: Scored, rng: np.random.Generator) -> np.ndarray
     return wins
 
 
-def _move(rng: np.random.Generator, pull: np.ndarray, stay: np.ndarray, own: np.ndarray, guide: np.ndarray) -> np.ndarray:
-    """Each gene from ``stay``, ``own`` or ``guide`` with probabilities ``pull``, as
-    ``Generator.choice`` picks them: one uniform per gene against the cumulative shares."""
-    shares = pull.cumsum()
-    shares /= shares[-1]
-    u = rng.random(stay.shape)
-    return np.where(u < shares[0], stay, np.where(u < shares[1], own, guide))
-
-
 def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
     run = Search(prob, params, trace_hook)
     rng = run.rng
     n = prob.n_services
     swarm = params.population_size
     pull = np.array([params.inertia, params.cognitive, params.social], dtype=float)
-    pull = pull / pull.sum() if pull.sum() > 0 else None
+    moving = pull.sum() > 0
+    # Generator.choice's cdf of the weights: a gene's uniform below the first share
+    # keeps its host, below the second takes its personal best's, else its guide's
+    shares = (pull / pull.sum()).cumsum() if moving else np.ones(3)
+    shares /= shares[-1]
 
     current = run.evaluate_many(initial_population(prob, swarm, rng))
     pbest = Scored(*(column.copy() for column in current))
@@ -85,8 +86,8 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     while run.left:
         k = min(swarm, run.left)
         guides = _guides(run.archive.members, params.grid_divisions, rng, k)
-        stay = current.genotypes[:k]
-        moves = stay.copy() if pull is None else _move(rng, pull, stay, pbest.genotypes[:k], guides)
+        u = rng.random((k, n)) if moving else 0.0
+        moves = np.where(u < shares[0], current.genotypes[:k], np.where(u < shares[1], pbest.genotypes[:k], guides))
         mutants = np.flatnonzero(rng.random(k) < params.mutation_rate)
         where = rng.integers(0, n, size=mutants.size)
         moves[mutants, where] = rng.integers(0, prob.n_resources, size=mutants.size)

@@ -1,6 +1,6 @@
 """NSGA-II's row selection and MOPSO's personal-best mask, each against
-its reference on packed ``Solution`` objects, and MOPSO's move against
-``Generator.choice``."""
+its reference on packed ``Solution`` objects, and MOPSO's threshold move
+against a run that draws each gene's source by ``Generator.choice``."""
 
 from array import array
 
@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from conftest import random_solutions, scored_rows
 from fogplan.fsdp import ObjectiveVector
 from fogplan.moea import AlgoParams, Solution, constrained_dominates, crowding_distance, fast_nondominated_sort
-from fogplan.moea import nsga2
-from fogplan.moea.common import Scored
-from fogplan.moea.mopso import _improves, _move
+from fogplan.moea import mopso, nsga2
+from fogplan.moea.common import Scored, Search, initial_population
 from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
 
 POP = 40
@@ -100,7 +99,7 @@ def test_mopso_float_rule_is_constrained_dominance(pairs, seed):
     moved = [Solution(array("H", [0]), ObjectiveVector(u / 4, a / 4), total) for (u, a, total), _ in pairs]
     kept = [Solution(array("H", [1]), ObjectiveVector(u / 4, a / 4), total) for _, (u, a, total) in pairs]
     rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    wins = _improves(scored_rows(moved), scored_rows(kept), rng)
+    wins = mopso._improves(scored_rows(moved), scored_rows(kept), rng)
     assert wins.tolist() == [
         constrained_dominates(m, b) or (not constrained_dominates(b, m) and reference.random() < 0.5)
         for m, b in zip(moved, kept)
@@ -108,17 +107,37 @@ def test_mopso_float_rule_is_constrained_dominance(pairs, seed):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
+def choice_move_run(prob, params):
+    """``mopso_run`` with each gene's source drawn by ``Generator.choice``
+    and gathered from the stacked current, personal-best and guide hosts."""
+    run = Search(prob, params)
+    rng, n, swarm = run.rng, prob.n_services, params.population_size
+    pull = np.array([params.inertia, params.cognitive, params.social])
+    current = run.evaluate_many(initial_population(prob, swarm, rng))
+    pbest = Scored(*(column.copy() for column in current))
+    while run.left:
+        k = min(swarm, run.left)
+        guides = mopso._guides(run.archive.members, params.grid_divisions, rng, k)
+        hosts = np.stack([current.genotypes[:k], pbest.genotypes[:k], guides])
+        source = rng.choice(3, size=(k, n), p=pull / pull.sum())
+        moves = hosts[source, np.arange(k)[:, None], np.arange(n)]
+        mutants = np.flatnonzero(rng.random(k) < params.mutation_rate)
+        where = rng.integers(0, n, size=mutants.size)
+        moves[mutants, where] = rng.integers(0, prob.n_resources, size=mutants.size)
+        scored = run.evaluate_many(moves)
+        won = mopso._improves(scored, Scored(*(column[:k] for column in pbest)), rng)
+        for kept, best, moved in zip(current, pbest, scored):
+            kept[:k] = moved
+            best[:k][won] = moved[won]
+    return run.archive
+
+
 # the default weights, each source alone, two sources, and a share near 0
 @pytest.mark.parametrize("weights", [(0.4, 1.5, 1.5), (1, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 2), (1e-9, 1, 1)])
-def test_mopso_move_picks_what_choice_picks(weights):
-    pull = np.array(weights, dtype=float) / sum(weights)
-    shape = np.random.default_rng(len(weights))
-    for seed in range(30):
-        k, n = int(shape.integers(1, POP + 1)), int(shape.integers(1, 30))
-        # each source's ids in its own range, so an id names its source
-        hosts = np.arange(3)[:, None, None] * 1000 + shape.integers(0, 1000, size=(3, k, n))
-        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-        source = reference.choice(3, size=(k, n), p=pull)
-        want = hosts[source, np.arange(k)[:, None], np.arange(n)]
-        assert (_move(rng, pull, *hosts) == want).all()
-        assert rng.bit_generator.state == reference.bit_generator.state
+def test_mopso_threshold_move_picks_what_choice_picks(weights):
+    inertia, cognitive, social = weights
+    for seed in (0, 1):
+        # 1013 evaluations end on a partial generation of 13
+        params = AlgoParams(seed=seed, max_evaluations=1013, inertia=inertia, cognitive=cognitive, social=social)
+        prob = paper_scenario(seed)
+        assert mopso.mopso_run(prob, params).members == choice_move_run(prob, params).members
