@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import groupby
-from operator import neg
+from operator import itemgetter, neg
 from typing import NamedTuple
 
 import numpy as np
@@ -100,46 +100,55 @@ def constrained_dominates(a: Solution, b: Solution) -> bool:
     return not a.total_violation and pareto_dominates(a.objectives, b.objectives)
 
 
-def nondominated_rows(u: list[float], a: list[float], total: list[float]) -> list[list[int]]:
-    """Constrained-dominance fronts of rows (objectives u[i], a[i], total[i]), as row indices.
+def nondominated_rows(u: list[float], a: list[float], total: list[float]) -> list[list[list[int]]]:
+    """Constrained-dominance fronts of rows (objectives u[i], a[i], total[i]).
 
-    Two objectives let one sort find the feasible fronts (Jensen, IEEE
-    TEC 2003): in order of decreasing (u, a), each row joins the first
-    front whose latest row does not dominate it.  Those latest rows
-    dominate a newcomer up to some front and not from it on, so a binary
-    search finds that front.  The infeasible rows follow, one front per
-    distinct total violation, least first.  Ties keep index order.
+    Rows that share a point (total, u, a) share a front, so a front is a
+    list of point groups, each group its rows in index order.  Two
+    objectives let one sort find the feasible fronts (Jensen, IEEE TEC
+    2003): in order of decreasing (u, a), each point joins the first
+    front whose latest point does not dominate it.  The points being
+    distinct, that latest point dominates the newcomer exactly when its
+    availability is at least the newcomer's.  Those availabilities never
+    rise from front to front, so one bisect on their negations finds the
+    front, and each feasible front is a staircase: its points come in
+    order of falling u and rising a.  The infeasible rows follow, one
+    front per distinct total violation, least first, its points in order
+    of first appearance.
     """
-    fronts = []
-    for t, group in groupby(sorted(range(len(total)), key=total.__getitem__), key=total.__getitem__):
-        if t:
-            fronts.append(list(group))
-            continue
-        for i in sorted(group, key=lambda i: (-u[i], -a[i])):
-            ui, ai = u[i], a[i]
-            k = bisect_left(fronts, True, key=lambda front: not dominates(u[front[-1]], a[front[-1]], ui, ai))
-            if k == len(fronts):
-                fronts.append([])
-            fronts[k].append(i)
+    groups: dict[tuple[float, float, float], list[int]] = {}
+    for i, point in enumerate(zip(total, u, a)):
+        groups.setdefault(point, []).append(i)
+    fronts, tails = [], []  # tails[k]: minus the availability of front k's latest point
+    for point in sorted([p for p in groups if not p[0]], reverse=True):
+        k = bisect_right(tails, -point[2])
+        tails[k:k + 1] = [-point[2]]
+        if k == len(fronts):
+            fronts.append([])
+        fronts[k].append(groups[point])
+    infeasible = sorted([p for p in groups if p[0]], key=itemgetter(0))
+    fronts.extend([groups[p] for p in level] for _, level in groupby(infeasible, key=itemgetter(0)))
     return fronts
 
 
-def row_crowding(front: Sequence[int], u: list[float], a: list[float], genotype: Sequence) -> list[float]:
-    """NSGA-II crowding distance of each row in ``front``; equal values are ordered by ``genotype[i]``."""
-    n = len(front)
-    if n == 0:
-        return []
-    dist = [0.0] * n
-    for objective in (u, a):
-        values = [objective[i] for i in front]
-        order = sorted(range(n), key=lambda p: (values[p], genotype[front[p]]))
-        dist[order[0]] = dist[order[-1]] = math.inf
-        span = values[order[-1]] - values[order[0]]
+def value_walks(rows: Sequence[int], u: list[float], a: list[float], genotype: Sequence) -> list[list[int]]:
+    """``rows`` in ascending (u, genotype) and in ascending (a, genotype)
+    order; equal keys keep their order in ``rows``."""
+    return [sorted(rows, key=lambda i: (objective[i], genotype[i])) for objective in (u, a)]
+
+
+def row_crowding(dist: list[float], walks: Sequence[list[int]], u: list[float], a: list[float]) -> None:
+    """Add the NSGA-II crowding distance of one front's rows to ``dist``,
+    which holds 0.0 for them; ``walks`` are the front's rows in ascending
+    u and in ascending a order, as ``value_walks`` gives them."""
+    for objective, walk in zip((u, a), walks):
+        first, last = walk[0], walk[-1]
+        dist[first] = dist[last] = math.inf
+        span = objective[last] - objective[first]
         if span <= 0:
             continue
-        for pos in range(1, n - 1):
-            dist[order[pos]] += (values[order[pos + 1]] - values[order[pos - 1]]) / span
-    return dist
+        for before, row, after in zip(walk, walk[1:], walk[2:]):
+            dist[row] += (objective[after] - objective[before]) / span
 
 
 def _columns(population: Sequence[Solution]) -> list[list[float]]:
@@ -150,12 +159,17 @@ def _columns(population: Sequence[Solution]) -> list[list[float]]:
 
 def fast_nondominated_sort(population: list[Solution]) -> list[list[Solution]]:
     """``nondominated_rows`` of a list of solutions: fronts of solutions."""
-    return [[population[i] for i in front] for front in nondominated_rows(*_columns(population))]
+    fronts = nondominated_rows(*_columns(population))
+    return [[population[i] for group in front for i in group] for front in fronts]
 
 
 def crowding_distance(front: list[Solution]) -> list[float]:
-    """``row_crowding`` of a front given as solutions."""
-    return row_crowding(range(len(front)), *_columns(front)[:2], [s.genotype for s in front])
+    """``row_crowding`` of a front given as solutions; equal values are ordered by genotype."""
+    u, a, _ = _columns(front)
+    dist = [0.0] * len(front)
+    if front:
+        row_crowding(dist, value_walks(range(len(front)), u, a, [s.genotype for s in front]), u, a)
+    return dist
 
 
 def _is_count(n) -> bool:

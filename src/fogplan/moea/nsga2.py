@@ -12,6 +12,9 @@ non-dominated feasible solution seen during the run.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import ne
+
 import numpy as np
 
 from ..fsdp import ProblemInstance
@@ -26,6 +29,7 @@ from .common import (
     reset_mutation,
     row_crowding,
     uniform_crossover,
+    value_walks,
 )
 
 
@@ -35,13 +39,13 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     rng = run.rng
 
     population = run.evaluate_many(initial_population(prob, pop_size, rng))
-    population, standing = _environmental_selection(population, pop_size)
+    population, rank, _ = _environmental_selection(population, pop_size)
     run.report(population.total == 0)
 
     while run.left:
         k = min(pop_size, run.left)
         pairs = -(-k // 2)
-        p1, p2 = population.genotypes[_tournament(standing, (2, pairs), rng)]
+        p1, p2 = population.genotypes[_tournament(rank, (2, pairs), rng)]
         c1, c2 = uniform_crossover(p1, p2, rng)
         cross = (rng.random(pairs) < params.crossover_prob)[:, None]
         # children c1, c2 of each pair in turn
@@ -49,38 +53,53 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         children = reset_mutation(children[:k], run.mutation_prob, prob.n_resources, rng)
         offspring = run.evaluate_many(children)
         combined = Scored(*map(np.concatenate, zip(population, offspring)))
-        population, standing = _environmental_selection(combined, pop_size)
+        population, rank, _ = _environmental_selection(combined, pop_size)
         run.report(population.total == 0)
 
     return run.archive
 
 
-def _tournament(standing, size: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Winners of binary tournaments on sorted keys: the lower key, then the first drawn."""
-    rank = np.cumsum([0] + [a != b for a, b in zip(standing, standing[1:])])  # dense
+def _tournament(rank: np.ndarray, size: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Winners of binary tournaments on ranks: the lower rank, then the first drawn."""
     i, j = rng.integers(0, len(rank), size=(2, *size))
     return np.where(rank[j] < rank[i], j, i)
 
 
-def _environmental_selection(combined: Scored, pop_size: int) -> tuple[Scored, list[tuple[int, float]]]:
+def _environmental_selection(combined: Scored, pop_size: int) -> tuple[Scored, np.ndarray, list[tuple[int, float]]]:
     """The ``pop_size`` best rows of ``combined`` by the crowded
-    comparison, in rank order, and a parallel list of each one's
-    (front, -crowding).
+    comparison, in rank order; the dense rank of each one's (front,
+    -crowding), and that (front, -crowding).
 
     Rows rank by (front, -crowding, genotype), each crowding distance
     taken on its whole front (Deb et al., IEEE TEC 2002), so the result
     depends on the rows' values and not on their order in ``combined``.
     A genotype compares as its big-endian two-byte ids, like their tuple.
+    A feasible front is a staircase of point groups, so its walks in
+    ascending u and a are its groups backwards and forwards, each
+    group's rows ordered by genotype: only an infeasible front is sorted.
     """
     u, a = combined.objectives.T.tolist()
-    width, ids = 2 * combined.genotypes.shape[1], combined.genotypes.astype(">u2").tobytes()
-    genotype = [ids[i * width:(i + 1) * width] for i in range(len(u))]
+    total = combined.total.tolist()
+    genotype = combined.genotypes.astype(">u2").view(f"V{2 * combined.genotypes.shape[1]}")[:, 0].tolist()
+    dist = [0.0] * len(u)
+    # (front, -crowding, genotype, position in the front, row): equal keys keep front order
     ranked = []
-    for level, front in enumerate(nondominated_rows(u, a, combined.total.tolist())):
-        ranked.extend(((level, -d), genotype[i], i) for i, d in zip(front, row_crowding(front, u, a, genotype)))
+    for level, front in enumerate(nondominated_rows(u, a, total)):
+        if total[front[0][0]]:
+            rows = [i for group in front for i in group]
+            walks = value_walks(rows, u, a, genotype)
+        else:
+            for group in front:
+                group.sort(key=genotype.__getitem__)
+            rows = [i for group in front for i in group]
+            walks = [i for group in reversed(front) for i in group], rows
+        row_crowding(dist, walks, u, a)
+        ranked.extend((level, -dist[i], genotype[i], p, i) for p, i in enumerate(rows))
         if len(ranked) >= pop_size:
             break
-    ranked.sort(key=lambda r: r[:2])
+    ranked.sort()
     del ranked[pop_size:]
-    rows = [i for _, _, i in ranked]
-    return Scored(*(column[rows] for column in combined)), [key for key, _, _ in ranked]
+    standing = [r[:2] for r in ranked]
+    rank = np.fromiter(accumulate(map(ne, standing[1:], standing), initial=0), np.intp, len(standing))
+    kept = np.array([r[4] for r in ranked])
+    return Scored(*(column[kept] for column in combined)), rank, standing

@@ -93,6 +93,11 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a float or bool count would fail, or pass as 1, deep in the build
+        for name in ("colonies", "cells_per_colony", "apps", "services_per_app", "seed"):
+            n = getattr(self, name)
+            if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+                raise ParseError(name, f"must be an integer, not {n!r}")
         for name in ("colonies", "cells_per_colony", "apps", "services_per_app"):
             if getattr(self, name) < 1:
                 raise ParseError(name, "count must be >= 1")
@@ -187,8 +192,8 @@ def paper_scenario(seed: int = 0) -> ProblemInstance:
 
 def scaled_spec(base: ScenarioSpec, replication: int) -> ScenarioSpec:
     """Replicate apps and colonies together so feasibility density holds."""
-    if replication < 1:
-        raise ValueError("replication factor must be >= 1")
+    if not isinstance(replication, (int, np.integer)) or isinstance(replication, bool) or replication < 1:
+        raise ValueError(f"replication factor must be an integer >= 1, not {replication!r}")
     return replace(
         base,
         apps=base.apps * replication,

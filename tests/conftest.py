@@ -136,6 +136,11 @@ def solution(genotype, objectives, violations):
     return Solution(genotype, objectives, violations.total())
 
 
+def dense_rank(keys):
+    """Each key's dense rank: how many distinct keys are less than it."""
+    return [len({k for k in keys if k < key}) for key in keys]
+
+
 def scored_rows(solutions):
     """The Scored block whose rows hold ``solutions``' fields."""
     return Scored(

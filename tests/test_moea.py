@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_solutions, scored_rows, solution, tiny_instance
+from conftest import dense_rank, random_solutions, scored_rows, solution, tiny_instance
 from fogplan.errors import BadLattice, BudgetTooSmall, EmptyArchive, EmptyFront, LengthMismatch
 from fogplan.fsdp import ObjectiveVector, ProblemInstance, ViolationVector, audit_capacity, evaluate
 from fogplan.moea import (
@@ -652,12 +652,14 @@ def test_nsga2_selection_ignores_member_order():
     for _ in range(20):
         pop = random_solutions(rng, 60, violation_levels=3)
         combined = scored_rows(pop + pop[:20])  # a population may hold one genotype twice
-        survivors, standing = _environmental_selection(combined, 40)
+        survivors, rank, standing = _environmental_selection(combined, 40)
         assert standing == sorted(standing) and len(survivors.total) == 40
+        assert rank.tolist() == dense_rank(standing)
         for _ in range(5):
             perm = rng.permutation(len(combined.total))
-            shuffled, shuffled_standing = _environmental_selection(Scored(*(column[perm] for column in combined)), 40)
-            assert shuffled_standing == standing
+            shuffled, shuffled_rank, shuffled_standing = _environmental_selection(
+                Scored(*(column[perm] for column in combined)), 40)
+            assert shuffled_standing == standing and shuffled_rank.tolist() == rank.tolist()
             assert all((x == y).all() for x, y in zip(shuffled, survivors))
 
 
@@ -670,9 +672,11 @@ RANKED = [(0, -np.inf), (0, -np.inf), (0, -0.5), (0, -0.5), (0, -0.5), (0, -0.2)
 def test_nsga2_tournament_lower_key_wins_then_first_drawn(standing):
     from fogplan.moea.nsga2 import _tournament
 
+    rank = np.array(dense_rank(standing))
+    assert rank.tolist() == ([0, 0, 1, 1, 1, 2, 3, 3, 4, 5] if standing is RANKED else [0] * 10)
     for seed in range(20):
         first, second = np.random.default_rng(seed).integers(0, 10, size=(2, 40))
-        winners = _tournament(standing, (40,), np.random.default_rng(seed))
+        winners = _tournament(rank, (40,), np.random.default_rng(seed))
         assert winners.tolist() == [b if standing[b] < standing[a] else a for a, b in zip(first, second)]
         if len(set(standing)) == 1:
             assert winners.tolist() == first.tolist()

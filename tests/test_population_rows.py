@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_solutions, scored_rows
+from conftest import dense_rank, random_solutions, scored_rows, tiny_instance
 from fogplan.fsdp import ObjectiveVector
 from fogplan.moea import AlgoParams, Solution, constrained_dominates, crowding_distance, fast_nondominated_sort
 from fogplan.moea import mopso, nsga2
@@ -32,17 +32,19 @@ def reference_selection(block: Scored, pop_size: int):
 
 
 def assert_selects_like_the_reference(block: Scored, pop_size: int = POP):
-    survivors, standing = nsga2._environmental_selection(block, pop_size)
+    survivors, rank, standing = nsga2._environmental_selection(block, pop_size)
     expected, expected_standing = reference_selection(block, pop_size)
     assert standing == expected_standing
+    assert rank.tolist() == dense_rank(expected_standing)
     rows = list(zip(*(column.tolist() for column in survivors), strict=True))
     assert rows == [(list(s.genotype), list(s.objectives.as_tuple()), s.total_violation) for s in expected]
 
 
 @pytest.fixture(scope="module")
 def run_blocks():
-    """Every block NSGA-II selected from in runs on ``paper`` and the
-    reference scenario replicated 16x, two seeds each."""
+    """Every block NSGA-II selected from in runs on ``paper``, the
+    reference scenario replicated 16x and the oracle-sized instance, two
+    seeds each."""
     blocks = []
     select = nsga2._environmental_selection
 
@@ -53,17 +55,20 @@ def run_blocks():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nsga2, "_environmental_selection", recording)
         for seed in (0, 1):
-            for prob in (paper_scenario(seed), scaled_scenario(ScenarioSpec(seed=seed), 16)):
+            for prob in (paper_scenario(seed), scaled_scenario(ScenarioSpec(seed=seed), 16), tiny_instance(seed)):
                 nsga2.nsga2_run(prob, AlgoParams(population_size=POP, seed=seed))
     return blocks
 
 
 def test_row_selection_matches_the_reference_in_real_runs(run_blocks):
     # the initial population, then parents plus offspring in each of 24 generations, per run
-    assert [len(block.total) for block in run_blocks] == ([POP] + [2 * POP] * 24) * 4
+    assert [len(block.total) for block in run_blocks] == ([POP] + [2 * POP] * 24) * 6
     # mid-run blocks hold infeasible rows and genotypes more than once
     assert any((block.total > 0).any() for block in run_blocks[1:])
     assert any(len(np.unique(block.genotypes, axis=0)) < len(block.total) for block in run_blocks)
+    # on the oracle-sized instance most rows repeat an objective point (total, u, a)
+    points = [len(np.unique(np.column_stack([block.total, block.objectives]), axis=0)) for block in run_blocks]
+    assert min(points) <= 16
     for block in run_blocks:
         assert_selects_like_the_reference(block)
 

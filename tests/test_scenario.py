@@ -77,6 +77,34 @@ class TestScaledScenario:
         assert prob.n_services == 100
         assert fcm_count(prob) == 8
 
+    @pytest.mark.parametrize("factor", [2.5, 2.0, True, 0, -1])
+    def test_factor_must_be_an_integer_of_at_least_one(self, factor):
+        with pytest.raises(ValueError, match="replication factor"):
+            scaled_scenario(ScenarioSpec(), factor)
+
+    def test_numpy_integer_factor(self):
+        assert scaled_scenario(ScenarioSpec(), np.int64(2)).n_services == 50
+
+
+class TestSpecCounts:
+    @pytest.mark.parametrize("name, value", [
+        ("colonies", True),
+        ("seed", True),
+        ("seed", False),
+        ("colonies", 2.5),
+        ("services_per_app", 2.0),
+        ("cells_per_colony", np.float64(3.0)),
+        ("apps", "3"),
+        ("seed", 1.5),
+    ])
+    def test_non_integer_or_bool_rejected(self, name, value):
+        with pytest.raises(ParseError, match=name):
+            ScenarioSpec(**{name: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = ScenarioSpec(colonies=np.int64(1), seed=np.int32(3))
+        assert build_instance(spec).n_services == 25
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
