@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -96,28 +97,24 @@ class ProblemInstance:
         self.effective_cpu, self.effective_ram, self.effective_storage = self.effective_capacity
         self.capacity_total = self.effective_capacity.sum(axis=1)
 
-        app_offsets = []
-        svc_cpu, svc_ram, svc_sto, svc_req, svc_rate = [], [], [], [], []
-        preds, by_level = [], {}
-        offset = 0
-        for app in self.apps:
-            app_offsets.append(offset)
-            for svc in app.services:
-                svc_cpu.append(svc.workload_cpu)
-                svc_ram.append(svc.ram_req)
-                svc_sto.append(svc.storage_req)
-                svc_req.append(svc.availability_req)
-                svc_rate.append(app.request_rate)
+        sizes = [len(app.services) for app in self.apps]
+        offsets = list(accumulate(sizes, initial=0))
+        self.n_services = offsets[-1]
+        preds, by_level = [[] for _ in range(self.n_services)], {}
+        for offset, app in zip(offsets, self.apps):
             for v, level in enumerate(service_levels(app), offset):
-                preds.append([])
                 if level:
                     by_level.setdefault(level, []).append(v)
             for u, v in app.edges:
                 preds[offset + v].append(offset + u)
-            offset += len(app.services)
-        self.n_services = offset
         self.app_deadline = np.array([app.deadline for app in self.apps])
-        service_rows = np.array([svc_cpu, svc_ram, svc_sto, svc_rate, svc_req], dtype=float)
+        services = [
+            (svc.workload_cpu, svc.ram_req, svc.storage_req, app.request_rate, svc.availability_req)
+            for app in self.apps for svc in app.services
+        ]
+        # one C-contiguous row per column, five even with no service; fromiter
+        # reads the floats flat faster than np.array reads the tuples
+        service_rows = np.fromiter(chain.from_iterable(services), float).reshape(-1, 5).T.copy()
         # resource_loads sums the first four rows per resource
         self._load_weights = service_rows[:4]
         self.service_cpu, self.service_ram, self.service_storage, self.service_rate = (
@@ -130,7 +127,6 @@ class ProblemInstance:
         # objective is (sum of met weights) / (L * m) with a single division.
         # Its float64 division is the exact ratio's correctly rounded float
         # only while both integers are exact floats, L * m <= 2**53
-        sizes = [len(app.services) for app in self.apps]
         self.availability_lcm = math.lcm(*sizes)
         if self.availability_lcm * len(sizes) > MAX_AVAILABILITY_SCALE:
             raise ValueError(
@@ -158,7 +154,7 @@ class ProblemInstance:
         # (K, m) sinks, the services that precede none: row k holds sink
         # k mod c of every app with c sinks (a max ignores repeats)
         sinks = (np.bincount(src, minlength=self.n_services) == 0).nonzero()[0]
-        bounds = sinks.searchsorted(app_offsets + [self.n_services])
+        bounds = sinks.searchsorted(offsets)
         first, count = bounds[:-1], bounds[1:] - bounds[:-1]
         self.sink_ranks = sinks[first + np.arange(count.max(initial=1))[:, None] % count]
 

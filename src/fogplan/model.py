@@ -9,6 +9,7 @@ and a deadline.
 
 from __future__ import annotations
 
+import graphlib
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -136,17 +137,12 @@ def service_levels(app: Application) -> list[int]:
             if not indeg[v]:
                 order.append(v)
     if len(order) < n:
-        # every service left over has a predecessor left over: walk back
-        # through them until one repeats
-        done = set(order)
-        path, seen = [], {}
-        v = next(i for i in range(n) if i not in done)
-        while v not in seen:
-            seen[v] = len(path)
-            path.append(v)
-            v = next(u for u, w in app.edges if w == v and u not in done)
-        cycle = path[seen[v]:][::-1]
-        raise CycleDetected(cycle + cycle[:1])
+        # graphlib names a cycle (Kahn's pass finds levels several times faster);
+        # it reads the successor lists as predecessors, so its cycle runs backwards
+        try:
+            graphlib.TopologicalSorter(dict(enumerate(succ))).prepare()
+        except graphlib.CycleError as exc:
+            raise CycleDetected(exc.args[1][::-1]) from None
     return level
 
 

@@ -476,20 +476,15 @@ def greedy_anchors(prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
     return np.array(available, dtype=np.int64), np.array(fog_rich, dtype=np.int64)
 
 
-def initial_population(prob: ProblemInstance, size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Uniform random assignments plus three anchors, last.
+def initial_population(prob: ProblemInstance, size: int, rng: np.random.Generator) -> np.ndarray:
+    """(size, N) assignments: one block of uniform random rows, then three anchors.
 
     The anchors are the all-cloud placement and the two
     ``greedy_anchors``, so that a short run starts with both ends of the
     front in reach rather than only its low-fog end.
     """
-    pop = [
-        rng.integers(0, prob.n_resources, size=prob.n_services)
-        for _ in range(size - 3)
-    ]
-    pop.append(np.full(prob.n_services, prob.landscape.cloud, dtype=np.int64))
-    pop.extend(greedy_anchors(prob))
-    return pop
+    drawn = rng.integers(0, prob.n_resources, size=(size - 3, prob.n_services))
+    return np.vstack([drawn, np.full(prob.n_services, prob.landscape.cloud), *greedy_anchors(prob)])
 
 
 def uniform_crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -88,7 +88,7 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     run = Search(prob, params, trace_hook)
     rng = run.rng
 
-    scored = run.evaluate_many(np.array(initial_population(prob, n_sub, rng), dtype=np.int64))
+    scored = run.evaluate_many(initial_population(prob, n_sub, rng))
     order = np.argsort(scored.objectives[:, 0], kind="stable")  # by fog utilization
     genotypes, objectives, violation = (a[order] for a in scored)
     # the best value of each objective among feasible solutions; objectives lie in [0, 1]

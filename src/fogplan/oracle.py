@@ -6,6 +6,7 @@ closed-form queueing formula so they can serve as correctness oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ def md1_simulate(arrival_rate: float, service_time: float, jobs: int = 10**6, se
     Exponential interarrivals, deterministic service, FIFO; the first
     10% of jobs are discarded as warm-up.
     """
+    if not (0.0 < arrival_rate < math.inf and 0.0 < service_time < math.inf):
+        raise ValueError("arrival rate and service time must be finite and > 0")
+    if not isinstance(jobs, (int, np.integer)) or isinstance(jobs, bool):
+        raise ValueError(f"jobs must be an integer, not {jobs!r}")
     if arrival_rate * service_time >= 1.0:
         raise Saturated(f"utilization {arrival_rate * service_time} >= 1")
     if jobs < 10**5:

@@ -282,9 +282,17 @@ def load(path) -> ScenarioSpec:
     version = doc.get("schema_version")
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise UnknownVersion(f"unsupported schema_version {version!r}")
+    paths = {f.name: _YAML_PATH.get(f.name, f.name) for f in fields(ScenarioSpec)}
+    # an extra key, such as a misspelt copy of a field, would be read by nothing
+    known = {"schema_version", *paths.values()}
+    top = {path.partition(".")[0] for path in known}
+    unknown = [str(key) for key in doc if key not in top]
+    for section in sorted(top - known):  # resources, latencies
+        if isinstance(doc.get(section), dict):
+            unknown += [f"{section}.{key}" for key in doc[section] if f"{section}.{key}" not in known]
+    if unknown:
+        raise ParseError("<document>", f"unknown keys {unknown}")
     hints = get_type_hints(ScenarioSpec)
-    values = {}
-    for f in fields(ScenarioSpec):
-        where = _YAML_PATH.get(f.name, f.name)
-        values[f.name] = _read(where, hints[f.name], _lookup(doc, where))
-    return ScenarioSpec(**values)
+    return ScenarioSpec(**{
+        name: _read(where, hints[name], _lookup(doc, where)) for name, where in paths.items()
+    })

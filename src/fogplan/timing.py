@@ -23,10 +23,11 @@ class Md1Queue:
     service_time: float  # seconds, deterministic
 
     def __post_init__(self):
-        if self.arrival_rate < 0:
-            raise ValueError("arrival rate must be non-negative")
-        if self.service_time <= 0:
-            raise ValueError("service time must be positive")
+        # written so that NaN fails too; inf passes, and md1_sojourn reports it Saturated
+        if not self.arrival_rate >= 0:
+            raise ValueError(f"arrival rate must be non-negative, not {self.arrival_rate}")
+        if not self.service_time > 0:
+            raise ValueError(f"service time must be positive, not {self.service_time}")
 
     @property
     def utilization(self) -> float:

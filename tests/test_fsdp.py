@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import chain_app, make_resource, make_service
+from conftest import chain_app, make_resource, make_service, tiny_instance
 from fogplan.errors import LengthMismatch
 from fogplan.fsdp import (
     ProblemInstance,
@@ -14,9 +16,9 @@ from fogplan.fsdp import (
     fog_utilization,
     is_feasible,
 )
-from fogplan.model import Landscape, ResourceKind
+from fogplan.model import Application, Landscape, ResourceKind, Service
 from fogplan.moea import make_solution
-from fogplan.scenario import paper_scenario
+from fogplan.scenario import ScenarioSpec, build_landscape, paper_scenario, scaled_scenario
 from fogplan.timing import response_time_report
 
 
@@ -291,3 +293,59 @@ class TestEvaluate:
             else:
                 assert not audit_capacity(dep, paper_problem)
         assert checked_both_ways > 0
+
+
+def join_fork_instance():
+    # a diamond (0 forks to 1 and 2, which join at 3) whose join forks
+    # into sinks 4 and 5, next to a chain and a lone service; demands and
+    # requirements vary by service
+    def app(i, k, edges, rate):
+        services = tuple(
+            Service((i, j), 10.0 + 7 * j, 20.0 - j, 5.0 + i, 0.5 + 0.05 * j) for j in range(k)
+        )
+        return Application(i, services, tuple(edges), deadline=2.0 + i, request_rate=rate)
+
+    apps = [
+        app(0, 6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5)], 0.5),
+        app(1, 3, [(0, 1), (1, 2)], 0.25),
+        app(2, 1, [], 0.125),
+    ]
+    return ProblemInstance(build_landscape(ScenarioSpec(colonies=2, cells_per_colony=2)), apps)
+
+
+def instance_tables_digest(prob):
+    """SHA-1 over every ndarray attribute of ``prob`` in name order, each
+    with its name, dtype and shape (``sink_ranks`` is one of them), then
+    ``level_links`` and every ``level_steps`` entry."""
+    h = hashlib.sha1()
+
+    def feed(name, a):
+        h.update(f"{name} {a.dtype.str} {a.shape}".encode())
+        h.update(a.tobytes())
+
+    for name, value in sorted(vars(prob).items()):
+        if isinstance(value, np.ndarray):
+            feed(name, value)
+    for a in prob.level_links:
+        feed("level_links", a)
+    for nodes, preds, links in prob.level_steps:
+        feed("nodes", nodes)
+        feed("preds", preds)
+        h.update(f"links {links.start} {links.stop}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("build, expected", [
+    pytest.param(lambda: tiny_instance(0), "733e78d1703c53324727012166eab346af438445", id="tiny"),
+    pytest.param(paper_scenario, "6948f5b08d20041ac5921064f127462e8119a3b5", id="paper"),
+    pytest.param(lambda: scaled_scenario(ScenarioSpec(), 16), "d48664a511c53057234beaaa92e0c2a3753bc101", id="scaled16"),
+    pytest.param(join_fork_instance, "4f09c4019e634b35bc80734cc929e2554a2ef77a", id="join-fork"),
+])
+def test_instance_tables_pinned(build, expected):
+    # every table the kernel reads, bit for bit; the service and resource
+    # rows, like every other table, stay C-contiguous
+    prob = build()
+    assert instance_tables_digest(prob) == expected
+    for name, value in vars(prob).items():
+        if isinstance(value, np.ndarray):
+            assert value.flags.c_contiguous, name

@@ -39,6 +39,26 @@ class TestValidateDag:
             service_levels(app)
         assert set(exc.value.cycle) >= {0, 1}
 
+    @pytest.mark.parametrize("n, edges, on_cycle", [
+        pytest.param(2, ((0, 1), (1, 0)), {0, 1}, id="two"),
+        pytest.param(4, ((0, 1), (1, 2), (2, 3), (3, 1)), {1, 2, 3}, id="behind-a-tail"),
+        pytest.param(3, ((0, 1), (1, 1), (1, 2)), {1}, id="self-loop"),
+    ])
+    def test_reported_cycle_is_closed_along_the_edges(self, n, edges, on_cycle):
+        app = Application(
+            id=0,
+            services=tuple(make_service(0, j) for j in range(n)),
+            edges=edges,
+            deadline=10.0,
+            request_rate=0.1,
+        )
+        with pytest.raises(CycleDetected) as exc:
+            service_levels(app)
+        cycle = exc.value.cycle
+        assert cycle[0] == cycle[-1]
+        assert all(pair in edges for pair in zip(cycle, cycle[1:]))
+        assert set(cycle) == on_cycle
+
     def test_dangling_edge(self):
         app = Application(
             id=0,

@@ -563,7 +563,7 @@ def test_search_evaluate_many_matches_a_loop_of_evaluate(monkeypatch):
     prob = paper_scenario()
     rng = np.random.default_rng(3)
     anchors = greedy_anchors(prob)
-    genomes = initial_population(prob, 40, rng)
+    genomes = list(initial_population(prob, 40, rng))
     genomes += [reset_mutation(anchors[k % 2], 0.2, prob.n_resources, rng) for k in range(200)]
     params = AlgoParams(archive_capacity=3)
     batched, looped = Search(prob, params), ParetoArchive(capacity=3)

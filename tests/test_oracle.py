@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -138,6 +139,23 @@ class TestMd1Simulate:
     def test_saturated(self):
         with pytest.raises(Saturated):
             md1_simulate(2.0, 1.0)
+
+    @pytest.mark.parametrize("rate, service, jobs", [
+        (0.0, 0.1, 10**5),
+        (-1.0, 0.1, 10**5),
+        (math.nan, 0.1, 10**5),
+        (math.inf, 0.1, 10**5),
+        (1.0, -0.5, 10**5),
+        (1.0, 0.0, 10**5),
+        (1.0, math.nan, 10**5),
+        (1.0, math.inf, 10**5),
+        (1.0, 0.1, 100000.5),
+        (1.0, 0.1, 1e5),
+        (1.0, 0.1, True),
+    ])
+    def test_bad_input_rejected(self, rate, service, jobs):
+        with pytest.raises(ValueError):
+            md1_simulate(rate, service, jobs=jobs)
 
     def test_closed_form_agreement_sweep(self):
         for rho in (0.2, 0.5, 0.8):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -157,6 +159,21 @@ class TestSerialization:
         set_scenario_key(doc, key, value)
         path.write_text(yaml.safe_dump(doc))
         with pytest.raises(ParseError, match=scenario_error_names(key)):
+            load(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("colonnies", 7),
+        ("latencies.fcm_fcm_msec", 1),
+        ("resources.edge", {"cpu": 500, "ram": 256, "storage": 1000, "failure": 0.1}),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, key, value):
+        # every field is there too: the extra key is all that is wrong
+        path = tmp_path / "scenario.yaml"
+        save(ScenarioSpec(), path)
+        doc = yaml.safe_load(path.read_text())
+        set_scenario_key(doc, key, value)
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ParseError, match=re.escape(f"unknown keys {[key]}")):
             load(path)
 
     def test_unknown_version(self, tmp_path):

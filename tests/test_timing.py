@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,16 @@ class TestMd1Sojourn:
             base = md1_sojourn(Md1Queue(lam, d))
             assert md1_sojourn(Md1Queue(lam * 1.05, d)) > base
             assert md1_sojourn(Md1Queue(lam, d * 1.01)) > base
+
+    @pytest.mark.parametrize("lam, d", [(math.nan, 0.1), (1.0, math.nan), (-1.0, 0.1), (1.0, 0.0)])
+    def test_nan_or_out_of_range_rejected(self, lam, d):
+        with pytest.raises(ValueError):
+            Md1Queue(lam, d)
+
+    @pytest.mark.parametrize("lam, d", [(math.inf, 0.1), (1.0, math.inf)])
+    def test_infinite_input_saturates(self, lam, d):
+        with pytest.raises(Saturated):
+            md1_sojourn(Md1Queue(lam, d))
 
     def test_continuity_at_empty_limit(self):
         d = 0.7
