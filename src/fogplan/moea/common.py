@@ -15,7 +15,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter, neg
 from typing import NamedTuple
@@ -194,6 +194,10 @@ class ParetoArchive:
 
     Truncation beyond capacity drops the most crowded member (smallest
     crowding distance), the earliest inserted of them on a tie.
+
+    ``add`` is the only path by which the members change, and ``version``
+    counts the offers it let through ``admits``: whatever a caller
+    computed from the members still holds while ``version`` stands.
     """
 
     def __init__(self, capacity: int = 100):
@@ -202,6 +206,7 @@ class ParetoArchive:
         self.capacity = capacity
         self.members: list[Solution] = []
         self.violation = math.inf
+        self.version = 0
         # the staircase at violation 0, sorted by u; a member's u names it
         self._us: list[float] = []
         self._as: list[float] = []
@@ -232,6 +237,7 @@ class ParetoArchive:
         total = candidate.total_violation
         if not self.admits(u, a, total):
             return False
+        self.version += 1
         if total < self.violation:
             self.violation, self.members, self._us, self._as = total, [], [], []
         if not total:
@@ -380,8 +386,12 @@ def generation_stats(archive: ParetoArchive, feasible: Sequence[bool], evaluatio
         compromise_fog_utilization=comp.fog_utilization,
         compromise_availability=comp.availability,
         hypervolume=hypervolume_2d(objectives, ObjectiveVector(0.0, 0.0)),
-        feasible_fraction=int(np.count_nonzero(feasible)) / len(feasible),
+        feasible_fraction=_feasible_fraction(feasible),
     )
+
+
+def _feasible_fraction(feasible: Sequence[bool]) -> float:
+    return int(np.count_nonzero(feasible)) / len(feasible)
 
 
 class Search:
@@ -402,6 +412,8 @@ class Search:
         self.evaluations = 0
         self.max_evaluations = params.max_evaluations
         self.trace_hook = trace_hook
+        self._stats: GenerationStats | None = None
+        self._stats_version = -1  # the archive version that _stats was computed at
         self.mutation_prob = params.mutation_prob
         if self.mutation_prob is None:
             self.mutation_prob = 1.0 / max(1, prob.n_services)
@@ -428,9 +440,18 @@ class Search:
 
     def report(self, feasible: Sequence[bool]) -> None:
         """Hand the trace hook this generation's stats, given the
-        population's feasibility flags."""
-        if self.trace_hook:
-            self.trace_hook(generation_stats(self.archive, feasible, self.evaluations))
+        population's feasibility flags.  While the archive has not changed
+        since the last report, only the evaluations and the feasible
+        fraction are new."""
+        if not self.trace_hook:
+            return
+        if self.archive.version == self._stats_version:
+            fraction = _feasible_fraction(feasible)
+            self._stats = replace(self._stats, evaluations=self.evaluations, feasible_fraction=fraction)
+        else:
+            self._stats = generation_stats(self.archive, feasible, self.evaluations)
+            self._stats_version = self.archive.version
+        self.trace_hook(self._stats)
 
 
 def greedy_anchors(prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:

@@ -8,21 +8,26 @@ move draws every gene from the particle's current host, its personal
 best's host or its guide's host, with probabilities in the ratio
 inertia : cognitive : social (all zero keeps the particle still), then
 applies a one-gene reset mutation.  The swarm moves synchronously
-(Coello, Pulido & Lechuga, IEEE TEC 2004): one call per generation
-builds a grid of the archive's objective-space hypercubes and draws
-every guide's genotype from it, by roulette favoring sparsely populated
-cells; the swarm moves as one block and is scored in one batch, and
-only then are the personal bests updated, by one mask over the rows.
-Swarm and personal bests are rows (genotypes, objectives, total
-violation) updated in place, compared on their floats.  Its draws, in
-order: k guide cells, a member of each; one uniform per gene, held
-against the cumulative move shares as ``Generator.choice`` sums them
-(none if all move weights are 0); a mutation flag per particle; the
-mutants' genes, then their new ids; one block of personal-best coins,
-one per row where neither row dominates.
+(Coello, Pulido & Lechuga, IEEE TEC 2004).  The grid of the archive's
+objective-space hypercubes depends on its members alone, so it is
+rebuilt only in a generation after the archive changed (its
+``version`` moved); each generation then draws every guide's genotype
+from it, by roulette favoring sparsely populated cells.  The swarm
+moves as one block and is scored in one batch, and only then are the
+personal bests updated, by one mask over the rows.  Swarm and personal
+bests are rows (genotypes, objectives, total violation) updated in
+place, compared on their floats.  Its draws, in order, the same
+whether or not the grid was rebuilt: k guide cells, as
+``Generator.choice`` draws them, and a member of each; one uniform per
+gene, held against the cumulative move shares as ``Generator.choice``
+sums them (none if all move weights are 0); a mutation flag per
+particle; the mutants' genes, then their new ids; one block of
+personal-best coins, one per row where neither row dominates.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,24 +42,40 @@ from .common import (
 )
 
 
-def _guides(members: list[Solution], divisions: int, rng: np.random.Generator, k: int) -> np.ndarray:
-    """The (k, N) genotypes of k guides: k cells by roulette over the
-    archive's hypercube cells, sparse cells favored, then a member of each."""
+class _Grid(NamedTuple):
+    """The archive's objective-space hypercube grid, which depends on its
+    members alone: only the occupied cells, in (row, column) order."""
+
+    genotypes: np.ndarray  # (M, N) the members' genotypes, cell by cell, each cell's in member order
+    starts: np.ndarray  # (C,) where each cell's members start
+    sizes: np.ndarray  # (C,) members per cell
+    cdf: np.ndarray  # (C,) the roulette's cdf, sparse cells favored, as Generator.choice sums it
+
+
+def _grid(members: list[Solution], divisions: int) -> _Grid:
     objs = np.array([[m.objectives.fog_utilization, m.objectives.availability] for m in members])
     lo = objs.min(axis=0)
     hi = objs.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
     # floats, not ints: any finite number of divisions gives finite cells
     cells = np.minimum(np.floor((objs - lo) / span * divisions), divisions - 1)
-    # only the occupied cells, in (row, column) order: each member's cell, each cell's size;
-    # a (row, column) pair read as one complex number sorts the same way, and a 1-D unique
-    # is about 3x faster than one over axis 0
-    _, cell_of, sizes = np.unique(cells.view(np.complex128).ravel(), return_inverse=True, return_counts=True)
+    by_cell = np.lexsort((cells[:, 1], cells[:, 0]))  # stable: each cell's members in order
+    ordered = cells[by_cell]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    sizes = np.diff(starts, append=len(members))
     p = 1.0 / sizes / (1.0 / sizes).sum()
-    # the members cell by cell, each cell's in order, and where each cell starts
-    by_cell, starts = np.argsort(cell_of, kind="stable"), np.cumsum(sizes) - sizes
-    picked = rng.choice(len(sizes), size=k, p=p)
-    return np.array([members[i].genotype for i in by_cell[starts[picked] + rng.integers(0, sizes[picked])]])
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    # each genotype is an array('H'), so their joined bytes are the block
+    block = np.frombuffer(b"".join([members[i].genotype for i in by_cell.tolist()]), dtype=np.uint16)
+    return _Grid(block.reshape(len(members), -1), starts, sizes, cdf)
+
+
+def _draw(grid: _Grid, rng: np.random.Generator, k: int) -> np.ndarray:
+    """The (k, N) genotypes of k guides: k cells by roulette, as
+    ``Generator.choice`` draws them, then a member of each."""
+    picked = grid.cdf.searchsorted(rng.random(k), side="right")
+    return grid.genotypes[grid.starts[picked] + rng.integers(0, grid.sizes[picked])]
 
 
 def _improves(new: Scored, best: Scored, rng: np.random.Generator) -> np.ndarray:
@@ -83,9 +104,12 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     pbest = Scored(*(column.copy() for column in current))
     run.report(current.total == 0)
 
+    grid, grid_version = None, -1
     while run.left:
         k = min(swarm, run.left)
-        guides = _guides(run.archive.members, params.grid_divisions, rng, k)
+        if grid_version != run.archive.version:
+            grid, grid_version = _grid(run.archive.members, params.grid_divisions), run.archive.version
+        guides = _draw(grid, rng, k)
         u = rng.random((k, n)) if moving else 0.0
         moves = np.where(u < shares[0], current.genotypes[:k], np.where(u < shares[1], pbest.genotypes[:k], guides))
         mutants = np.flatnonzero(rng.random(k) < params.mutation_rate)

@@ -43,11 +43,12 @@ def md1_sojourn(queue: Md1Queue) -> float:
     """Mean sojourn time (wait + service) of an M/D/1 queue.
 
     Pollaczek-Khinchine with deterministic service:
-    D + lambda * D^2 / (2 * (1 - rho)).
+    D + lambda * D^2 / (2 * (1 - rho)).  An infinite service time
+    saturates at any rate: at rate 0 its utilization is NaN.
     """
     rho = queue.utilization
-    if rho >= 1.0:
-        raise Saturated(f"utilization {rho} >= 1")
+    if not rho < 1.0:
+        raise Saturated(f"utilization {rho} is not below 1")
     d = queue.service_time
     return d + queue.arrival_rate * d * d / (2.0 * (1.0 - rho))
 

@@ -33,12 +33,13 @@ from fogplan.moea import (
 from fogplan.moea.common import (
     Scored,
     Search,
+    generation_stats,
     greedy_anchors,
     initial_population,
     reset_mutation,
     uniform_crossover,
 )
-from fogplan.moea.mopso import _guides
+from fogplan.moea.mopso import _draw, _grid
 from fogplan.scenario import (
     ResourceTemplate,
     ScenarioSpec,
@@ -303,9 +304,12 @@ class TestParetoArchive:
     def test_truncation_respects_capacity(self):
         rng = np.random.default_rng(41)
         archive = ParetoArchive(capacity=5)
+        dropped = 0  # admitted, then truncated at once
         for u in rng.random(50):
-            archive.add(feas(float(u), 1.0 - float(u), genotype=(int(u * 1e6),)))
-        assert len(archive) <= 5
+            version, admitted = archive.version, archive.admits(float(u), 1.0 - float(u), 0.0)
+            dropped += admitted and not archive.add(feas(float(u), 1.0 - float(u), genotype=(int(u * 1e6),)))
+            assert archive.version == version + admitted
+        assert len(archive) <= 5 and dropped
 
 
 # objectives on a grid of quarters and a few violation vectors, two of
@@ -338,7 +342,9 @@ def test_admits_follows_the_add_rule(members, candidate):
     )
     o = candidate.objectives
     got = archive.admits(o.fog_utilization, o.availability, candidate.total_violation)
+    version = archive.version
     assert got == expected == archive.add(candidate)
+    assert archive.version == version + expected
 
 
 def assert_staircase(archive):
@@ -391,7 +397,11 @@ OFFERED = st.builds(
 def test_archive_matches_the_reference(capacity, offers):
     archive, reference = ParetoArchive(capacity), ReferenceArchive(capacity)
     for candidate in offers:
+        # the version moves on every admitted offer, truncated or not, and on no rejected one
+        version, o = archive.version, candidate.objectives
+        admitted = reference.admits(o.fog_utilization, o.availability, candidate.total_violation)
         assert archive.add(candidate) == reference.add(candidate)
+        assert archive.version == version + admitted
         assert archive.violation == reference.violation
         assert len(archive.members) == len(reference.members)
         assert all(m is r for m, r in zip(archive.members, reference.members))
@@ -628,21 +638,93 @@ def test_nsga2_sorts_once_per_generation(monkeypatch):
     assert sorts == [40] + [80] * 4
 
 
-def test_mopso_builds_its_guide_grid_once_per_generation(monkeypatch):
+def guides(members, divisions, rng, k):
+    """The guides of one draw from a grid built on ``members``, their
+    genotypes packed as array('H'), as a scored block packs them."""
+    packed = [dataclasses.replace(m, genotype=array("H", m.genotype)) for m in members]
+    return _draw(_grid(packed, divisions), rng, k)
+
+
+def test_mopso_rebuilds_its_guide_grid_only_after_an_admission(monkeypatch):
     import fogplan.moea.mopso as mopso
 
-    draws = []
+    events, add = [], ParetoArchive.add
 
-    def counting_guides(members, divisions, rng, k):
-        draws.append(k)
-        return _guides(members, divisions, rng, k)
+    def counting_grid(members, divisions):
+        events.append("grid")
+        return _grid(members, divisions)
 
-    monkeypatch.setattr(mopso, "_guides", counting_guides)
+    def counting_draw(grid, rng, k):
+        events.append(k)
+        return _draw(grid, rng, k)
+
+    def counting_add(archive, candidate):
+        events.append("add")
+        return add(archive, candidate)
+
+    monkeypatch.setattr(mopso, "_grid", counting_grid)
+    monkeypatch.setattr(mopso, "_draw", counting_draw)
+    monkeypatch.setattr(ParetoArchive, "add", counting_add)
     reports = []
-    mopso.mopso_run(tiny_instance(1), AlgoParams(max_evaluations=200), trace_hook=reports.append)
-    # the initial swarm, then per generation one grid and one draw of the whole swarm's guides
-    assert len(reports) == 5
-    assert draws == [40] * 4
+    mopso.mopso_run(paper_scenario(0), AlgoParams(max_evaluations=1000), trace_hook=reports.append)
+    # the initial swarm, then per generation one draw of the whole swarm's guides,
+    # from a grid built anew only when an offer was admitted since the last draw
+    assert len(reports) == 25
+    generations, since = [], []  # the events before each draw
+    for event in events:
+        if event == "add" or event == "grid":
+            since.append(event)
+        else:
+            generations.append(since)
+            since = []
+    assert events.count(40) == len(generations) == 24
+    for before in generations:
+        assert before.count("grid") == ("add" in before)
+        assert "grid" not in before or before[-1] == "grid"
+    # both happen: a generation that builds the grid and one that reuses it
+    assert 0 < sum("grid" in before for before in generations) < 24
+
+
+RUNS = {
+    "paper": (paper_scenario(0), {}),
+    "tiny": (tiny_instance(1), dict(max_evaluations=400)),
+    "truncated": (paper_scenario(2), dict(archive_capacity=5)),
+    # a cloud too slow for the deadlines: every member of the first archive is
+    # infeasible, and the violation level drops to 0 during the run
+    "infeasible-start": (
+        build_instance(ScenarioSpec(colonies=1, cells_per_colony=2, apps=2, services_per_app=3, deadlines=(0.6,),
+                                    seed=1, cloud=ResourceTemplate(cpu=300, ram=200000, storage=1e9, failure=1e-5))),
+        dict(seed=1, max_evaluations=400),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_reported_stats_are_never_stale(monkeypatch, name, run):
+    """Each report's stats equal ``generation_stats`` computed afresh, whether
+    or not the archive changed since the last report."""
+    prob, knobs = RUNS[run]
+    report, fresh, archives = Search.report, [], []
+
+    def checked_report(search, feasible):
+        fresh.append(generation_stats(search.archive, feasible, search.evaluations))
+        archives.append((search.archive.version, search.archive.violation, len(search.archive)))
+        report(search, feasible)
+
+    monkeypatch.setattr(Search, "report", checked_report)
+    reported = []
+    ALGORITHMS[name](prob, AlgoParams(**knobs), trace_hook=reported.append)
+    assert reported == fresh
+    versions, levels, sizes = zip(*archives)
+    if run == "truncated":
+        assert max(sizes) == 5
+    else:  # some reports follow no change of the archive, so they reuse the stats
+        assert len(set(versions)) < len(versions)
+    if run == "infeasible-start":
+        assert levels[0] > 0 and levels[-1] == 0
+    else:
+        assert set(levels) == {0.0}
 
 
 def test_nsga2_selection_ignores_member_order():
@@ -865,14 +947,13 @@ class TestMopsoFrozenDynamics:
     def test_guide_counts_only_occupied_cells(self, divisions):
         # a cell table of divisions**2 entries would need exabytes here
         members = [feas(0.1 * i, 1.0 - 0.1 * i, genotype=(i,)) for i in range(9)]
-        guide = _guides(members, divisions, np.random.default_rng(0), 1)[0].tolist()
+        guide = guides(members, divisions, np.random.default_rng(0), 1)[0].tolist()
         assert any(guide == list(m.genotype) for m in members)
 
     @pytest.mark.parametrize("divisions", [7, 10**9, 2**40])
     def test_guide_cells_match_unique_over_rows(self, divisions):
-        """The 1-D unique of the cells, each (row, column) pair read as one
-        complex number, gives the cell ids, sizes and draws of a unique
-        over axis 0 of the (row, column) pairs."""
+        """The grid's stable sort of the (row, column) cells gives the cell
+        ids, sizes and draws of a unique over axis 0 of the pairs."""
 
         def axis0_draw(members, rng, k):
             objs = np.array([m.objectives.as_tuple() for m in members])
@@ -901,7 +982,7 @@ class TestMopsoFrozenDynamics:
                 members.append(feas(1.0, 1.0, genotype=(count,)))
             seed = int(rng.integers(1 << 30))
             # every member's genotype is its own, so a genotype row names the member drawn
-            got = _guides(members, divisions, np.random.default_rng(seed), 40)
+            got = guides(members, divisions, np.random.default_rng(seed), 40)
             want = axis0_draw(members, np.random.default_rng(seed), 40)
             assert got.tolist() == [list(w.genotype) for w in want]
 
@@ -923,4 +1004,4 @@ class TestMopsoFrozenDynamics:
             cell = occupied[expect.choice(len(occupied), p=weights / weights.sum())]
             candidates = np.flatnonzero(keys == cell)
             want = members[candidates[expect.integers(0, len(candidates))]]
-            assert _guides(members, divisions, np.random.default_rng(seed), 1).tolist() == [list(want.genotype)]
+            assert guides(members, divisions, np.random.default_rng(seed), 1).tolist() == [list(want.genotype)]

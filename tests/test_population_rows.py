@@ -1,6 +1,8 @@
 """NSGA-II's row selection and MOPSO's personal-best mask, each against
-its reference on packed ``Solution`` objects, and MOPSO's threshold move
-against a run that draws each gene's source by ``Generator.choice``."""
+its reference on packed ``Solution`` objects, and MOPSO's cached guide
+grid and threshold move against a run that builds the grid every
+generation and draws each guide's cell and gene's source by
+``Generator.choice``."""
 
 from array import array
 
@@ -112,9 +114,23 @@ def test_mopso_float_rule_is_constrained_dominance(pairs, seed):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
+def choice_guides(members, divisions, rng, k):
+    """The (k, N) guides drawn by ``Generator.choice`` from a grid built
+    afresh: k cells by roulette, sparse cells favored, then a member of each."""
+    objs = np.array([m.objectives.as_tuple() for m in members])
+    lo, hi = objs.min(axis=0), objs.max(axis=0)
+    cells = np.minimum(np.floor((objs - lo) / np.where(hi > lo, hi - lo, 1.0) * divisions), divisions - 1)
+    _, cell_of, sizes = np.unique(cells, axis=0, return_inverse=True, return_counts=True)
+    p = 1.0 / sizes / (1.0 / sizes).sum()
+    by_cell, starts = np.argsort(cell_of.ravel(), kind="stable"), np.cumsum(sizes) - sizes
+    picked = rng.choice(len(sizes), size=k, p=p)
+    return np.array([members[i].genotype for i in by_cell[starts[picked] + rng.integers(0, sizes[picked])]])
+
+
 def choice_move_run(prob, params):
-    """``mopso_run`` with each gene's source drawn by ``Generator.choice``
-    and gathered from the stacked current, personal-best and guide hosts."""
+    """``mopso_run`` with its guides drawn by ``choice_guides`` every
+    generation, and each gene's source drawn by ``Generator.choice`` and
+    gathered from the stacked current, personal-best and guide hosts."""
     run = Search(prob, params)
     rng, n, swarm = run.rng, prob.n_services, params.population_size
     pull = np.array([params.inertia, params.cognitive, params.social])
@@ -122,7 +138,7 @@ def choice_move_run(prob, params):
     pbest = Scored(*(column.copy() for column in current))
     while run.left:
         k = min(swarm, run.left)
-        guides = mopso._guides(run.archive.members, params.grid_divisions, rng, k)
+        guides = choice_guides(run.archive.members, params.grid_divisions, rng, k)
         hosts = np.stack([current.genotypes[:k], pbest.genotypes[:k], guides])
         source = rng.choice(3, size=(k, n), p=pull / pull.sum())
         moves = hosts[source, np.arange(k)[:, None], np.arange(n)]

@@ -46,7 +46,8 @@ class TestMd1Sojourn:
         with pytest.raises(ValueError):
             Md1Queue(lam, d)
 
-    @pytest.mark.parametrize("lam, d", [(math.inf, 0.1), (1.0, math.inf)])
+    # at rate 0 an infinite service time has utilization 0 * inf, NaN
+    @pytest.mark.parametrize("lam, d", [(math.inf, 0.1), (1.0, math.inf), (0.0, math.inf)])
     def test_infinite_input_saturates(self, lam, d):
         with pytest.raises(Saturated):
             md1_sojourn(Md1Queue(lam, d))
