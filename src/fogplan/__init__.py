@@ -1,6 +1,6 @@
 """Availability-aware fog service placement with multiobjective EAs."""
 
-from .fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate, evaluate_many, is_feasible
+from .fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate, evaluate_many
 from .model import Application, Landscape, Resource, Service
 from .moea import ALGORITHMS, AlgoParams, ParetoArchive, select_compromise
 from .scenario import ScenarioSpec, paper_scenario, scaled_scenario
@@ -21,7 +21,6 @@ __all__ = [
     "ViolationVector",
     "evaluate",
     "evaluate_many",
-    "is_feasible",
     "paper_scenario",
     "scaled_scenario",
     "select_compromise",

@@ -62,9 +62,6 @@ class ViolationVector:
     def total(self) -> float:
         return self.cpu_excess + self.ram_excess + self.storage_excess + self.deadline_excess
 
-    def is_zero(self) -> bool:
-        return self.total() == 0.0
-
 
 class ProblemInstance:
     """Immutable problem description with precomputed evaluation arrays."""
@@ -176,21 +173,22 @@ class ProblemInstance:
 
     def resource_loads(self, a: np.ndarray) -> np.ndarray:
         """Per-resource sums under a validated (P, N) block of assignments,
-        (P, 5, R): cpu work, ram, storage, arrival rate and number of
-        services of each row.
+        (5, P, R), kind by kind: cpu work, ram, storage, arrival rate and
+        number of services of each row.
 
-        Row p's bins lie pR further on, and one bincount per load row
-        serves the whole block; each bin adds its services in index order.
+        Row p's bins lie pR further on, and one bincount per kind serves
+        the whole block and fills that kind's contiguous (P·R) row; each
+        bin adds its services in index order.
         """
         rows, r = a.shape[0], self.n_resources
         bins = rows * r
         index = (a + np.arange(0, bins, r)[:, None]).ravel()
         weights = np.repeat(self._load_weights[:, None], rows, axis=1).reshape(4, -1)
-        loads = np.empty((rows, 5, r))
+        loads = np.empty((5, bins))
         for k, w in enumerate(weights):
-            loads[:, k] = np.bincount(index, w, bins).reshape(rows, r)
-        loads[:, 4] = np.bincount(index, minlength=bins).reshape(rows, r)
-        return loads
+            loads[k] = np.bincount(index, w, bins)
+        loads[4] = np.bincount(index, minlength=bins)
+        return loads.reshape(5, rows, r)
 
 
 def evaluate(dep, prob: ProblemInstance) -> tuple[ObjectiveVector, ViolationVector]:
@@ -218,7 +216,7 @@ def _scores(block: np.ndarray, prob: ProblemInstance) -> tuple[np.ndarray, np.nd
     met = prob.service_avail_req <= prob.up_probability[block]
     objectives = np.empty((len(block), 2))
     # the landscape holds one cloud, and every service not on it is on fog
-    objectives[:, 0] = (n - load[:, 4, prob.landscape.cloud]) / n
+    objectives[:, 0] = (n - load[4, :, prob.landscape.cloud]) / n
     # availability is one division of integers no larger than 2**53, exact
     # as floats: the correctly rounded float of the exact ratio
     objectives[:, 1] = (met @ prob.service_avail_weight) / scale
@@ -229,13 +227,14 @@ def _violations(a: np.ndarray, prob: ProblemInstance, load: np.ndarray) -> np.nd
     """cpu, ram, storage and deadline excess (P, 4) of a validated (P, N)
     block with its ``resource_loads``.
 
-    The loads keep resources on their last, contiguous axis, so every
-    row sums its capacity overshoot in the same pairwise order.  The
-    critical-path DP takes the block transposed, population last.
+    The (5, P, R) loads keep resources on their last, contiguous axis,
+    so every row sums its capacity overshoot in the same pairwise order;
+    the (3, P) sums are transposed into place.  The critical-path DP
+    takes the block transposed, population last.
     """
     violations = np.empty((len(a), 4))
-    overshoot = np.maximum(0.0, load[:, :3] - prob.effective_capacity).sum(axis=-1)
-    violations[:, :3] = overshoot / prob.capacity_total
+    overshoot = np.maximum(0.0, load[:3] - prob.effective_capacity[:, None]).sum(axis=-1)
+    violations[:, :3] = (overshoot / prob.capacity_total[:, None]).T
     rt = timing.app_response_times(a.T, prob, load).T
     excess = np.maximum(0.0, rt - prob.app_deadline) / prob.app_deadline
     excess[rt == np.inf] = SATURATION_PENALTY
@@ -268,25 +267,3 @@ def deadline_violation(dep, prob: ProblemInstance) -> float:
     """
     return evaluate(dep, prob)[1].deadline_excess
 
-
-def is_feasible(dep, prob: ProblemInstance) -> bool:
-    _, violations = evaluate(dep, prob)
-    return violations.is_zero()
-
-
-def audit_capacity(dep, prob: ProblemInstance) -> bool:
-    """Direct per-resource check of every capacity inequality.
-
-    Independent of the aggregated violation computation; used to
-    cross-check that a zero violation vector really means feasibility.
-    """
-    a = prob.as_assignment(dep)
-    for rid in range(prob.n_resources):
-        hosted = a == rid
-        if prob.service_cpu[hosted].sum() > prob.effective_cpu[rid]:
-            return False
-        if prob.service_ram[hosted].sum() > prob.effective_ram[rid]:
-            return False
-        if prob.service_storage[hosted].sum() > prob.effective_storage[rid]:
-            return False
-    return True

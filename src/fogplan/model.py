@@ -150,30 +150,14 @@ def _hop_ms(landscape: Landscape, res: Resource) -> float:
     return landscape.fc_fcm_ms if res.kind is ResourceKind.FC else 0.0
 
 
-def latency_ms(landscape: Landscape, a: int, b: int) -> float:
-    """Network latency between two resources, in milliseconds.
-
-    Paths are routed through the colony FCMs: cell -> own FCM -> peer
-    FCM (or cloud) -> destination.  Same-resource latency is zero.
-    """
-    if a == b:
-        return 0.0
-    ra, rb = landscape.resources[a], landscape.resources[b]
-    if ra.colony_id == rb.colony_id:
-        inter = 0.0
-    elif ResourceKind.CLOUD in (ra.kind, rb.kind):
-        inter = landscape.fcm_cloud_ms
-    else:
-        inter = landscape.fcm_fcm_ms
-    return _hop_ms(landscape, ra) + inter + _hop_ms(landscape, rb)
-
-
 def latency_matrix(landscape: Landscape) -> np.ndarray:
     """Full pairwise resource latency matrix in milliseconds.
 
-    The vector form of ``latency_ms``, bit for bit: entry (i, j) adds
-    the same terms in the same order as ``latency_ms(landscape, i, j)``.
-    A hop is 0 or ``fc_fcm_ms``, so entry (j, i) is the same float.
+    Paths are routed through the colony FCMs: cell -> own FCM -> peer
+    FCM (or cloud) -> destination, so entry (i, j) adds i's hop, the
+    inter-colony term and j's hop, in that order; same-resource latency
+    is zero.  A hop is 0 or ``fc_fcm_ms``, so entry (j, i) is the same
+    float.
     """
     res = landscape.resources
     hop = np.array([_hop_ms(landscape, r) for r in res])

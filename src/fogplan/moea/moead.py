@@ -52,8 +52,8 @@ def tchebycheff(objectives, weights, ideal) -> np.ndarray:
     """Scalarized distance to the ideal point (lower is better):
     max(w0·|i0 − o0|, w1·|i1 − o1|) over the last axis, broadcast
     elementwise over the others."""
-    d = np.multiply(weights, np.abs(np.subtract(ideal, objectives)))
-    return np.maximum(d[..., 0], d[..., 1])
+    d = np.abs(np.subtract(ideal, objectives))
+    return np.maximum(weights[..., 0] * d[..., 0], weights[..., 1] * d[..., 1])
 
 
 def _replacement(weights, ideal, population, brood) -> tuple[np.ndarray, np.ndarray]:

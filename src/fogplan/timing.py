@@ -53,30 +53,13 @@ def md1_sojourn(queue: Md1Queue) -> float:
     return d + queue.arrival_rate * d * d / (2.0 * (1.0 - rho))
 
 
-def resource_load(dep, prob, resource_id: int) -> tuple[float, float, float]:
-    """(total arrival rate, service time, utilization) of one resource.
-
-    Arrival rate sums the owning app's request rate once per hosted
-    service; service time is the mean hosted workload over capacity.
-    An empty resource reports (0, 0, 0).
-    """
-    a = prob.as_assignment(dep)
-    hosted = a == resource_id
-    count = int(np.count_nonzero(hosted))
-    if count == 0:
-        return 0.0, 0.0, 0.0
-    lam = float(prob.service_rate[hosted].sum())
-    d = float(prob.service_cpu[hosted].mean()) / prob.cpu_capacity[resource_id]
-    return lam, d, lam * d
-
-
 def sojourn_times(prob, load: np.ndarray) -> np.ndarray:
     """Mean sojourn time of every resource's M/D/1 queue, inf where saturated.
 
-    ``load`` is ``prob.resource_loads`` of P deployments (P, 5, R); the
+    ``load`` is ``prob.resource_loads`` of P deployments (5, P, R); the
     result is (P, R).  An empty resource has sojourn 0.
     """
-    work, lam, count = load[:, 0], load[:, 3], load[:, 4]
+    work, lam, count = load[0], load[3], load[4]
     d = work / np.maximum(count, 1.0) / prob.cpu_capacity
     rho = lam * d
     wait = np.divide(
@@ -89,7 +72,7 @@ def app_response_times(a: np.ndarray, prob, load: np.ndarray) -> np.ndarray:
     """Critical-path response time of every app, inf where a service is saturated.
 
     ``a`` holds P validated assignments on its trailing axis (N, P),
-    with their loads (P, 5, R); the result is (m, P).  With the
+    with their loads (5, P, R); the result is (m, P).  With the
     population last, the DP below indexes services on the first axis.
 
     A DP over global topological levels: a service's distance is its

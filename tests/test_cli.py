@@ -8,8 +8,8 @@ import yaml
 
 from conftest import BAD_SCENARIO_FIELDS, scenario_error_names, set_scenario_key
 from fogplan.cli import ConfigError, _parse_params, _parse_seeds, main
-from fogplan.moea import ALGORITHMS, AlgoParams
-from fogplan.scenario import ScenarioSpec, build_instance, load, save, scaled_spec
+from fogplan.moea import ALGORITHMS, AlgoParams, ParetoArchive
+from fogplan.scenario import ScenarioSpec, build_instance, load, save, scaled_scenario, scaled_spec
 
 
 def read_rows(path):
@@ -136,6 +136,25 @@ class TestEvolutionExperiment:
                      "--scenario", str(scenario_path), "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / f"{experiment}.csv").read_bytes()).hexdigest()
         assert digest == expected
+
+    @pytest.mark.parametrize(("algo", "expected"), [
+        ("nsga2", "7ea2fc736680e036ee386eb5f58d3f01c497fd0b6e29fd476a9537de0b5e1ee2"),
+        ("mopso", "9778532643c13c4d68f631ce80b44992623fc916be596e1be3f7ae8b8b28c983"),
+        ("moead", "601bd969d58d39f37461cc290e15dad76d745b229273e1d43320d4a5108c3633"),
+    ])
+    def test_scaled16_truncated_archive_pinned(self, monkeypatch, algo, expected):
+        # a 400-service front outgrows the default capacity of 50, so this
+        # run truncates 38-124 times: the final archive, member by member in
+        # insertion order, pins the truncation rule at scale
+        truncations = []
+        truncate = ParetoArchive._truncate
+        monkeypatch.setattr(ParetoArchive, "_truncate", lambda self: truncations.append(1) or truncate(self))
+        archive = ALGORITHMS[algo](scaled_scenario(ScenarioSpec(), 16), AlgoParams(seed=0, max_evaluations=1000))
+        digest = hashlib.sha256()
+        for m in archive:
+            digest.update(repr((m.genotype.tolist(), m.objectives.as_tuple(), m.total_violation)).encode())
+        assert len(truncations) >= 38
+        assert digest.hexdigest() == expected
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_worker_count_below_one_exits_2(self, tmp_path, capsys, monkeypatch, workers):

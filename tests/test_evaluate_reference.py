@@ -6,6 +6,10 @@ sum, a dict walk of every app's DAG in topological order, and a Python
 fold of the deadline excess.  The vector kernel performs the same float
 operations, one assignment at a time or a block of them at once, so
 they must agree bit for bit on every input.
+
+The scalar references that other tests check the kernel with live here
+too: feasibility, a per-resource capacity audit, one resource's queue
+load and one pair's latency.
 """
 
 from fractions import Fraction
@@ -22,7 +26,7 @@ from fogplan.fsdp import (
     evaluate,
     evaluate_many,
 )
-from fogplan.model import Application, Service
+from fogplan.model import Application, ResourceKind, Service
 from fogplan.scenario import (
     ScenarioSpec,
     ServiceTemplate,
@@ -121,7 +125,71 @@ def reference_evaluate(dep, prob):
     return ObjectiveVector(fog, float(share / m)), ViolationVector(*excesses, deadline)
 
 
-latency_ms = st.sampled_from([0.0, 0.1, 0.3, 2.0, 7.7, 10.0, 100.0, 123.456])
+def is_zero(violations):
+    """Whether a ViolationVector is all zero: the deployment is feasible."""
+    return violations.total() == 0.0
+
+
+def is_feasible(dep, prob):
+    return is_zero(evaluate(dep, prob)[1])
+
+
+def audit_capacity(dep, prob):
+    """Direct per-resource check of every capacity inequality.
+
+    Independent of the aggregated violation computation; cross-checks
+    that a zero violation vector really means feasibility.
+    """
+    a = prob.as_assignment(dep)
+    for rid in range(prob.n_resources):
+        hosted = a == rid
+        if prob.service_cpu[hosted].sum() > prob.effective_cpu[rid]:
+            return False
+        if prob.service_ram[hosted].sum() > prob.effective_ram[rid]:
+            return False
+        if prob.service_storage[hosted].sum() > prob.effective_storage[rid]:
+            return False
+    return True
+
+
+def resource_load(dep, prob, resource_id):
+    """(total arrival rate, service time, utilization) of one resource.
+
+    Arrival rate sums the owning app's request rate once per hosted
+    service; service time is the mean hosted workload over capacity.
+    An empty resource reports (0, 0, 0).
+    """
+    a = prob.as_assignment(dep)
+    hosted = a == resource_id
+    count = int(np.count_nonzero(hosted))
+    if count == 0:
+        return 0.0, 0.0, 0.0
+    lam = float(prob.service_rate[hosted].sum())
+    d = float(prob.service_cpu[hosted].mean()) / prob.cpu_capacity[resource_id]
+    return lam, d, lam * d
+
+
+def latency_ms(landscape, a, b):
+    """Network latency between two resources, in milliseconds.
+
+    Paths are routed through the colony FCMs: cell -> own FCM -> peer
+    FCM (or cloud) -> destination.  Same-resource latency is zero.
+    ``latency_matrix`` must give the same float in entry (a, b).
+    """
+    if a == b:
+        return 0.0
+    ra, rb = landscape.resources[a], landscape.resources[b]
+    if ra.colony_id == rb.colony_id:
+        inter = 0.0
+    elif ResourceKind.CLOUD in (ra.kind, rb.kind):
+        inter = landscape.fcm_cloud_ms
+    else:
+        inter = landscape.fcm_fcm_ms
+    hop = {ResourceKind.FC: landscape.fc_fcm_ms}
+    return hop.get(ra.kind, 0.0) + inter + hop.get(rb.kind, 0.0)
+
+
+latency_choices = st.sampled_from([0.0, 0.1, 0.3, 2.0, 7.7, 10.0, 100.0, 123.456])
 
 
 @st.composite
@@ -131,9 +199,9 @@ def problems(draw):
     spec = ScenarioSpec(
         colonies=draw(st.integers(1, 3)),
         cells_per_colony=draw(st.integers(1, 3)),
-        fc_fcm_latency_ms=draw(latency_ms),
-        fcm_fcm_latency_ms=draw(latency_ms),
-        fcm_cloud_latency_ms=draw(latency_ms),
+        fc_fcm_latency_ms=draw(latency_choices),
+        fcm_fcm_latency_ms=draw(latency_choices),
+        fcm_cloud_latency_ms=draw(latency_choices),
         seed=draw(st.integers(0, 100)),
     )
     apps = []
@@ -306,7 +374,7 @@ def test_evaluate_many_sums_overshoot_over_many_hosts():
     prob = scaled_scenario(ScenarioSpec(service_templates=templates, reserve_fraction=0.13), 4)
     rng = np.random.default_rng(6)
     block = rng.integers(1, prob.n_resources, (60, prob.n_services))
-    cpu = prob.resource_loads(block)[:, 0]
+    cpu = prob.resource_loads(block)[0]
     assert prob.n_resources == 41
     assert (cpu > prob.effective_cpu).sum(axis=1).min() > 8
     assert_rows_match(block, prob)

@@ -12,10 +12,10 @@ from fogplan.model import (
     Landscape,
     ResourceKind,
     latency_matrix,
-    latency_ms,
     service_levels,
 )
 from fogplan.scenario import ScenarioSpec, build_landscape, paper_scenario, scaled_scenario
+from test_evaluate_reference import latency_ms
 
 
 class TestValidateDag:

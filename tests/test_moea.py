@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_rank, random_solutions, scored_rows, solution, tiny_instance
 from fogplan.errors import BadLattice, BudgetTooSmall, EmptyArchive, EmptyFront, LengthMismatch
-from fogplan.fsdp import ObjectiveVector, ProblemInstance, ViolationVector, audit_capacity, evaluate
+from fogplan.fsdp import ObjectiveVector, ProblemInstance, ViolationVector, evaluate
 from fogplan.moea import (
     ALGORITHMS,
     AlgoParams,
@@ -48,6 +48,7 @@ from fogplan.scenario import (
     paper_scenario,
     scaled_scenario,
 )
+from test_evaluate_reference import audit_capacity, is_zero
 
 ZERO_V = ViolationVector(0.0, 0.0, 0.0, 0.0)
 BAD_V = ViolationVector(0.5, 0.0, 0.0, 0.0)
@@ -601,7 +602,7 @@ def test_search_evaluate_many_matches_a_loop_of_evaluate(monkeypatch):
         assert genotype == list(sol.genotype)
         assert objectives == [sol.objectives.fog_utilization, sol.objectives.availability]
         # the block's total and feasibility are ViolationVector's, bit for bit
-        assert (total, total == 0) == (v.total(), v.is_zero())
+        assert (total, total == 0) == (v.total(), is_zero(v))
     assert (scored.total == 0).any() and not (scored.total == 0).all()
     # the packer's Solution of every row is make_solution's of its genome
     pack = scored.packer()
@@ -779,6 +780,17 @@ def test_block_operators_copy_and_keep_parent_genes():
     assert 0 < (mutated != c1).mean() < 0.3 and mutated.min() >= 0 and mutated.max() < 50
     unchanged = reset_mutation(c1, 0.0, 50, rng)
     assert unchanged is not c1 and (unchanged == c1).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+def test_uniform_crossover_picks_as_a_select_on_its_coins(dtype):
+    # the arithmetic pick against np.where on the same coins; uint16
+    # differences wrap, and the sums wrap back
+    p1, p2 = np.random.default_rng(12).integers(0, 4096, (2, 40, 400)).astype(dtype)
+    coins = np.random.default_rng(13).random(p1.shape) < 0.5
+    c1, c2 = uniform_crossover(p1, p2, np.random.default_rng(13))
+    for got, want in ((c1, np.where(coins, p1, p2)), (c2, np.where(coins, p2, p1))):
+        assert got.dtype == want.dtype and (got == want).all()
 
 
 @pytest.mark.parametrize("name, knob", [

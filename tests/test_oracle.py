@@ -6,12 +6,13 @@ import pytest
 
 from conftest import chain_app, make_resource, make_service, tiny_instance
 from fogplan.errors import Saturated, SearchSpaceTooLarge
-from fogplan.fsdp import ProblemInstance, evaluate, is_feasible
+from fogplan.fsdp import ProblemInstance, evaluate
 from fogplan.model import Landscape, ResourceKind
 from fogplan import oracle
 from fogplan.moea import make_solution, pareto_dominates
 from fogplan.oracle import exact_pareto, md1_simulate
 from fogplan.timing import Md1Queue, md1_sojourn
+from test_evaluate_reference import is_feasible
 
 
 def cloud_fc_landscape(fc_cpu=100.0, fc_failure=0.20):

@@ -10,9 +10,9 @@ from fogplan.model import Application
 from fogplan.timing import (
     Md1Queue,
     md1_sojourn,
-    resource_load,
     response_time_report,
 )
+from test_evaluate_reference import resource_load
 from test_fsdp import single_colony_landscape
 
 
