@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
 import time
@@ -18,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import astuple, fields, replace
+from typing import get_type_hints
 
 from . import scenario as scenario_mod
 from .errors import FogplanError, ParseError
@@ -25,9 +25,6 @@ from .moea import ALGORITHMS, AlgoParams, GenerationStats, select_compromise
 from .timing import response_time_report
 
 SAT_MARKER = "SAT"
-
-_PARAM_FIELDS = {f.name: f.type for f in fields(AlgoParams)}
-_FLOAT_PARAMS = {name for name, annotation in _PARAM_FIELDS.items() if "float" in str(annotation)}
 
 
 class ConfigError(FogplanError):
@@ -181,25 +178,21 @@ def _parse_factors(text: str) -> list[int]:
 
 
 def _parse_params(pairs: list[str]) -> dict:
+    """Each ``k=v`` as its AlgoParams field's type, read as a scenario field is."""
+    hints = get_type_hints(AlgoParams)
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--param expects k=v, got {pair!r}")
         key, value = pair.split("=", 1)
-        if key not in _PARAM_FIELDS or key in ("seed", "max_evaluations"):
+        if key not in hints or key in ("seed", "max_evaluations"):
             raise ConfigError(f"unknown parameter {key!r}")
         try:
-            number = float(value)
+            out[key] = scenario_mod.read_field(f"--param {key}", hints[key], float(value))
         except ValueError as exc:
             raise ConfigError(f"--param {key}: expected a number, got {value!r}") from exc
-        if not math.isfinite(number):
-            raise ConfigError(f"--param {key}: expected a finite number, got {value!r}")
-        if key in _FLOAT_PARAMS:
-            out[key] = number
-        elif number.is_integer():
-            out[key] = int(number)
-        else:
-            raise ConfigError(f"--param {key}: expected an integer, got {value!r}")
+        except ParseError as exc:
+            raise ConfigError(str(exc)) from exc
     return out
 
 

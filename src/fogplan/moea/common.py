@@ -14,7 +14,7 @@ import math
 import sys
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import groupby
 from operator import itemgetter, neg
@@ -28,7 +28,7 @@ from ..fsdp import ObjectiveVector, ProblemInstance, evaluate_many
 
 @dataclass(frozen=True, slots=True)
 class Solution:
-    genotype: Sequence[int]  # an array('H') of resource ids from Scored.packer
+    genotype: Sequence[int]  # an array('H') of resource ids from Scored.solution
     objectives: ObjectiveVector
     total_violation: float  # cpu, ram, storage and deadline excess summed; 0 is feasible
 
@@ -48,24 +48,17 @@ class Scored(NamedTuple):
     objectives: np.ndarray  # (P, 2) fog utilization, availability
     total: np.ndarray  # (P,) total violation
 
-    def packer(self) -> Callable[[int], Solution]:
-        """``pack(i)``, the Solution of row i.
+    def solution(self, i: int) -> Solution:
+        """The Solution of row i.
 
         The block's ids were checked when it was scored: they lie in [0,
-        n_resources), and n_resources <= MAX_RESOURCES < 65536, so one
-        conversion of the whole block packs them two bytes each, exactly,
-        and each row takes its slice as an array('H').  The array orders
+        n_resources), and n_resources <= MAX_RESOURCES < 65536, so they
+        pack two bytes each, exactly, as an array('H').  The array orders
         like the tuple of its ids, but is not equal to it and is not
         hashable.
         """
-        width = 2 * self.genotypes.shape[1]
-        ids = self.genotypes.astype(np.uint16).tobytes()
-        objectives, total = self.objectives.tolist(), self.total.tolist()
-
-        def pack(i: int) -> Solution:
-            return Solution(array("H", ids[i * width:(i + 1) * width]), ObjectiveVector(*objectives[i]), total[i])
-
-        return pack
+        ids = array("H", self.genotypes[i].astype(np.uint16).tobytes())
+        return Solution(ids, ObjectiveVector(*self.objectives[i].tolist()), float(self.total[i]))
 
 
 def score_block(genotypes, prob: ProblemInstance) -> Scored:
@@ -77,7 +70,7 @@ def score_block(genotypes, prob: ProblemInstance) -> Scored:
 
 def make_solution(assignment, prob: ProblemInstance) -> Solution:
     """Score one assignment (N,) as a block of one row."""
-    return score_block(np.asarray(assignment)[None], prob).packer()(0)
+    return score_block(np.asarray(assignment)[None], prob).solution(0)
 
 
 def dominates(au: float, aa: float, bu: float, ba: float) -> bool:
@@ -258,12 +251,10 @@ class ParetoArchive:
         if self.violation:
             dist = crowding_distance(self.members)
             return self.members.pop(min(range(len(dist)), key=dist.__getitem__))
-        # crowding_distance on the staircase: each member's neighbours give
-        # its gaps, the u term added first, and the two ends are inf
+        # the staircase ascends in u, so read backwards it ascends in a
         us, as_ = self._us, self._as
-        span_u, span_a = us[-1] - us[0], as_[0] - as_[-1]
-        dist = [(u2 - u0) / span_u + (a0 - a2) / span_a for u0, u2, a0, a2 in zip(us, us[2:], as_, as_[2:])]
-        dist = [math.inf, *dist, math.inf]
+        dist = [0.0] * len(us)
+        row_crowding(dist, (range(len(us)), range(len(us) - 1, -1, -1)), us, as_)
         least = min(dist)
         tied = {u for u, d in zip(us, dist) if d == least}
         victim = self.members.pop(next(i for i, m in enumerate(self.members) if m.objectives.fog_utilization in tied))
@@ -432,10 +423,10 @@ class Search:
         """
         scored = score_block(genomes, self.prob)
         self.evaluations += len(scored.genotypes)
-        archive, pack = self.archive, scored.packer()
+        archive = self.archive
         for i, ((u, a), total) in enumerate(zip(scored.objectives.tolist(), scored.total.tolist())):
             if archive.admits(u, a, total):
-                archive.add(pack(i))
+                archive.add(scored.solution(i))
         return scored
 
     def report(self, feasible: Sequence[bool]) -> None:

@@ -49,12 +49,12 @@ def exact_pareto(prob: ProblemInstance, cap: int = 10**6) -> ExactFront:
     for start in range(0, size, ENUMERATION_CHUNK):
         block = np.arange(start, min(start + ENUMERATION_CHUNK, size))[:, None] // place % r
         scored = score_block(block, prob)
-        pack, rows = scored.packer(), np.flatnonzero(scored.total == 0)
+        rows = np.flatnonzero(scored.total == 0)
         for i, (u, a) in zip(rows.tolist(), scored.objectives[rows].tolist()):
             if any(dominates(fu, fa, u, a) for fu, fa, _ in front):
                 continue
             front = [f for f in front if not dominates(u, a, f[0], f[1])]
-            front.append((u, a, pack(i)))
+            front.append((u, a, scored.solution(i)))
     return ExactFront(solutions=tuple(s for _, _, s in front), search_space_size=size)
 
 

@@ -10,7 +10,7 @@ versioned YAML file.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -75,20 +75,37 @@ DEFAULT_DEADLINES = (300.0, 60.0, 180.0, 240.0, 120.0)
 
 
 @dataclass(frozen=True)
+class Resources:
+    cloud: ResourceTemplate = DEFAULT_CLOUD
+    fcm: ResourceTemplate = DEFAULT_FCM
+    fc: ResourceTemplate = DEFAULT_FC
+
+
+@dataclass(frozen=True)
+class Latencies:
+    fc_fcm_ms: float = 2.0
+    fcm_fcm_ms: float = 10.0
+    fcm_cloud_ms: float = 100.0
+
+    def __post_init__(self):
+        for name in ("fc_fcm_ms", "fcm_fcm_ms", "fcm_cloud_ms"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ParseError(name, "latency must be finite and >= 0")
+
+
+@dataclass(frozen=True)
 class ScenarioSpec:
+    """A scenario as its YAML file holds it, key for key and in order."""
+
     colonies: int = 2
     cells_per_colony: int = 4
     apps: int = 5
     services_per_app: int = 5
     service_templates: tuple[ServiceTemplate, ...] = DEFAULT_SERVICE_TEMPLATES
-    cloud: ResourceTemplate = DEFAULT_CLOUD
-    fcm: ResourceTemplate = DEFAULT_FCM
-    fc: ResourceTemplate = DEFAULT_FC
+    resources: Resources = Resources()
     deadlines: tuple[float, ...] = DEFAULT_DEADLINES
     request_rates: tuple[float, ...] = (0.1,)
-    fc_fcm_latency_ms: float = 2.0
-    fcm_fcm_latency_ms: float = 10.0
-    fcm_cloud_latency_ms: float = 100.0
+    latencies: Latencies = Latencies()
     reserve_fraction: float = 0.1
     seed: int = 0
 
@@ -114,9 +131,6 @@ class ScenarioSpec:
                 raise ParseError(name, "values must be finite and > 0")
         if not 0.0 <= self.reserve_fraction < 1.0:
             raise ParseError("reserve_fraction", "must lie in [0, 1)")
-        for name in ("fc_fcm_latency_ms", "fcm_fcm_latency_ms", "fcm_cloud_latency_ms"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ParseError(name, "latency must be finite and >= 0")
 
 
 def build_landscape(spec: ScenarioSpec) -> Landscape:
@@ -135,17 +149,17 @@ def build_landscape(spec: ScenarioSpec) -> Landscape:
             )
         )
 
-    host(ResourceKind.CLOUD, spec.cloud)
+    host(ResourceKind.CLOUD, spec.resources.cloud)
     for cid in range(spec.colonies):
-        host(ResourceKind.FCM, spec.fcm, cid)
+        host(ResourceKind.FCM, spec.resources.fcm, cid)
         for _ in range(spec.cells_per_colony):
-            host(ResourceKind.FC, spec.fc, cid)
+            host(ResourceKind.FC, spec.resources.fc, cid)
     return Landscape(
         cloud=0,
         resources=tuple(resources),
-        fc_fcm_ms=spec.fc_fcm_latency_ms,
-        fcm_fcm_ms=spec.fcm_fcm_latency_ms,
-        fcm_cloud_ms=spec.fcm_cloud_latency_ms,
+        fc_fcm_ms=spec.latencies.fc_fcm_ms,
+        fcm_fcm_ms=spec.latencies.fcm_fcm_ms,
+        fcm_cloud_ms=spec.latencies.fcm_cloud_ms,
     )
 
 
@@ -207,57 +221,45 @@ def scaled_scenario(base: ScenarioSpec, replication: int) -> ProblemInstance:
     return build_instance(scaled_spec(base, replication))
 
 
-# the ScenarioSpec fields that schema v1 keeps below the top level, by YAML path
-_YAML_PATH = {
-    "cloud": "resources.cloud",
-    "fcm": "resources.fcm",
-    "fc": "resources.fc",
-    "fc_fcm_latency_ms": "latencies.fc_fcm_ms",
-    "fcm_fcm_latency_ms": "latencies.fcm_fcm_ms",
-    "fcm_cloud_latency_ms": "latencies.fcm_cloud_ms",
-}
-
-
 def save(spec: ScenarioSpec, path) -> None:
-    doc = {"schema_version": SCHEMA_VERSION}
-    for name, value in asdict(spec).items():
-        section, _, key = _YAML_PATH.get(name, name).rpartition(".")
-        (doc.setdefault(section, {}) if section else doc)[key] = (
-            list(value) if isinstance(value, tuple) else value
-        )
     with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+        yaml.safe_dump({"schema_version": SCHEMA_VERSION, **asdict(spec)}, fh, sort_keys=False)
 
 
-def _lookup(doc: dict, where: str):
-    """The value at dotted YAML path ``where``."""
-    value = doc
-    for key in where.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise ParseError(where, "required field missing")
-        value = value[key]
-    return value
+def read_field(where: str, hint, value):
+    """A YAML value as the type ``hint`` of the field at ``where``, its
+    dotted path ("" for the whole document).
 
-
-def _read(where: str, hint, value):
-    """A YAML value as the type ``hint`` of the field at ``where``.
-
-    An int field takes only an integral number, never a bool or a
-    string; a float field any number but a bool.
+    A dataclass reads a mapping whose keys are exactly its fields, each
+    by its own hint.  An int field takes only an integral number, never
+    a bool or a string; a float field any number but a bool; an
+    optional field, such as ``float | None``, a value of its type.
     """
     if is_dataclass(hint):
-        hints = get_type_hints(hint)
-        if not isinstance(value, dict) or set(value) != set(hints):
-            raise ParseError(where, f"expected a mapping with the keys {list(hints)}")
-        values = {name: _read(f"{where}.{name}", t, value[name]) for name, t in hints.items()}
+        if not isinstance(value, dict):
+            raise ParseError(where, f"expected a mapping, got {value!r}")
+        hints, prefix = get_type_hints(hint), f"{where}." if where else ""
+        # an extra key, such as a misspelt copy of a field, would be read by nothing
+        unknown = [f"{prefix}{key}" for key in value if key not in hints]
+        if unknown:
+            raise ParseError(where or "<document>", f"unknown keys {unknown}")
+        values = {}
+        for name, field_hint in hints.items():
+            if name not in value:
+                raise ParseError(prefix + name, "required field missing")
+            values[name] = read_field(prefix + name, field_hint, value[name])
         try:
             return hint(**values)
         except ParseError as exc:
+            if not where:  # the document's own check names its field
+                raise
             raise ParseError(where, str(exc)) from exc
+    if type(None) in get_args(hint):
+        (hint,) = set(get_args(hint)) - {type(None)}
     if get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ParseError(where, f"expected a list, got {value!r}")
-        return tuple(_read(f"{where}[{i}]", get_args(hint)[0], v) for i, v in enumerate(value))
+        return tuple(read_field(f"{where}[{i}]", get_args(hint)[0], v) for i, v in enumerate(value))
     if hint is str:
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -279,20 +281,7 @@ def load(path) -> ScenarioSpec:
         raise ParseError("<document>", str(exc)) from exc
     if not isinstance(doc, dict):
         raise ParseError("<document>", "scenario file must be a mapping")
-    version = doc.get("schema_version")
+    version = doc.pop("schema_version", None)
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise UnknownVersion(f"unsupported schema_version {version!r}")
-    paths = {f.name: _YAML_PATH.get(f.name, f.name) for f in fields(ScenarioSpec)}
-    # an extra key, such as a misspelt copy of a field, would be read by nothing
-    known = {"schema_version", *paths.values()}
-    top = {path.partition(".")[0] for path in known}
-    unknown = [str(key) for key in doc if key not in top]
-    for section in sorted(top - known):  # resources, latencies
-        if isinstance(doc.get(section), dict):
-            unknown += [f"{section}.{key}" for key in doc[section] if f"{section}.{key}" not in known]
-    if unknown:
-        raise ParseError("<document>", f"unknown keys {unknown}")
-    hints = get_type_hints(ScenarioSpec)
-    return ScenarioSpec(**{
-        name: _read(where, hints[name], _lookup(doc, where)) for name, where in paths.items()
-    })
+    return read_field("", ScenarioSpec, doc)

@@ -11,7 +11,7 @@ from fogplan.model import (
 )
 from fogplan.moea import Solution
 from fogplan.moea.common import Scored
-from fogplan.scenario import ScenarioSpec, build_instance
+from fogplan.scenario import DEFAULT_DEADLINES, ScenarioSpec, build_instance
 
 
 #: (key, YAML value) pairs that a scenario file must be rejected for; a
@@ -54,9 +54,8 @@ def set_scenario_key(doc, key, value):
 
 
 def scenario_error_names(key):
-    """What the error for a bad ``key`` must name: its last part, or
-    "latency" for a latency key, whose spec field has another name."""
-    return "latency" if key.endswith("_ms") else key.rsplit(".", 1)[-1]
+    """What the error for a bad ``key`` must name: its last part."""
+    return key.rsplit(".", 1)[-1]
 
 
 def make_resource(rid, kind, colony=None, cpu=1000.0, ram=1000.0, storage=1000.0, failure=0.1):
@@ -128,6 +127,15 @@ def tiny_instance(seed):
     return build_instance(
         ScenarioSpec(colonies=1, cells_per_colony=2, apps=2, services_per_app=3, seed=seed)
     )
+
+
+def tight_deadline_instance(seed):
+    """``tiny_instance`` with every deadline scaled by 0.003, so that the
+    deadline term, not capacity alone, shapes the exact front."""
+    return build_instance(ScenarioSpec(
+        colonies=1, cells_per_colony=2, apps=2, services_per_app=3, seed=seed,
+        deadlines=tuple(0.003 * d for d in DEFAULT_DEADLINES),
+    ))
 
 
 def solution(genotype, objectives, violations):

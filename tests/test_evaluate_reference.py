@@ -28,6 +28,7 @@ from fogplan.fsdp import (
 )
 from fogplan.model import Application, ResourceKind, Service
 from fogplan.scenario import (
+    Latencies,
     ScenarioSpec,
     ServiceTemplate,
     build_landscape,
@@ -199,9 +200,7 @@ def problems(draw):
     spec = ScenarioSpec(
         colonies=draw(st.integers(1, 3)),
         cells_per_colony=draw(st.integers(1, 3)),
-        fc_fcm_latency_ms=draw(latency_choices),
-        fcm_fcm_latency_ms=draw(latency_choices),
-        fcm_cloud_latency_ms=draw(latency_choices),
+        latencies=Latencies(draw(latency_choices), draw(latency_choices), draw(latency_choices)),
         seed=draw(st.integers(0, 100)),
     )
     apps = []

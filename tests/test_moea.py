@@ -41,6 +41,7 @@ from fogplan.moea.common import (
 )
 from fogplan.moea.mopso import _draw, _grid
 from fogplan.scenario import (
+    Resources,
     ResourceTemplate,
     ScenarioSpec,
     ServiceTemplate,
@@ -604,9 +605,8 @@ def test_search_evaluate_many_matches_a_loop_of_evaluate(monkeypatch):
         # the block's total and feasibility are ViolationVector's, bit for bit
         assert (total, total == 0) == (v.total(), is_zero(v))
     assert (scored.total == 0).any() and not (scored.total == 0).all()
-    # the packer's Solution of every row is make_solution's of its genome
-    pack = scored.packer()
-    packed = [pack(i) for i in range(len(genomes))]
+    # the Solution of every row is make_solution's of its genome
+    packed = [scored.solution(i) for i in range(len(genomes))]
     assert packed == expected
     assert [s.total_violation for s in packed] == scored.total.tolist()
     assert batched.evaluations == 240
@@ -693,8 +693,10 @@ RUNS = {
     # a cloud too slow for the deadlines: every member of the first archive is
     # infeasible, and the violation level drops to 0 during the run
     "infeasible-start": (
-        build_instance(ScenarioSpec(colonies=1, cells_per_colony=2, apps=2, services_per_app=3, deadlines=(0.6,),
-                                    seed=1, cloud=ResourceTemplate(cpu=300, ram=200000, storage=1e9, failure=1e-5))),
+        build_instance(ScenarioSpec(
+            colonies=1, cells_per_colony=2, apps=2, services_per_app=3, deadlines=(0.6,), seed=1,
+            resources=Resources(cloud=ResourceTemplate(cpu=300, ram=200000, storage=1e9, failure=1e-5)),
+        )),
         dict(seed=1, max_evaluations=400),
     ),
 }
@@ -875,7 +877,7 @@ def anchor_specs(draw):
     return ScenarioSpec(
         colonies=draw(st.integers(1, 4)), cells_per_colony=draw(st.integers(1, 5)),
         apps=draw(st.integers(1, 6)), services_per_app=draw(st.integers(1, 6)),
-        service_templates=templates, fcm=host(), fc=host(),
+        service_templates=templates, resources=Resources(fcm=host(), fc=host()),
         reserve_fraction=draw(st.floats(0.0, 0.5)), seed=draw(st.integers(0, 100)),
     )
 

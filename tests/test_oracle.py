@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chain_app, make_resource, make_service, tiny_instance
+from conftest import chain_app, make_resource, make_service, tight_deadline_instance, tiny_instance
 from fogplan.errors import Saturated, SearchSpaceTooLarge
 from fogplan.fsdp import ProblemInstance, evaluate
 from fogplan.model import Landscape, ResourceKind
 from fogplan import oracle
-from fogplan.moea import make_solution, pareto_dominates
+from fogplan.moea import ALGORITHMS, AlgoParams, make_solution, pareto_dominates
 from fogplan.oracle import exact_pareto, md1_simulate
 from fogplan.timing import Md1Queue, md1_sojourn
 from test_evaluate_reference import is_feasible
@@ -120,6 +120,23 @@ class TestExactPareto:
         prob = tiny_instance(0)
         with pytest.raises(SearchSpaceTooLarge):
             exact_pareto(prob, cap=100)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tight_deadline_archives_stay_under_the_exact_front(seed):
+    # the deadline moves the front here, so these invariants see the M/D/1
+    # term; how many exact fronts each optimizer recovers is not asserted
+    prob = tight_deadline_instance(seed)
+    front = exact_pareto(prob)
+    assert front.objective_set() != exact_pareto(tiny_instance(seed)).objective_set()
+    for name, run in ALGORITHMS.items():
+        archive = run(prob, AlgoParams(seed=seed, max_evaluations=2000))
+        for member in archive:
+            objectives, violations = evaluate(member.genotype, prob)
+            assert (objectives, violations.total()) == (member.objectives, member.total_violation), name
+            assert member.total_violation == 0.0, name
+            assert not any(pareto_dominates(member.objectives, e.objectives) for e in front.solutions), name
+            assert not any(pareto_dominates(m.objectives, member.objectives) for m in archive), name
 
 
 class TestMd1Simulate:

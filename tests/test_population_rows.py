@@ -24,8 +24,7 @@ POP = 40
 def reference_selection(block: Scored, pop_size: int):
     """The ``pop_size`` best packed rows by (front, -crowding, genotype),
     every front ranked, and their (front, -crowding) standings."""
-    pack = block.packer()
-    solutions = [pack(i) for i in range(len(block.total))]
+    solutions = [block.solution(i) for i in range(len(block.total))]
     ranked = []
     for level, front in enumerate(fast_nondominated_sort(solutions)):
         ranked.extend(((level, -d), s.genotype, s) for s, d in zip(front, crowding_distance(front)))

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -7,9 +8,13 @@ import yaml
 from conftest import BAD_SCENARIO_FIELDS, scenario_error_names, set_scenario_key
 from fogplan.errors import ParseError, UnknownVersion
 from fogplan.scenario import (
+    DEFAULT_FCM,
     DEFAULT_SERVICE_TEMPLATES,
+    Latencies,
+    Resources,
     ScenarioSpec,
     build_instance,
+    build_landscape,
     load,
     paper_scenario,
     save,
@@ -108,6 +113,14 @@ class TestSpecCounts:
         assert build_instance(spec).n_services == 25
 
 
+class TestSections:
+    def test_sections_reach_the_landscape(self):
+        spec = ScenarioSpec(resources=Resources(fc=DEFAULT_FCM), latencies=Latencies(fcm_cloud_ms=50.0))
+        scape = build_landscape(spec)
+        assert (scape.fc_fcm_ms, scape.fcm_fcm_ms, scape.fcm_cloud_ms) == (2.0, 10.0, 50.0)
+        assert {r.cpu_capacity for r in scape.resources if r.kind.value != "cloud"} == {DEFAULT_FCM.cpu}
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         spec = ScenarioSpec(seed=9, apps=3, reserve_fraction=0.2)
@@ -175,6 +188,41 @@ class TestSerialization:
         path.write_text(yaml.safe_dump(doc))
         with pytest.raises(ParseError, match=re.escape(f"unknown keys {[key]}")):
             load(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda doc: doc["service_templates"][0].update(gpu=1),
+                     "service_templates[0]: unknown keys ['service_templates[0].gpu']", id="template-extra"),
+        pytest.param(lambda doc: doc["service_templates"][0].pop("cpu"),
+                     "service_templates[0].cpu: required field missing", id="template-missing"),
+        pytest.param(lambda doc: doc["service_templates"].__setitem__(0, 5),
+                     "service_templates[0]: expected a mapping, got 5", id="template-not-mapping"),
+        pytest.param(lambda doc: doc["resources"]["fc"].update(gpu=1),
+                     "resources.fc: unknown keys ['resources.fc.gpu']", id="fc-extra"),
+        pytest.param(lambda doc: doc["resources"]["fc"].pop("cpu"),
+                     "resources.fc.cpu: required field missing", id="fc-missing"),
+        pytest.param(lambda doc: doc.update(resources=5), "resources: expected a mapping, got 5", id="resources-5"),
+        pytest.param(lambda doc: doc.update(latencies=[1, 2, 3]),
+                     "latencies: expected a mapping, got [1, 2, 3]", id="latencies-list"),
+        pytest.param(lambda doc: doc.pop("resources"), "resources: required field missing", id="resources-missing"),
+    ])
+    def test_nested_key_named(self, tmp_path, edit, message):
+        path = tmp_path / "scenario.yaml"
+        save(ScenarioSpec(), path)
+        doc = yaml.safe_load(path.read_text())
+        edit(doc)
+        path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load(path)
+
+    @pytest.mark.parametrize("spec, digest", [
+        pytest.param(ScenarioSpec(), "3155db5a24dd44f58a768f71f2d8b1b3d8118d4040f4036e6449f5059ca63407", id="paper"),
+        pytest.param(ScenarioSpec(colonies=1, cells_per_colony=2, apps=2, services_per_app=3),
+                     "0425bb018d5630f6d338e723709d1c835e34d9915213c9c19d3a6bef559cbd08", id="tiny"),
+    ])
+    def test_saved_bytes_pinned(self, tmp_path, spec, digest):
+        path = tmp_path / "scenario.yaml"
+        save(spec, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_unknown_version(self, tmp_path):
         spec = ScenarioSpec()
