@@ -188,7 +188,11 @@ def _parse_params(pairs: list[str]) -> dict:
         if key not in hints or key in ("seed", "max_evaluations"):
             raise ConfigError(f"unknown parameter {key!r}")
         try:
-            out[key] = scenario_mod.read_field(f"--param {key}", hints[key], float(value))
+            try:  # an int field's digits stay exact: through a float they round above 2**53
+                number = int(value) if hints[key] is int else float(value)
+            except ValueError:  # such as 40.0 or 1e3
+                number = float(value)
+            out[key] = scenario_mod.read_field(f"--param {key}", hints[key], number)
         except ValueError as exc:
             raise ConfigError(f"--param {key}: expected a number, got {value!r}") from exc
         except ParseError as exc:

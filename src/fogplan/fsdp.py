@@ -14,6 +14,7 @@ object; ``evaluate`` is one row of it as an ``ObjectiveVector`` and a
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain
 
@@ -72,6 +73,10 @@ class ProblemInstance:
         self.landscape = landscape
         self.apps = tuple(apps)
         self.reserve_fraction = reserve_fraction
+        # response times and the deadline CSV are keyed by app id
+        repeated = sorted(i for i, k in Counter(app.id for app in self.apps).items() if k > 1)
+        if repeated:
+            raise ValueError(f"app ids {repeated} repeat")
 
         res = landscape.resources
         self.n_resources = len(res)
@@ -214,33 +219,22 @@ def _scores(block: np.ndarray, prob: ProblemInstance) -> tuple[np.ndarray, np.nd
     n, scale = prob.n_services, prob.availability_lcm * m
     load = prob.resource_loads(block)
     met = prob.service_avail_req <= prob.up_probability[block]
-    objectives = np.empty((len(block), 2))
+    objectives, violations = np.empty((len(block), 2)), np.empty((len(block), 4))
     # the landscape holds one cloud, and every service not on it is on fog
     objectives[:, 0] = (n - load[4, :, prob.landscape.cloud]) / n
     # availability is one division of integers no larger than 2**53, exact
     # as floats: the correctly rounded float of the exact ratio
     objectives[:, 1] = (met @ prob.service_avail_weight) / scale
-    return objectives, _violations(block, prob, load)
-
-
-def _violations(a: np.ndarray, prob: ProblemInstance, load: np.ndarray) -> np.ndarray:
-    """cpu, ram, storage and deadline excess (P, 4) of a validated (P, N)
-    block with its ``resource_loads``.
-
-    The (5, P, R) loads keep resources on their last, contiguous axis,
-    so every row sums its capacity overshoot in the same pairwise order;
-    the (3, P) sums are transposed into place.  The critical-path DP
-    takes the block transposed, population last.
-    """
-    violations = np.empty((len(a), 4))
+    # the (5, P, R) loads keep resources on their last, contiguous axis, so
+    # every row sums its capacity overshoot in the same pairwise order
     overshoot = np.maximum(0.0, load[:3] - prob.effective_capacity[:, None]).sum(axis=-1)
     violations[:, :3] = (overshoot / prob.capacity_total[:, None]).T
-    rt = timing.app_response_times(a.T, prob, load).T
+    rt = timing.app_response_times(block.T, prob, load).T
     excess = np.maximum(0.0, rt - prob.app_deadline) / prob.app_deadline
     excess[rt == np.inf] = SATURATION_PENALTY
     # a left fold in app order: np.sum's pairwise order would move the last bit
     violations[:, 3] = np.add.accumulate(excess, axis=1)[:, -1]
-    return violations
+    return objectives, violations
 
 
 def fog_utilization(dep, prob: ProblemInstance) -> float:

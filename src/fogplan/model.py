@@ -12,12 +12,12 @@ from __future__ import annotations
 import graphlib
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import CycleDetected, DanglingEdge
+from .errors import CycleDetected, DanglingEdge, ParseError
 
 
 class ResourceKind(Enum):
@@ -41,8 +41,8 @@ class Resource:
             raise ValueError(f"resource {self.id}: capacities must be finite and positive")
         if not 0.0 <= self.failure_probability <= 1.0:
             raise ValueError(f"resource {self.id}: failure probability outside [0, 1]")
-        if (self.kind is ResourceKind.CLOUD) != (self.colony_id is None):
-            raise ValueError(f"resource {self.id}: colony_id must be absent iff kind is cloud")
+        if (self.kind is ResourceKind.CLOUD) != (self.colony_id is None) or (self.colony_id or 0) < 0:
+            raise ValueError(f"resource {self.id}: colony_id must be absent iff kind is cloud, else >= 0")
 
     @property
     def up_probability(self) -> float:
@@ -50,34 +50,45 @@ class Resource:
 
 
 @dataclass(frozen=True)
+class Latencies:
+    """One latency per kind of link, in milliseconds: a cell to its own
+    FCM, an FCM to another colony's FCM, an FCM to the cloud."""
+
+    fc_fcm_ms: float = 2.0
+    fcm_fcm_ms: float = 10.0
+    fcm_cloud_ms: float = 100.0
+
+    def __post_init__(self):
+        for name in ("fc_fcm_ms", "fcm_fcm_ms", "fcm_cloud_ms"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ParseError(name, "latency must be finite and >= 0")
+
+
+@dataclass(frozen=True)
 class Landscape:
     """One cloud plus fog colonies, with one latency per kind of link.
 
     A colony is the resources that share a ``Resource.colony_id``: one
-    FCM and any number of cells.  Latencies are in milliseconds: a cell
-    to its own FCM, an FCM to another colony's FCM, an FCM to the cloud.
+    FCM and any number of cells.  ``cloud`` is the id of the one cloud
+    resource.
     """
 
-    cloud: int
     resources: tuple[Resource, ...]
-    fc_fcm_ms: float
-    fcm_fcm_ms: float
-    fcm_cloud_ms: float
+    latencies: Latencies
+    cloud: int = field(init=False)
 
     def __post_init__(self):
         ids = [r.id for r in self.resources]
         if ids != list(range(len(ids))):
             raise ValueError("resource ids must be unique and contiguous from 0")
         clouds = [r.id for r in self.resources if r.kind is ResourceKind.CLOUD]
-        if clouds != [self.cloud]:
-            raise ValueError(f"cloud resources {clouds}: expected one, named by cloud={self.cloud}")
+        if len(clouds) != 1:
+            raise ValueError(f"cloud resources {clouds}: expected one")
+        object.__setattr__(self, "cloud", clouds[0])
         fcms = Counter(r.colony_id for r in self.resources if r.kind is ResourceKind.FCM)
         for r in self.resources:
             if r.colony_id is not None and fcms[r.colony_id] != 1:
                 raise ValueError(f"colony {r.colony_id}: {fcms[r.colony_id]} FCMs, expected one")
-        for name in ("fc_fcm_ms", "fcm_fcm_ms", "fcm_cloud_ms"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name}: latency negative or not finite")
 
 
 @dataclass(frozen=True)
@@ -146,10 +157,6 @@ def service_levels(app: Application) -> list[int]:
     return level
 
 
-def _hop_ms(landscape: Landscape, res: Resource) -> float:
-    return landscape.fc_fcm_ms if res.kind is ResourceKind.FC else 0.0
-
-
 def latency_matrix(landscape: Landscape) -> np.ndarray:
     """Full pairwise resource latency matrix in milliseconds.
 
@@ -159,12 +166,12 @@ def latency_matrix(landscape: Landscape) -> np.ndarray:
     is zero.  A hop is 0 or ``fc_fcm_ms``, so entry (j, i) is the same
     float.
     """
-    res = landscape.resources
-    hop = np.array([_hop_ms(landscape, r) for r in res])
-    cloud = np.array([r.colony_id is None for r in res])
+    res, lat = landscape.resources, landscape.latencies
+    hop = np.array([lat.fc_fcm_ms if r.kind is ResourceKind.FC else 0.0 for r in res])
     colony = np.array([-1 if r.colony_id is None else r.colony_id for r in res])
-    inter = np.where(colony[:, None] == colony, 0.0, landscape.fcm_fcm_ms)
-    inter[cloud[:, None] != cloud] = landscape.fcm_cloud_ms
+    cloud = colony < 0
+    inter = np.where(colony[:, None] == colony, 0.0, lat.fcm_fcm_ms)
+    inter[cloud[:, None] != cloud] = lat.fcm_cloud_ms
     mat = hop[:, None] + inter + hop
     np.fill_diagonal(mat, 0.0)
     return mat

@@ -193,7 +193,7 @@ class ParetoArchive:
     computed from the members still holds while ``version`` stands.
     """
 
-    def __init__(self, capacity: int = 100):
+    def __init__(self, capacity: int):
         if not _is_count(capacity):
             raise ValueError("capacity must be an integer >= 1 within float range")
         self.capacity = capacity

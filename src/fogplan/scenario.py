@@ -18,7 +18,7 @@ import yaml
 
 from .errors import ParseError, UnknownVersion
 from .fsdp import MAX_RESOURCES, ProblemInstance
-from .model import Application, Landscape, Resource, ResourceKind, Service
+from .model import Application, Landscape, Latencies, Resource, ResourceKind, Service
 
 SCHEMA_VERSION = 1
 
@@ -82,18 +82,6 @@ class Resources:
 
 
 @dataclass(frozen=True)
-class Latencies:
-    fc_fcm_ms: float = 2.0
-    fcm_fcm_ms: float = 10.0
-    fcm_cloud_ms: float = 100.0
-
-    def __post_init__(self):
-        for name in ("fc_fcm_ms", "fcm_fcm_ms", "fcm_cloud_ms"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ParseError(name, "latency must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """A scenario as its YAML file holds it, key for key and in order."""
 
@@ -154,13 +142,7 @@ def build_landscape(spec: ScenarioSpec) -> Landscape:
         host(ResourceKind.FCM, spec.resources.fcm, cid)
         for _ in range(spec.cells_per_colony):
             host(ResourceKind.FC, spec.resources.fc, cid)
-    return Landscape(
-        cloud=0,
-        resources=tuple(resources),
-        fc_fcm_ms=spec.latencies.fc_fcm_ms,
-        fcm_fcm_ms=spec.latencies.fcm_fcm_ms,
-        fcm_cloud_ms=spec.latencies.fcm_cloud_ms,
-    )
+    return Landscape(tuple(resources), spec.latencies)
 
 
 def build_instance(spec: ScenarioSpec) -> ProblemInstance:

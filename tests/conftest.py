@@ -5,6 +5,7 @@ from fogplan.fsdp import ProblemInstance
 from fogplan.model import (
     Application,
     Landscape,
+    Latencies,
     Resource,
     ResourceKind,
     Service,
@@ -102,9 +103,7 @@ def two_colony_landscape():
         make_resource(4, ResourceKind.FCM, colony=1, failure=0.10, cpu=1000, ram=512, storage=10000),
         make_resource(5, ResourceKind.FC, colony=1, failure=0.20, cpu=250, ram=256, storage=1000),
     ]
-    return Landscape(
-        cloud=0, resources=tuple(resources), fc_fcm_ms=2.0, fcm_fcm_ms=10.0, fcm_cloud_ms=100.0
-    )
+    return Landscape(tuple(resources), Latencies())
 
 
 @pytest.fixture

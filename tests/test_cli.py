@@ -371,3 +371,13 @@ class TestParamOverrides:
         assert type(parsed["population_size"]) is int and type(parsed["inertia"]) is float
         with pytest.raises(ConfigError, match="integer"):
             _parse_params(["grid_divisions=7.5"])
+
+    def test_int_param_digits_stay_exact(self, tmp_path, capsys):
+        # through a float, 2**53 + 1 would round to the even 2**53
+        parsed = _parse_params(["population_size=9007199254740993", "archive_capacity=1_000"])
+        assert parsed == {"population_size": 2**53 + 1, "archive_capacity": 1000}
+        assert _parse_params(["grid_divisions=1e3"]) == {"grid_divisions": 1000}
+        rc = main(["--algo", "nsga2", "--evals", "40", "--param", "population_size=9007199254740993",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "even" in capsys.readouterr().err

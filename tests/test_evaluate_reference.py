@@ -183,10 +183,10 @@ def latency_ms(landscape, a, b):
     if ra.colony_id == rb.colony_id:
         inter = 0.0
     elif ResourceKind.CLOUD in (ra.kind, rb.kind):
-        inter = landscape.fcm_cloud_ms
+        inter = landscape.latencies.fcm_cloud_ms
     else:
-        inter = landscape.fcm_fcm_ms
-    hop = {ResourceKind.FC: landscape.fc_fcm_ms}
+        inter = landscape.latencies.fcm_fcm_ms
+    hop = {ResourceKind.FC: landscape.latencies.fc_fcm_ms}
     return hop.get(ra.kind, 0.0) + inter + hop.get(rb.kind, 0.0)
 
 

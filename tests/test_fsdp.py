@@ -14,7 +14,7 @@ from fogplan.fsdp import (
     evaluate_many,
     fog_utilization,
 )
-from fogplan.model import Application, Landscape, ResourceKind, Service
+from fogplan.model import Application, Landscape, Latencies, ResourceKind, Service
 from fogplan.moea import make_solution
 from fogplan.scenario import ScenarioSpec, build_landscape, paper_scenario, scaled_scenario
 from fogplan.timing import response_time_report
@@ -27,9 +27,7 @@ def single_colony_landscape():
         make_resource(1, ResourceKind.FCM, colony=0, failure=0.10, cpu=1000, ram=512, storage=10000),
         make_resource(2, ResourceKind.FC, colony=0, failure=0.20, cpu=250, ram=256, storage=1000),
     )
-    return Landscape(
-        cloud=0, resources=resources, fc_fcm_ms=2.0, fcm_fcm_ms=10.0, fcm_cloud_ms=100.0
-    )
+    return Landscape(resources, Latencies())
 
 
 class TestFogUtilization:
@@ -209,6 +207,15 @@ class TestDeadlineViolation:
     def test_saturated_penalty(self):
         prob = self._one_service_problem(deadline=60.0, rate=5.0)  # rho = 4
         assert deadline_violation([2], prob) == 10.0
+
+
+class TestProblemInstance:
+    def test_repeated_app_ids_rejected(self, two_colony_landscape):
+        # response times are keyed by app id: five apps with id 0 would report one time
+        ids = [0, 0, 0, 3, 0, 0, 3, 1]
+        apps = [chain_app(i, [make_service(i, j) for j in range(2)]) for i in ids]
+        with pytest.raises(ValueError, match=r"app ids \[0, 3\] repeat"):
+            ProblemInstance(two_colony_landscape, apps)
 
 
 class TestEvaluate:

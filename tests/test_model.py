@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_app, make_resource, make_service
-from fogplan.errors import CycleDetected, DanglingEdge
+from fogplan.errors import CycleDetected, DanglingEdge, ParseError
 from fogplan.model import (
     Application,
     Landscape,
+    Latencies,
     ResourceKind,
     latency_matrix,
     service_levels,
@@ -94,9 +95,6 @@ class TestValidateDag:
             Application(id=0, services=(), edges=(), deadline=10.0, request_rate=0.1)
 
 
-LATENCIES = {"fc_fcm_ms": 2.0, "fcm_fcm_ms": 10.0, "fcm_cloud_ms": 100.0}
-
-
 def celled_landscape():
     """Cloud plus three colonies with cells, non-contiguous colony ids,
     and latencies whose float sum depends on the order of addition."""
@@ -105,9 +103,7 @@ def celled_landscape():
         resources.append(make_resource(len(resources), ResourceKind.FCM, colony=colony))
         for _ in range(cells):
             resources.append(make_resource(len(resources), ResourceKind.FC, colony=colony))
-    return Landscape(
-        cloud=0, resources=tuple(resources), fc_fcm_ms=0.1, fcm_fcm_ms=0.6, fcm_cloud_ms=0.7
-    )
+    return Landscape(tuple(resources), Latencies(fc_fcm_ms=0.1, fcm_fcm_ms=0.6, fcm_cloud_ms=0.7))
 
 
 CELLED = celled_landscape()
@@ -134,27 +130,37 @@ class TestLandscape:
             make_resource(3, kinds[1], colony=1),
         )
         with pytest.raises(ValueError, match="colony 1: [02] FCMs"):
-            Landscape(cloud=0, resources=resources, **LATENCIES)
+            Landscape(resources, Latencies())
 
-    @pytest.mark.parametrize("cloud, kinds", [
-        (0, (ResourceKind.CLOUD, ResourceKind.FCM, ResourceKind.CLOUD)),
-        (1, (ResourceKind.CLOUD, ResourceKind.FCM, ResourceKind.FC)),
-        (3, (ResourceKind.CLOUD, ResourceKind.FCM, ResourceKind.FC)),
-    ], ids=["second-cloud", "field-names-an-fcm", "field-out-of-range"])
-    def test_exactly_one_cloud(self, cloud, kinds):
+    @pytest.mark.parametrize("kinds", [
+        (ResourceKind.CLOUD, ResourceKind.FCM, ResourceKind.CLOUD),
+        (ResourceKind.FCM, ResourceKind.FC),
+    ], ids=["second-cloud", "no-cloud"])
+    def test_exactly_one_cloud(self, kinds):
         resources = tuple(
             make_resource(rid, kind, colony=None if kind is ResourceKind.CLOUD else 0)
             for rid, kind in enumerate(kinds)
         )
-        with pytest.raises(ValueError, match="expected one, named by cloud="):
-            Landscape(cloud=cloud, resources=resources, **LATENCIES)
+        with pytest.raises(ValueError, match=r"cloud resources \[.*\]: expected one"):
+            Landscape(resources, Latencies())
+
+    def test_cloud_is_the_cloud_resource(self):
+        resources = (
+            make_resource(0, ResourceKind.FCM, colony=0),
+            make_resource(1, ResourceKind.CLOUD),
+            make_resource(2, ResourceKind.FC, colony=0),
+        )
+        assert Landscape(resources, Latencies()).cloud == 1
+
+    def test_negative_colony_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            make_resource(1, ResourceKind.FC, colony=-1)
 
     @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
     def test_negative_or_non_finite_latency_rejected(self, bad):
-        resources = (make_resource(0, ResourceKind.CLOUD), make_resource(1, ResourceKind.FCM, colony=0))
-        for name in LATENCIES:
-            with pytest.raises(ValueError, match=f"{name}: latency negative or not finite"):
-                Landscape(cloud=0, resources=resources, **{**LATENCIES, name: bad})
+        for field in dataclasses.fields(Latencies):
+            with pytest.raises(ParseError, match=f"{field.name}: latency must be finite and >= 0"):
+                Latencies(**{field.name: bad})
 
 
 class TestLandscapeAvailability:
@@ -187,7 +193,7 @@ class TestLatency:
     def test_matrix_equals_pairwise_reference(self, scape):
         if scape is CELLED:
             # a cell-to-cell sum that took both hops first would round otherwise
-            hop, inter = scape.fc_fcm_ms, scape.fcm_fcm_ms
+            hop, inter = scape.latencies.fc_fcm_ms, scape.latencies.fcm_fcm_ms
             assert hop + inter + hop != hop + hop + inter
         assert_matrix_matches(scape)
 
@@ -197,7 +203,7 @@ class TestLatency:
         # drawn latencies round in their sums, so both orders of a pair are
         # checked on values where the order of addition could show
         spec = ScenarioSpec(colonies=colonies, cells_per_colony=cells)
-        assert_matrix_matches(dataclasses.replace(build_landscape(spec), **dict(zip(LATENCIES, latencies))))
+        assert_matrix_matches(dataclasses.replace(build_landscape(spec), latencies=Latencies(*latencies)))
 
     def test_symmetry(self, two_colony_landscape):
         for a in range(6):

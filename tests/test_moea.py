@@ -461,7 +461,7 @@ class TestSelectCompromise:
 
     def test_empty_raises(self):
         with pytest.raises(EmptyArchive):
-            select_compromise(ParetoArchive())
+            select_compromise(ParetoArchive(capacity=10))
 
     def test_collinear_front_picks_balanced_middle(self):
         # u + a = 1.44 from (0.44, 1) to (1, 0.44) in steps of 1/25: every

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import chain_app, make_resource, make_service
 from fogplan.fsdp import ProblemInstance
-from fogplan.model import Landscape, ResourceKind
+from fogplan.model import Landscape, Latencies, ResourceKind
 from fogplan.moea import AlgoParams, moead, moead_run
 from fogplan.moea.common import Search
 from fogplan.moea.moead import _replacement, simplex_lattice_weights, tchebycheff
@@ -112,7 +112,7 @@ def test_ideal_is_the_best_feasible_so_far(monkeypatch):
         make_resource(1, ResourceKind.FCM, colony=0, failure=0.10, cpu=100),
         make_resource(2, ResourceKind.FC, colony=0, failure=0.20, cpu=100),
     )
-    landscape = Landscape(cloud=0, resources=resources, fc_fcm_ms=2.0, fcm_fcm_ms=10.0, fcm_cloud_ms=100.0)
+    landscape = Landscape(resources, Latencies())
     services = [make_service(0, j, cpu=cpu, avail=0.95) for j, cpu in enumerate([50, 50, 40, 30, 30])]
     prob = ProblemInstance(landscape, [chain_app(0, services, deadline=1e6, rate=0.001)], reserve_fraction=0.0)
     scored, seen = [], []

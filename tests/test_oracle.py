@@ -7,7 +7,7 @@ import pytest
 from conftest import chain_app, make_resource, make_service, tight_deadline_instance, tiny_instance
 from fogplan.errors import Saturated, SearchSpaceTooLarge
 from fogplan.fsdp import ProblemInstance, evaluate
-from fogplan.model import Landscape, ResourceKind
+from fogplan.model import Landscape, Latencies, ResourceKind
 from fogplan import oracle
 from fogplan.moea import ALGORITHMS, AlgoParams, make_solution, pareto_dominates
 from fogplan.oracle import exact_pareto, md1_simulate
@@ -21,9 +21,7 @@ def cloud_fc_landscape(fc_cpu=100.0, fc_failure=0.20):
         make_resource(1, ResourceKind.FCM, colony=0, failure=0.10, cpu=500, ram=500, storage=500),
         make_resource(2, ResourceKind.FC, colony=0, failure=fc_failure, cpu=fc_cpu, ram=256, storage=1000),
     )
-    return Landscape(
-        cloud=0, resources=resources, fc_fcm_ms=2.0, fcm_fcm_ms=10.0, fcm_cloud_ms=100.0
-    )
+    return Landscape(resources, Latencies())
 
 
 class TestExactPareto:
@@ -77,15 +75,12 @@ class TestExactPareto:
         # swap the FCM and FC ids; objective multiset must not change
         base = cloud_fc_landscape()
         swapped = Landscape(
-            cloud=0,
-            resources=(
+            (
                 base.resources[0],
                 make_resource(1, ResourceKind.FC, colony=0, failure=0.20, cpu=100, ram=256, storage=1000),
                 make_resource(2, ResourceKind.FCM, colony=0, failure=0.10, cpu=500, ram=500, storage=500),
             ),
-            fc_fcm_ms=2.0,
-            fcm_fcm_ms=10.0,
-            fcm_cloud_ms=100.0,
+            base.latencies,
         )
         services = [make_service(0, j, cpu=40, avail=0.6) for j in range(2)]
         front_a = exact_pareto(ProblemInstance(base, [chain_app(0, services)]))

@@ -117,7 +117,7 @@ class TestSections:
     def test_sections_reach_the_landscape(self):
         spec = ScenarioSpec(resources=Resources(fc=DEFAULT_FCM), latencies=Latencies(fcm_cloud_ms=50.0))
         scape = build_landscape(spec)
-        assert (scape.fc_fcm_ms, scape.fcm_fcm_ms, scape.fcm_cloud_ms) == (2.0, 10.0, 50.0)
+        assert scape.latencies == Latencies(2.0, 10.0, 50.0)
         assert {r.cpu_capacity for r in scape.resources if r.kind.value != "cloud"} == {DEFAULT_FCM.cpu}
 
 
