@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # The installed `fogplan` entry point end to end: a small scenario file runs
-# and prints its CSV path; an unknown key, at the top or nested in a section,
-# a negative link latency, a non-integer count given to --param and an odd
-# population above 2**53 (which a float would round to an even one) each
-# exit 2, the last three with a message that names the fault.
+# each experiment (evolution, deadline, scaling at factors 1 and 2) and
+# prints its CSV path; an unknown key, at the top or nested in a section,
+# a negative link latency, a non-integer count given to --param, an odd
+# population above 2**53 (which a float would round to an even one) and a
+# scaling factor of 10**9 each exit 2, the last four with a message that
+# names the fault.
 set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 spec="$tmp/spec.yaml"
@@ -17,10 +19,16 @@ yaml.safe_dump(doc, open(sys.argv[2], "w"), sort_keys=False)
 del doc["resources"]["fc"]["gpu"]
 doc["latencies"]["fcm_fcm_ms"] = -1
 yaml.safe_dump(doc, open(sys.argv[3], "w"), sort_keys=False)' "$spec" "$nested" "$latency"
-csv=$(fogplan --scenario "$spec" --algo nsga2 --evals 40 --out "$tmp/out")
-echo "$csv"
-test -f "$csv"
-[[ "$csv" == *.csv ]]
+prints_csv() {
+  local csv
+  csv=$(fogplan --scenario "$spec" --algo nsga2 --evals 40 --out "$tmp/out" "$@")
+  echo "$csv"
+  test -f "$csv"
+  [[ "$csv" == *.csv ]]
+}
+prints_csv
+prints_csv --experiment deadline
+prints_csv --experiment scaling --factors 1,2
 
 exits_2() {
   local status=0
@@ -35,5 +43,7 @@ exits_2 --scenario "$spec" --param grid_divisions=7.5
 grep -q "integer" "$tmp/err"
 exits_2 --scenario "$spec" --param population_size=9007199254740993
 grep -q "even" "$tmp/err"
+exits_2 --scenario "$spec" --experiment scaling --factors 1000000000
+grep -q -- "--factors 1000000000" "$tmp/err"
 echo 'colonnies: 7' >> "$spec"
 exits_2 --scenario "$spec"

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import astuple, fields, replace
+from functools import partial
 from typing import get_type_hints
 
 from . import scenario as scenario_mod
@@ -25,6 +26,7 @@ from .moea import ALGORITHMS, AlgoParams, GenerationStats, select_compromise
 from .timing import response_time_report
 
 SAT_MARKER = "SAT"
+EVOLUTION_COLUMNS = [f.name for f in fields(GenerationStats)]
 
 
 class ConfigError(FogplanError):
@@ -35,14 +37,36 @@ def _fmt(value: float) -> str:
     return format(float(value), ".10g")
 
 
-def _run_one(job):
-    """Worker entry: one (algorithm, seed) optimization run."""
-    algo, spec, params = job
-    prob = scenario_mod.build_instance(spec)
+def _evolution_rows(prob, archive, trace):
+    """One row per reported generation."""
+    return [[value if name == "evaluations" else _fmt(value) for name, value in zip(EVOLUTION_COLUMNS, astuple(gen))]
+            for gen in trace]
+
+
+def _deadline_rows(prob, archive, trace):
+    """Response time against deadline for every app, at the run's compromise."""
+    report = response_time_report(select_compromise(archive).genotype, prob)
+    rows = []
+    for app in prob.apps:
+        rt = report.app_rt[app.id]
+        satisfied = rt is not None and rt <= app.deadline
+        rows.append([app.id, SAT_MARKER if rt is None else _fmt(rt), _fmt(app.deadline), str(satisfied).lower()])
+    return rows
+
+
+#: experiment -> (its CSV columns after algorithm and seed, its rows of one run)
+EXPERIMENTS = {
+    "evolution": (EVOLUTION_COLUMNS, _evolution_rows),
+    "deadline": (["app", "response_time_s", "deadline_s", "satisfied"], _deadline_rows),
+}
+
+
+def _run_one(rows_of, job):
+    """Worker entry: one (algorithm, seed) optimization run, as its CSV rows."""
+    algo, prob, params = job
     trace = []
     archive = ALGORITHMS[algo](prob, params, trace_hook=trace.append)
-    report = response_time_report(select_compromise(archive).genotype, prob)
-    return algo, params.seed, trace, report
+    return [[algo, params.seed, *row] for row in rows_of(prob, archive, trace)]
 
 
 def _worker_count() -> int:
@@ -56,18 +80,6 @@ def _worker_count() -> int:
     return n
 
 
-def _run_all(algorithms: list[str], spec: scenario_mod.ScenarioSpec, params: list[AlgoParams]):
-    jobs = [(algo, spec, p) for algo in algorithms for p in params]
-    workers = _worker_count()
-    if workers == 1 or len(jobs) == 1:
-        results = [_run_one(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_run_one, jobs))
-    results.sort(key=lambda r: (algorithms.index(r[0]), r[1]))
-    return results
-
-
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -75,47 +87,21 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def run_evolution_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSpec,
-                             params: list[AlgoParams], output_dir: str) -> str:
-    """One row per reported generation of every (algorithm, seed) run."""
-    columns = [f.name for f in fields(GenerationStats)]
-    rows = [
-        [algo, seed, *(value if name == "evaluations" else _fmt(value)
-                       for name, value in zip(columns, astuple(gen)))]
-        for algo, seed, trace, _ in _run_all(algorithms, spec, params)
-        for gen in trace
-    ]
-    path = os.path.join(output_dir, "evolution.csv")
-    _write_csv(path, ["algorithm", "seed", *columns], rows)
-    return path
-
-
-def run_deadline_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSpec,
-                            params: list[AlgoParams], output_dir: str) -> str:
-    """Response time against deadline for every app, at each run's compromise."""
-    results = _run_all(algorithms, spec, params)
+def run_experiment(experiment: str, algorithms: list[str], spec: scenario_mod.ScenarioSpec,
+                   params: list[AlgoParams], output_dir: str) -> str:
+    """Every (algorithm, seed) run on one instance of ``spec``, in that order, as one CSV."""
+    columns, rows_of = EXPERIMENTS[experiment]
+    workers = _worker_count()
     prob = scenario_mod.build_instance(spec)
-    rows = []
-    for algo, seed, _, report in results:
-        for app in prob.apps:
-            rt = report.app_rt[app.id]
-            satisfied = rt is not None and rt <= app.deadline
-            rows.append(
-                [
-                    algo,
-                    seed,
-                    app.id,
-                    SAT_MARKER if rt is None else _fmt(rt),
-                    _fmt(app.deadline),
-                    str(satisfied).lower(),
-                ]
-            )
-    path = os.path.join(output_dir, "deadline.csv")
-    _write_csv(
-        path,
-        ["algorithm", "seed", "app", "response_time_s", "deadline_s", "satisfied"],
-        rows,
-    )
+    jobs = [(algo, prob, p) for algo in algorithms for p in params]
+    run = partial(_run_one, rows_of)
+    if workers == 1 or len(jobs) == 1:
+        results = [run(job) for job in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            results = list(pool.map(run, jobs))
+    path = os.path.join(output_dir, f"{experiment}.csv")
+    _write_csv(path, ["algorithm", "seed", *columns], (row for result in results for row in result))
     return path
 
 
@@ -128,10 +114,10 @@ def run_scaling_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSpe
             scaled.append(scenario_mod.scaled_spec(spec, factor))
         except ParseError as exc:
             raise ConfigError(f"--factors {factor}: {exc}") from exc
+    probs = [scenario_mod.build_instance(factor_spec) for factor_spec in scaled]
     rows = []
     for algo in algorithms:
-        for factor_spec in scaled:
-            prob = scenario_mod.build_instance(factor_spec)
+        for prob in probs:
             start = time.perf_counter()
             ALGORITHMS[algo](prob, params)
             elapsed = time.perf_counter() - start
@@ -153,7 +139,7 @@ def run_scaling_experiment(algorithms: list[str], spec: scenario_mod.ScenarioSpe
 
 
 def _parse_seeds(text: str) -> Sequence[int]:
-    """A ``range`` for ``lo..hi``, never a list of its seeds; a list for a comma list."""
+    """A ``range`` for ``lo..hi``, never a list of its seeds; a sorted list for a comma list."""
     try:
         if ".." in text:
             lo, hi = text.split("..")
@@ -164,7 +150,7 @@ def _parse_seeds(text: str) -> Sequence[int]:
     repeated = sorted(s for s, k in Counter(seeds).items() if k > 1)
     if repeated:
         raise ConfigError(f"--seeds repeats {repeated}: each seed would run again")
-    return seeds
+    return sorted(seeds)
 
 
 def _parse_factors(text: str) -> list[int]:
@@ -205,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fogplan",
         description="Run fog service placement optimization experiments (CSV output).",
     )
-    parser.add_argument("--experiment", choices=["evolution", "deadline", "scaling"],
+    parser.add_argument("--experiment", choices=[*EXPERIMENTS, "scaling"],
                         default="evolution")
     parser.add_argument("--algo", default="all",
                         help="mopso, nsga2, moead, or all (default: all)")
@@ -243,10 +229,8 @@ def main(argv=None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out: {exc}") from exc
-        if args.experiment == "evolution":
-            path = run_evolution_experiment(algorithms, spec, params, args.out)
-        elif args.experiment == "deadline":
-            path = run_deadline_experiment(algorithms, spec, params, args.out)
+        if args.experiment in EXPERIMENTS:
+            path = run_experiment(args.experiment, algorithms, spec, params, args.out)
         else:
             factors = _parse_factors(args.factors)
             if len(seeds) > 1:

@@ -187,16 +187,14 @@ def paper_scenario(seed: int = 0) -> ProblemInstance:
 
 
 def scaled_spec(base: ScenarioSpec, replication: int) -> ScenarioSpec:
-    """Replicate apps and colonies together so feasibility density holds."""
+    """Replicate apps and colonies together so feasibility density holds.
+
+    The deadlines and request rates are not copied: ``build_instance``
+    cycles them over the apps, so the replicated apps get them in turn.
+    """
     if not isinstance(replication, (int, np.integer)) or isinstance(replication, bool) or replication < 1:
         raise ValueError(f"replication factor must be an integer >= 1, not {replication!r}")
-    return replace(
-        base,
-        apps=base.apps * replication,
-        colonies=base.colonies * replication,
-        deadlines=base.deadlines * replication,
-        request_rates=base.request_rates * replication,
-    )
+    return replace(base, apps=base.apps * replication, colonies=base.colonies * replication)
 
 
 def scaled_scenario(base: ScenarioSpec, replication: int) -> ProblemInstance:

@@ -137,6 +137,14 @@ def tight_deadline_instance(seed):
     ))
 
 
+def rate_bound_instance(seed):
+    """``tiny_instance`` with every app requested 5 times a second, so that
+    the hosts' queueing, through the deadline term, shapes the exact front."""
+    return build_instance(ScenarioSpec(
+        colonies=1, cells_per_colony=2, apps=2, services_per_app=3, seed=seed, request_rates=(5.0,),
+    ))
+
+
 def solution(genotype, objectives, violations):
     """A Solution whose total violation is its ViolationVector's, as a
     scored block computes it."""

@@ -2,11 +2,13 @@ import csv
 import hashlib
 import os
 import tracemalloc
+from collections import Counter
 
 import pytest
 import yaml
 
 from conftest import BAD_SCENARIO_FIELDS, scenario_error_names, set_scenario_key
+from fogplan import cli, scenario
 from fogplan.cli import ConfigError, _parse_params, _parse_seeds, main
 from fogplan.moea import ALGORITHMS, AlgoParams, ParetoArchive
 from fogplan.scenario import ScenarioSpec, build_instance, load, save, scaled_scenario, scaled_spec
@@ -269,6 +271,48 @@ def test_search_where_nothing_is_feasible(tmp_path, algo):
     archive = ALGORITHMS[algo](build_instance(load(scenario_path)), AlgoParams(seed=0, max_evaluations=120))
     assert len(archive) > 0 and archive.violation > 0
     assert {m.total_violation for m in archive} == {archive.violation}
+
+
+@pytest.mark.parametrize(("experiment", "extra", "builds", "reports"), [
+    ("evolution", ["--seeds", "0..2"], 1, 0),
+    ("deadline", ["--seeds", "0..2"], 1, 9),
+    ("scaling", ["--factors", "1,2"], 2, 0),
+], ids=["evolution", "deadline", "scaling"])
+def test_each_instance_is_built_once(tmp_path, monkeypatch, experiment, extra, builds, reports):
+    # every (algorithm, seed) job runs on the experiment's one instance, and
+    # only the deadline rows read a response-time report
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(scenario, "build_instance", counted("build", scenario.build_instance))
+    monkeypatch.setattr(cli, "response_time_report", counted("report", cli.response_time_report))
+    monkeypatch.setenv("FOGPLAN_WORKERS", "1")
+    assert main(["--experiment", experiment, "--algo", "all", "--evals", "80", *extra,
+                 "--out", str(tmp_path)]) == 0
+    assert (calls["build"], calls["report"]) == (builds, reports)
+
+
+def test_failed_run_leaves_the_old_csvs(tmp_path, capsys, monkeypatch):
+    # every row is computed before the CSV opens: nsga2 runs, mopso fails
+    old = {name: f"{name} of an earlier run\n".encode() for name in ("evolution.csv", "deadline.csv")}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("mopso failed")
+
+    monkeypatch.setitem(ALGORITHMS, "mopso", failing)
+    monkeypatch.setenv("FOGPLAN_WORKERS", "1")
+    for experiment in ("evolution", "deadline"):
+        assert main(["--experiment", experiment, "--algo", "all", "--seeds", "0", "--evals", "40",
+                     "--out", str(tmp_path)]) == 3
+        assert "mopso failed" in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes() for name in old} == old
 
 
 class TestScalingExperiment:

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import chain_app, make_resource, make_service, tight_deadline_instance, tiny_instance
+from conftest import (
+    chain_app,
+    make_resource,
+    make_service,
+    rate_bound_instance,
+    tight_deadline_instance,
+    tiny_instance,
+)
 from fogplan.errors import Saturated, SearchSpaceTooLarge
 from fogplan.fsdp import ProblemInstance, evaluate
 from fogplan.model import Landscape, Latencies, ResourceKind
@@ -117,11 +124,14 @@ class TestExactPareto:
             exact_pareto(prob, cap=100)
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_tight_deadline_archives_stay_under_the_exact_front(seed):
-    # the deadline moves the front here, so these invariants see the M/D/1
-    # term; how many exact fronts each optimizer recovers is not asserted
-    prob = tight_deadline_instance(seed)
+@pytest.mark.parametrize(("family", "seed"), [
+    *(pytest.param(tight_deadline_instance, seed, id=str(seed)) for seed in range(20)),
+    *(pytest.param(rate_bound_instance, seed, id=f"rate_bound-{seed}") for seed in range(20)),
+])
+def test_tight_deadline_archives_stay_under_the_exact_front(family, seed):
+    # the deadline moves the front in both families, so these invariants see
+    # the M/D/1 term; how many exact fronts each optimizer recovers is not asserted
+    prob = family(seed)
     front = exact_pareto(prob)
     assert front.objective_set() != exact_pareto(tiny_instance(seed)).objective_set()
     for name, run in ALGORITHMS.items():

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fogplan.scenario import (
     paper_scenario,
     save,
     scaled_scenario,
+    scaled_spec,
 )
 
 
@@ -91,6 +93,18 @@ class TestScaledScenario:
 
     def test_numpy_integer_factor(self):
         assert scaled_scenario(ScenarioSpec(), np.int64(2)).n_services == 50
+
+    def test_huge_factor_fails_before_allocating_for_it(self):
+        # 1 + 2e6 * 5 resources exceed MAX_RESOURCES: the spec is refused
+        # without first copying its deadlines and rates a million times
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="MAX_RESOURCES"):
+                scaled_spec(ScenarioSpec(), 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSpecCounts:
