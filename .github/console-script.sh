@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # The installed `fogplan` entry point end to end: a small scenario file runs
-# each experiment (evolution, deadline, scaling at factors 1 and 2) and
-# prints its CSV path; an unknown key, at the top or nested in a section,
-# a negative link latency, a non-integer count given to --param, an odd
-# population above 2**53 (which a float would round to an even one) and a
-# scaling factor of 10**9 each exit 2, the last four with a message that
-# names the fault.
+# each experiment (evolution with all three algorithms over two generations,
+# deadline, scaling at factors 1 and 2) and prints its CSV path; an unknown
+# key, at the top or nested in a section, a negative link latency, a
+# non-integer count given to --param, an odd population above 2**53 (which
+# a float would round to an even one) and a scaling factor of 10**9 each
+# exit 2, the last four with a message that names the fault.
 set -euo pipefail
 tmp="${RUNNER_TEMP:-$(mktemp -d)}"
 spec="$tmp/spec.yaml"
@@ -21,14 +21,17 @@ doc["latencies"]["fcm_fcm_ms"] = -1
 yaml.safe_dump(doc, open(sys.argv[3], "w"), sort_keys=False)' "$spec" "$nested" "$latency"
 prints_csv() {
   local csv
-  csv=$(fogplan --scenario "$spec" --algo nsga2 --evals 40 --out "$tmp/out" "$@")
+  csv=$(fogplan --scenario "$spec" --out "$tmp/out" "$@")
   echo "$csv"
   test -f "$csv"
   [[ "$csv" == *.csv ]]
 }
-prints_csv
-prints_csv --experiment deadline
-prints_csv --experiment scaling --factors 1,2
+# 80 evaluations: a second generation, where MOEA/D replaces and MOPSO moves
+prints_csv --algo all --evals 80
+grep -q "^moead," "$tmp/out/evolution.csv"
+grep -q "^mopso," "$tmp/out/evolution.csv"
+prints_csv --algo nsga2 --evals 40 --experiment deadline
+prints_csv --algo nsga2 --evals 40 --experiment scaling --factors 1,2
 
 exits_2() {
   local status=0

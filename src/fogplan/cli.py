@@ -54,18 +54,20 @@ def _deadline_rows(prob, archive, trace):
     return rows
 
 
-#: experiment -> (its CSV columns after algorithm and seed, its rows of one run)
+#: experiment -> (its CSV columns after algorithm and seed, its rows of one
+#: run, whether those rows read the run's trace)
 EXPERIMENTS = {
-    "evolution": (EVOLUTION_COLUMNS, _evolution_rows),
-    "deadline": (["app", "response_time_s", "deadline_s", "satisfied"], _deadline_rows),
+    "evolution": (EVOLUTION_COLUMNS, _evolution_rows, True),
+    "deadline": (["app", "response_time_s", "deadline_s", "satisfied"], _deadline_rows, False),
 }
 
 
-def _run_one(rows_of, job):
-    """Worker entry: one (algorithm, seed) optimization run, as its CSV rows."""
+def _run_one(rows_of, traced, job):
+    """Worker entry: one (algorithm, seed) optimization run, as its CSV
+    rows; the run reports its generations only if ``traced``."""
     algo, prob, params = job
     trace = []
-    archive = ALGORITHMS[algo](prob, params, trace_hook=trace.append)
+    archive = ALGORITHMS[algo](prob, params, trace_hook=trace.append if traced else None)
     return [[algo, params.seed, *row] for row in rows_of(prob, archive, trace)]
 
 
@@ -90,11 +92,11 @@ def _write_csv(path, header, rows):
 def run_experiment(experiment: str, algorithms: list[str], spec: scenario_mod.ScenarioSpec,
                    params: list[AlgoParams], output_dir: str) -> str:
     """Every (algorithm, seed) run on one instance of ``spec``, in that order, as one CSV."""
-    columns, rows_of = EXPERIMENTS[experiment]
+    columns, rows_of, traced = EXPERIMENTS[experiment]
     workers = _worker_count()
     prob = scenario_mod.build_instance(spec)
     jobs = [(algo, prob, p) for algo in algorithms for p in params]
-    run = partial(_run_one, rows_of)
+    run = partial(_run_one, rows_of, traced)
     if workers == 1 or len(jobs) == 1:
         results = [run(job) for job in jobs]
     else:

@@ -19,8 +19,10 @@ reset mutation.  The children are scored in one batch; the feasible
 ones raise the ideal point, then, as if child by child in index order,
 each child replaces the incumbents it beats.  With the ideal fixed for
 the brood every key is fixed too, so each subproblem ends with the first
-best of its incumbent and the children, in child order: one argmin.  An
-external archive of non-dominated feasible solutions is returned.
+best of its incumbent and the children, in child order: with a feasible
+child, one argmin over the feasible children's keys; without one, the
+first child of the brood's least violation.  An external archive of
+non-dominated feasible solutions is returned.
 """
 
 from __future__ import annotations
@@ -62,23 +64,31 @@ def _replacement(weights, ideal, population, brood) -> tuple[np.ndarray, np.ndar
 
     ``population`` and ``brood`` are (objectives, total violation)
     arrays; the brood is children 0..k-1, each offered to every
-    subproblem.  In each subproblem only the least violation present
-    competes: by the Tchebycheff value when it is 0, else the first
-    such candidate wins.  Ties keep the incumbent, or the earlier child.
+    subproblem.  With no feasible child, a subproblem whose incumbent
+    violates more than the brood's least goes to the first child of that
+    violation.  Otherwise each subproblem's first best feasible child,
+    by the Tchebycheff value, wins if it is strictly below the
+    incumbent's (inf for an infeasible incumbent).
     """
     objectives, violation = population
     child_objectives, child_violation = brood
-    ideal = np.maximum(ideal, child_objectives[child_violation == 0].max(axis=0, initial=0.0))
-    # column 0 is each subproblem's incumbent, column 1 + i child i
-    key = np.column_stack([
-        tchebycheff(objectives, weights, ideal),
-        tchebycheff(child_objectives, weights[:, None], ideal),
-    ])
-    violation = np.column_stack([violation, np.tile(child_violation, (len(violation), 1))])
-    # only the least violation present competes; above 0 the first such candidate wins
-    least = violation.min(axis=1, keepdims=True)
-    key = np.where(least == 0, key, 0.0)
-    return np.where(violation == least, key, np.inf).argmin(axis=1) - 1, ideal
+    feasible = np.flatnonzero(child_violation == 0)
+    if not len(feasible):
+        first = child_violation.argmin()
+        return np.where(violation > child_violation[first], first, -1), ideal
+    ideal = np.maximum(ideal, child_objectives[feasible].max(axis=0))
+    keys = tchebycheff(child_objectives[feasible], weights[:, None], ideal)  # (n_sub, f)
+    best = keys.argmin(axis=1)
+    incumbent = np.where(violation == 0, tchebycheff(objectives, weights, ideal), np.inf)
+    return np.where(keys[np.arange(len(keys)), best] < incumbent, feasible[best], -1), ideal
+
+
+def _two_smallest(keys) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of each row's smallest and second smallest keys, by two
+    argmins; ``keys`` is overwritten."""
+    first = keys.argmin(axis=1)
+    keys[np.arange(len(keys)), first] = np.inf
+    return first, keys.argmin(axis=1)
 
 
 def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> ParetoArchive:
@@ -98,15 +108,15 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     while run.left:
         k = min(n_sub, run.left)
         # each child's two distinct mates: the subproblems with its two smallest keys
-        mates = rng.random((k, n_sub)).argsort(axis=1)[:, :2]
-        p1, p2 = genotypes[mates.T]
-        child, _ = uniform_crossover(p1, p2, rng)
+        first, second = _two_smallest(rng.random((k, n_sub)))
+        child, _ = uniform_crossover(genotypes[first], genotypes[second], rng)
         children = reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
         brood = run.evaluate_many(children)
         holder, ideal = _replacement(weights, ideal, (objectives, violation), (brood.objectives, brood.total))
         won = np.flatnonzero(holder >= 0)
+        winners = holder[won]
         for kept, offspring in zip((genotypes, objectives, violation), brood):
-            kept[won] = offspring[holder[won]]
+            kept[won] = offspring[winners]
         run.report(violation == 0)
 
     return run.archive

@@ -10,8 +10,10 @@ import yaml
 from conftest import BAD_SCENARIO_FIELDS, scenario_error_names, set_scenario_key
 from fogplan import cli, scenario
 from fogplan.cli import ConfigError, _parse_params, _parse_seeds, main
-from fogplan.moea import ALGORITHMS, AlgoParams, ParetoArchive
+from fogplan.moea import ALGORITHMS, AlgoParams, ParetoArchive, common
 from fogplan.scenario import ScenarioSpec, build_instance, load, save, scaled_scenario, scaled_spec
+
+DEADLINE_CSV_SHA256 = "bf043726256422dab148c2909008332faccd43ea93cf20bddbcaac88d5677c8d"
 
 
 def read_rows(path):
@@ -219,7 +221,19 @@ class TestDeadlineExperiment:
         assert main(["--experiment", "deadline", "--algo", "all", "--seeds", "0",
                      "--evals", "200", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "deadline.csv").read_bytes()).hexdigest()
-        assert digest == "bf043726256422dab148c2909008332faccd43ea93cf20bddbcaac88d5677c8d"
+        assert digest == DEADLINE_CSV_SHA256
+
+    def test_deadline_runs_report_no_generations(self, tmp_path, monkeypatch):
+        # the deadline rows read no trace, so no run builds a GenerationStats
+        def unread(*args):
+            raise AssertionError("a deadline run built generation stats")
+
+        monkeypatch.setattr(common, "generation_stats", unread)
+        monkeypatch.setenv("FOGPLAN_WORKERS", "1")
+        assert main(["--experiment", "deadline", "--algo", "all", "--seeds", "0",
+                     "--evals", "200", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "deadline.csv").read_bytes()).hexdigest()
+        assert digest == DEADLINE_CSV_SHA256
 
     def test_too_many_resources_fail_before_building_them(self, tmp_path, capsys):
         # 4097 resources: the spec is refused, not a 128 MiB latency matrix built

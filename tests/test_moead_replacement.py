@@ -18,7 +18,7 @@ from fogplan.fsdp import ProblemInstance
 from fogplan.model import Landscape, Latencies, ResourceKind
 from fogplan.moea import AlgoParams, moead, moead_run
 from fogplan.moea.common import Search
-from fogplan.moea.moead import _replacement, simplex_lattice_weights, tchebycheff
+from fogplan.moea.moead import _replacement, _two_smallest, simplex_lattice_weights, tchebycheff
 
 
 def reference_tchebycheff(objectives, weights, ideal):
@@ -73,17 +73,26 @@ def replacement_cases(draw):
     return draw(members(n_sub, 6)), draw(members(k, 8))
 
 
-@settings(max_examples=300, deadline=None)
-@given(replacement_cases())
-def test_replacement_matches_per_child_loop(case):
-    population, brood = case
-    objectives, violation = population
-    weights = simplex_lattice_weights(len(objectives) - 1)
-    ideal = objectives[violation == 0].max(axis=0, initial=0.0)
+def replaced(population, brood, ideal=None):
+    """The holders after ``brood``, checked against the per-child loop;
+    the ideal point defaults to the best of the feasible incumbents."""
+    population = tuple(np.array(a, dtype=float) for a in population)
+    brood = tuple(np.array(a, dtype=float) for a in brood)
+    weights = simplex_lattice_weights(len(population[0]) - 1)
+    if ideal is None:
+        ideal = population[0][population[1] == 0].max(axis=0, initial=0.0)
+    ideal = np.array(ideal, dtype=float)
     holder, new_ideal = _replacement(weights, ideal, population, brood)
     want_holder, want_ideal = reference_replacement(weights, ideal, population, brood)
     assert holder.tolist() == want_holder
     assert new_ideal.tolist() == want_ideal
+    return holder.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(replacement_cases())
+def test_replacement_matches_per_child_loop(case):
+    replaced(*case)
 
 
 @pytest.mark.parametrize("feasible", [True, False], ids=["feasible", "infeasible"])
@@ -100,6 +109,58 @@ def test_ties_keep_the_incumbent_then_the_earlier_child(feasible):
     brood = (children, np.zeros(3) if feasible else np.array([1.5, 1.0, 1.0]))
     holder, _ = _replacement(weights, ideal, population, brood)
     assert holder.tolist() == [-1, 1]
+
+
+def test_no_feasible_child_goes_to_the_first_of_the_least_violation():
+    # the brood's least violation is 1.0, first reached by child 1; only the
+    # incumbent that violates more than that is replaced
+    objectives = [[0.5, 0.5]] * 4
+    incumbents = (objectives, [0.0, 0.5, 1.0, 2.0])
+    brood = ([[0.9, 0.9], [0.1, 0.1], [0.8, 0.8]], [1.5, 1.0, 1.0])
+    assert replaced(incumbents, brood) == [-1, -1, -1, 1]
+
+
+def test_feasible_children_tied_on_a_key_go_to_the_earliest():
+    # under weight (0.5, 0.5) the two children's keys are both 0.375; the
+    # other two weights each prefer one child; every incumbent is beaten
+    incumbents = ([[0.0, 0.0]] * 3, [0.0] * 3)
+    brood = ([[0.5, 0.25], [0.25, 0.5]], [0.0, 0.0])
+    assert replaced(incumbents, brood, ideal=[1.0, 1.0]) == [1, 0, 0]
+
+
+@pytest.mark.parametrize(("violation", "want"), [(0.0, [-1, -1]), (1.0, [0, 0])],
+                         ids=["feasible-stays", "infeasible-replaced"])
+def test_a_child_tied_with_its_incumbent(violation, want):
+    # the child's key equals each incumbent's: it shares incumbent 0's availability,
+    # which alone counts under weight (0, 1), and incumbent 1's fog utilization,
+    # which alone counts under (1, 0); only a feasible incumbent keeps its place
+    incumbents = ([[0.5, 0.5], [0.25, 0.9]], [violation, violation])
+    brood = ([[0.25, 0.5]], [0.0])
+    assert replaced(incumbents, brood, ideal=[1.0, 1.0]) == want
+
+
+@pytest.mark.parametrize("child_violation", [0.0, 1.0], ids=["feasible", "infeasible"])
+def test_one_child_brood(child_violation):
+    objectives = [[0.2, 0.9], [0.4, 0.7], [0.6, 0.5], [0.8, 0.3], [0.9, 0.1]]
+    incumbents = (objectives, [0.0, 2.0, 0.0, 0.5, 3.0])
+    holder = replaced(incumbents, ([[0.7, 0.7]], [child_violation]))
+    assert -1 in holder and 0 in holder
+
+
+def test_partial_brood():
+    # three children for six subproblems, one of them infeasible
+    objectives = [[0.1, 0.95], [0.3, 0.8], [0.5, 0.6], [0.6, 0.4], [0.8, 0.2], [0.9, 0.05]]
+    incumbents = (objectives, [0.0, 1.0, 0.0, 0.0, 2.0, 0.0])
+    brood = ([[0.9, 0.2], [0.5, 0.5], [0.3, 0.95]], [0.0, 1.0, 0.0])
+    holder = replaced(incumbents, brood)
+    assert -1 in holder and {0, 2} <= set(holder)
+
+
+@pytest.mark.parametrize("k", range(1, 41))
+def test_mates_are_the_two_smallest_keys(k):
+    keys = np.random.default_rng(k).random((k, 40))
+    want = keys.argsort(axis=1)[:, :2]
+    assert np.column_stack(_two_smallest(keys)).tolist() == want.tolist()
 
 
 def test_ideal_is_the_best_feasible_so_far(monkeypatch):
