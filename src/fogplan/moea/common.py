@@ -4,8 +4,8 @@ run object that scores each generation.
 A generation is scored into arrays (``Scored``), and every optimizer
 keeps its population as such rows.  The rows are offered to the archive
 on their floats (``ParetoArchive.admits``), and a ``Solution`` is built
-only for a row the archive admits.  The non-dominated sort and crowding
-run on row indices over float lists; their ``Solution`` forms adapt.
+only for a row the archive admits.  The non-dominated sort runs on
+arrays and crowding on float lists, by row index; ``Solution`` forms adapt.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import math
 import sys
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
-from itertools import groupby
-from operator import itemgetter, neg
+from operator import neg
 from typing import NamedTuple
 
 import numpy as np
@@ -93,41 +92,44 @@ def constrained_dominates(a: Solution, b: Solution) -> bool:
     return not a.total_violation and pareto_dominates(a.objectives, b.objectives)
 
 
-def nondominated_rows(u: list[float], a: list[float], total: list[float]) -> list[list[list[int]]]:
-    """Constrained-dominance fronts of rows (objectives u[i], a[i], total[i]).
+def nondominated_rows(u: np.ndarray, a: np.ndarray, total: np.ndarray) -> list[list[list[int]]]:
+    """Constrained-dominance fronts of rows (objectives u[i], a[i], total
+    violation total[i] >= 0, as arrays), each front a list of row groups.
 
-    Rows that share a point (total, u, a) share a front, so a front is a
-    list of point groups, each group its rows in index order.  Two
-    objectives let one sort find the feasible fronts (Jensen, IEEE TEC
-    2003): in order of decreasing (u, a), each point joins the first
-    front whose latest point does not dominate it.  The points being
-    distinct, that latest point dominates the newcomer exactly when its
-    availability is at least the newcomer's.  Those availabilities never
+    One stable lexsort by (total, -u, -a) orders the rows, and a group
+    starts at each row whose point (if feasible) or total (if not)
+    differs from the row before it.  Two objectives let one pass find the
+    feasible fronts (Jensen, IEEE TEC 2003): in order of decreasing
+    (u, a), each point joins the first front whose latest point has less
+    availability, so does not dominate it.  Those availabilities never
     rise from front to front, so one bisect on their negations finds the
-    front, and each feasible front is a staircase: its points come in
-    order of falling u and rising a.  The infeasible rows follow, one
-    front per distinct total violation, least first, its points in order
-    of first appearance.
+    front, and a feasible front is a staircase of point groups that fall
+    in u and rise in a.  Then come the infeasible fronts, one group each,
+    by total violation, least first.
     """
-    groups: dict[tuple[float, float, float], list[int]] = {}
-    for i, point in enumerate(zip(total, u, a)):
-        groups.setdefault(point, []).append(i)
+    order = np.lexsort((-a, -u, total))
+    total, u, a = total[order], u[order], a[order]
+    new = (total[1:] != total[:-1]) | (total[1:] == 0) & ((u[1:] != u[:-1]) | (a[1:] != a[:-1]))
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    rows, bounds = order.tolist(), [*starts.tolist(), len(order)]
+    feasible = bisect_right(total[starts].tolist(), 0.0)
     fronts, tails = [], []  # tails[k]: minus the availability of front k's latest point
-    for point in sorted([p for p in groups if not p[0]], reverse=True):
-        k = bisect_right(tails, -point[2])
-        tails[k:k + 1] = [-point[2]]
+    for pa, lo, hi in zip(a[starts[:feasible]].tolist(), bounds, bounds[1:]):
+        k = bisect_right(tails, -pa)
         if k == len(fronts):
-            fronts.append([])
-        fronts[k].append(groups[point])
-    infeasible = sorted([p for p in groups if p[0]], key=itemgetter(0))
-    fronts.extend([groups[p] for p in level] for _, level in groupby(infeasible, key=itemgetter(0)))
-    return fronts
+            fronts.append([rows[lo:hi]])
+            tails.append(-pa)
+        else:
+            fronts[k].append(rows[lo:hi])
+            tails[k] = -pa
+    return fronts + [[rows[lo:hi]] for lo, hi in zip(bounds[feasible:], bounds[feasible + 1:])]
 
 
 def value_walks(rows: Sequence[int], u: list[float], a: list[float], genotype: Sequence) -> list[list[int]]:
     """``rows`` in ascending (u, genotype) and in ascending (a, genotype)
     order; equal keys keep their order in ``rows``."""
-    return [sorted(rows, key=lambda i: (objective[i], genotype[i])) for objective in (u, a)]
+    by_genotype = sorted(rows, key=genotype.__getitem__)
+    return [sorted(by_genotype, key=objective.__getitem__) for objective in (u, a)]
 
 
 def row_crowding(dist: list[float], walks: Sequence[list[int]], u: list[float], a: list[float]) -> None:
@@ -144,6 +146,25 @@ def row_crowding(dist: list[float], walks: Sequence[list[int]], u: list[float], 
             dist[row] += (objective[after] - objective[before]) / span
 
 
+def staircase_crowding(u: list[float], a: list[float], several: Iterable[int] = ()) -> tuple[list[float], list[float]]:
+    """``row_crowding`` of a feasible front, point by point: the distance
+    of each point's first and last row in genotype order.  The points
+    come in ascending u; ``several`` lists those with more than one row.
+    A lone row gets the gaps between its neighbour points, the first of
+    several the gaps to the neighbour below in each objective and the
+    last those above (the rows between keep 0.0), the end points inf:
+    each the u term plus the a term, as ``row_crowding`` sums them."""
+    su, sa = u[-1] - u[0], a[0] - a[-1]
+    inner = [(un - up) / su + (ap - an) / sa for up, un, ap, an in zip(u, u[2:], a, a[2:])]
+    first = [math.inf, *inner, math.inf][:len(u)]  # a lone point is both ends
+    last = first.copy()
+    for j in several:
+        if 0 < j < len(u) - 1:
+            first[j] = (u[j] - u[j - 1]) / su + (a[j] - a[j + 1]) / sa
+            last[j] = (u[j + 1] - u[j]) / su + (a[j - 1] - a[j]) / sa
+    return first, last
+
+
 def _columns(population: Sequence[Solution]) -> list[list[float]]:
     """The u, a and total violation lists of a list of solutions."""
     return [[s.objectives.fog_utilization for s in population], [s.objectives.availability for s in population],
@@ -152,7 +173,7 @@ def _columns(population: Sequence[Solution]) -> list[list[float]]:
 
 def fast_nondominated_sort(population: list[Solution]) -> list[list[Solution]]:
     """``nondominated_rows`` of a list of solutions: fronts of solutions."""
-    fronts = nondominated_rows(*_columns(population))
+    fronts = nondominated_rows(*map(np.array, _columns(population)))
     return [[population[i] for group in front for i in group] for front in fronts]
 
 
@@ -251,10 +272,8 @@ class ParetoArchive:
         if self.violation:
             dist = crowding_distance(self.members)
             return self.members.pop(min(range(len(dist)), key=dist.__getitem__))
-        # the staircase ascends in u, so read backwards it ascends in a
         us, as_ = self._us, self._as
-        dist = [0.0] * len(us)
-        row_crowding(dist, (range(len(us)), range(len(us) - 1, -1, -1)), us, as_)
+        dist, _ = staircase_crowding(us, as_)
         least = min(dist)
         tied = {u for u, d in zip(us, dist) if d == least}
         victim = self.members.pop(next(i for i, m in enumerate(self.members) if m.objectives.fog_utilization in tied))

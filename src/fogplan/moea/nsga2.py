@@ -6,8 +6,8 @@ not depend on one another, so they are bred as one block and scored in
 one batch.  Its draws, in order: both entrants of 2·ceil(k/2)
 tournaments, one crossover mask, one crossover flag per pair, one reset
 mutation.  The population is kept as rows (genotypes, objectives, total
-violation) in rank order.  An external archive collects every
-non-dominated feasible solution seen during the run.
+violation) in rank order, feasible fronts crowded by staircase point.
+An external archive collects every non-dominated feasible solution.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .common import (
     nondominated_rows,
     reset_mutation,
     row_crowding,
-    uniform_crossover,
+    staircase_crowding,
     value_walks,
 )
 
@@ -45,13 +45,8 @@ def nsga2_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     while run.left:
         k = min(pop_size, run.left)
         pairs = -(-k // 2)
-        p1, p2 = population.genotypes[_tournament(rank, (2, pairs), rng)]
-        c1, c2 = uniform_crossover(p1, p2, rng)
-        cross = (rng.random(pairs) < params.crossover_prob)[:, None]
-        # children c1, c2 of each pair in turn
-        children = np.stack([np.where(cross, c1, p1), np.where(cross, c2, p2)], axis=1).reshape(2 * pairs, -1)
-        children = reset_mutation(children[:k], run.mutation_prob, prob.n_resources, rng)
-        offspring = run.evaluate_many(children)
+        children = _children(*population.genotypes[_tournament(rank, (2, pairs), rng)], params.crossover_prob, rng)
+        offspring = run.evaluate_many(reset_mutation(children[:k], run.mutation_prob, prob.n_resources, rng))
         combined = Scored(*map(np.concatenate, zip(population, offspring)))
         population, rank, _ = _environmental_selection(combined, pop_size)
         run.report(population.total == 0)
@@ -65,6 +60,14 @@ def _tournament(rank: np.ndarray, size: tuple[int, ...], rng: np.random.Generato
     return np.where(rank[j] < rank[i], j, i)
 
 
+def _children(p1: np.ndarray, p2: np.ndarray, crossover_prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Each pair's two children in turn: draws a uniform gene mask, then one
+    crossover flag per pair; a crossed pair swaps the genes its mask does not keep."""
+    keep = rng.random(p1.shape) < 0.5
+    d = (p1 - p2) * ((rng.random(len(p1)) < crossover_prob)[:, None] & ~keep)
+    return np.concatenate((p1 - d, p2 + d), axis=1).reshape(2 * len(p1), -1)
+
+
 def _environmental_selection(combined: Scored, pop_size: int) -> tuple[Scored, np.ndarray, list[tuple[int, float]]]:
     """The ``pop_size`` best rows of ``combined`` by the crowded
     comparison, in rank order; the dense rank of each one's (front,
@@ -74,32 +77,35 @@ def _environmental_selection(combined: Scored, pop_size: int) -> tuple[Scored, n
     taken on its whole front (Deb et al., IEEE TEC 2002), so the result
     depends on the rows' values and not on their order in ``combined``.
     A genotype compares as its big-endian two-byte ids, like their tuple.
-    A feasible front is a staircase of point groups, so its walks in
-    ascending u and a are its groups backwards and forwards, each
-    group's rows ordered by genotype: only an infeasible front is sorted.
+    A feasible front is crowded by its staircase points, an infeasible
+    one row by row; each front is then sorted stably by genotype and by
+    crowding, so ties keep their order in the front.
     """
     u, a = combined.objectives.T.tolist()
-    total = combined.total.tolist()
     genotype = combined.genotypes.astype(">u2").view(f"V{2 * combined.genotypes.shape[1]}")[:, 0].tolist()
     dist = [0.0] * len(u)
-    # (front, -crowding, genotype, position in the front, row): equal keys keep front order
-    ranked = []
-    for level, front in enumerate(nondominated_rows(u, a, total)):
-        if total[front[0][0]]:
-            rows = [i for group in front for i in group]
-            walks = value_walks(rows, u, a, genotype)
+    standing, kept = [], []
+    for level, front in enumerate(nondominated_rows(*combined.objectives.T, combined.total)):
+        if combined.total[front[0][0]]:
+            rows = front[0]  # one or two rows are all ends, in either order
+            row_crowding(dist, value_walks(rows, u, a, genotype) if len(rows) > 2 else (rows, rows), u, a)
         else:
             for group in front:
-                group.sort(key=genotype.__getitem__)
+                if len(group) > 1:
+                    group.sort(key=genotype.__getitem__)
             rows = [i for group in front for i in group]
-            walks = [i for group in reversed(front) for i in group], rows
-        row_crowding(dist, walks, u, a)
-        ranked.extend((level, -dist[i], genotype[i], p, i) for p, i in enumerate(rows))
-        if len(ranked) >= pop_size:
+            front.reverse()  # ascending u
+            several = [j for j, group in enumerate(front) if len(group) > 1]
+            first, last = staircase_crowding([u[g[0]] for g in front], [a[g[0]] for g in front], several)
+            for group, df, dl in zip(front, first, last):
+                dist[group[0]], dist[group[-1]] = df, dl
+        rows.sort(key=genotype.__getitem__)
+        rows.sort(key=dist.__getitem__, reverse=True)
+        del rows[pop_size - len(kept):]
+        standing += [(level, -dist[i]) for i in rows]
+        kept += rows
+        if len(kept) >= pop_size:
             break
-    ranked.sort()
-    del ranked[pop_size:]
-    standing = [r[:2] for r in ranked]
     rank = np.fromiter(accumulate(map(ne, standing[1:], standing), initial=0), np.intp, len(standing))
-    kept = np.array([r[4] for r in ranked])
-    return Scored(*(column[kept] for column in combined)), rank, standing
+    kept = np.array(kept)
+    return Scored(*(column.take(kept, 0) for column in combined)), rank, standing

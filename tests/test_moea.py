@@ -411,6 +411,26 @@ def test_archive_matches_the_reference(capacity, offers):
             assert_staircase(archive)
 
 
+# feasible on a grid of thirteenths, so that the staircase is truncated
+# at interior points whose gaps round
+STAIRCASE_OFFERED = st.builds(
+    lambda u, a: Solution(array("H", [0]), ObjectiveVector(u / 13, a / 13), 0.0),
+    st.integers(0, 13),
+    st.integers(0, 13),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 6), st.lists(STAIRCASE_OFFERED, max_size=60))
+def test_staircase_truncation_drops_the_reference_victims(capacity, offers):
+    archive, reference = ParetoArchive(capacity), ReferenceArchive(capacity)
+    for candidate in offers:
+        assert archive.add(candidate) == reference.add(candidate)
+        assert len(archive.members) == len(reference.members)
+        assert all(m is r for m, r in zip(archive.members, reference.members))
+        assert_staircase(archive)
+
+
 class TestHypervolume:
     REF = ObjectiveVector(0.0, 0.0)
 

@@ -1,8 +1,9 @@
 """NSGA-II's row selection and MOPSO's personal-best mask, each against
-its reference on packed ``Solution`` objects, and MOPSO's cached guide
-grid and threshold move against a run that builds the grid every
-generation and draws each guide's cell and gene's source by
-``Generator.choice``."""
+its reference on packed ``Solution`` objects; NSGA-II's point-by-point
+crowding against the row walks and its one-pass children against the
+``np.where`` assembly; and MOPSO's cached guide grid and threshold move
+against a run that builds the grid every generation and draws each
+guide's cell and gene's source by ``Generator.choice``."""
 
 from array import array
 
@@ -15,7 +16,15 @@ from conftest import dense_rank, random_solutions, scored_rows, tiny_instance
 from fogplan.fsdp import ObjectiveVector
 from fogplan.moea import AlgoParams, Solution, constrained_dominates, crowding_distance, fast_nondominated_sort
 from fogplan.moea import mopso, nsga2
-from fogplan.moea.common import Scored, Search, initial_population
+from fogplan.moea.common import (
+    Scored,
+    Search,
+    initial_population,
+    row_crowding,
+    staircase_crowding,
+    uniform_crossover,
+    value_walks,
+)
 from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
 
 POP = 40
@@ -90,6 +99,68 @@ def test_row_selection_matches_the_reference_on_drawn_blocks(seed):
     objectives = rng.integers(0, 3, size=(2 * POP, 2)) / 2
     total = rng.choice([0.0, 0.0, 0.0, 1.0, 2.0], size=2 * POP)
     assert_selects_like_the_reference(Scored(genotypes, objectives, total))
+
+
+@st.composite
+def staircase_rows(draw):
+    """Rows on a feasible staircase of 1-6 points, as (u, a, genotype)
+    lists in drawn order: points repeat up to four times, genotypes
+    repeat, and the lattice's steps are not all exact in binary."""
+    step = draw(st.sampled_from([4, 7, 25, 1000]))
+    m = draw(st.integers(1, 5 if step == 4 else 6))
+    ticks = st.lists(st.integers(0, step), min_size=m, max_size=m, unique=True)
+    us, as_ = sorted(draw(ticks)), sorted(draw(ticks), reverse=True)
+    rows = [(us[j] / step, as_[j] / step) for j in range(m) for _ in range(draw(st.integers(1, 4)))]
+    rows = draw(st.permutations(rows))
+    genotypes = draw(st.lists(st.sampled_from([b"\x00\x01", b"\x00\x02", b"\x01\x00"]), min_size=len(rows),
+                              max_size=len(rows)))
+    return [u for u, _ in rows], [a for _, a in rows], genotypes
+
+
+@settings(max_examples=500, deadline=None)
+@given(staircase_rows())
+def test_staircase_crowding_is_row_crowding_over_the_value_walks(front):
+    u, a, genotype = front
+    walked = [0.0] * len(u)
+    row_crowding(walked, value_walks(range(len(u)), u, a, genotype), u, a)
+    # the front's point groups in ascending u, each group's rows by genotype, ties by row
+    points = sorted(set(zip(u, a)))
+    groups = [sorted((i for i in range(len(u)) if (u[i], a[i]) == p), key=genotype.__getitem__) for p in points]
+    several = [j for j, group in enumerate(groups) if len(group) > 1]
+    first, last = staircase_crowding([p[0] for p in points], [p[1] for p in points], several)
+    pointwise = [0.0] * len(u)
+    for group, df, dl in zip(groups, first, last):
+        pointwise[group[0]], pointwise[group[-1]] = df, dl
+    assert pointwise == walked
+    # a front of one or two points is all ends
+    if len(points) <= 2:
+        assert all(pointwise[g[0]] == pointwise[g[-1]] == np.inf for g in groups)
+
+
+def where_stack_children(p1, p2, crossover_prob, rng):
+    """NSGA-II's children as they were assembled before the one-pass
+    form: both ``uniform_crossover`` children, each kept by its pair's
+    crossover flag through ``np.where``, stacked pair by pair."""
+    c1, c2 = uniform_crossover(p1, p2, rng)
+    cross = (rng.random(len(p1)) < crossover_prob)[:, None]
+    return np.stack([np.where(cross, c1, p1), np.where(cross, c2, p2)], axis=1).reshape(2 * len(p1), -1)
+
+
+# odd k leaves the last pair's second child out; one service is N = 1
+@pytest.mark.parametrize("k", [1, 13, 40])
+@pytest.mark.parametrize("n", [1, 6, 400])
+@pytest.mark.parametrize("crossover_prob", [0.0, 0.9, 1.0])
+def test_one_pass_children_match_the_where_stack_assembly(k, n, crossover_prob):
+    pairs = -(-k // 2)
+    for seed in range(5):
+        p1, p2 = np.random.default_rng(seed).integers(0, 161, (2, pairs, n))
+        rng, reference = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        got = nsga2._children(p1, p2, crossover_prob, rng)[:k]
+        want = where_stack_children(p1, p2, crossover_prob, reference)[:k]
+        assert got.shape == want.shape == (k, n) and got.dtype == want.dtype and (got == want).all()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        if crossover_prob == 0.0:
+            assert (got == np.stack([p1, p2], axis=1).reshape(2 * pairs, n)[:k]).all()
 
 
 # a row's objectives on a grid of quarters and its total equal, 0 or positive
