@@ -15,7 +15,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import neg
 from typing import NamedTuple
 
@@ -456,8 +456,11 @@ class Search:
         if not self.trace_hook:
             return
         if self.archive.version == self._stats_version:
-            fraction = _feasible_fraction(feasible)
-            self._stats = replace(self._stats, evaluations=self.evaluations, feasible_fraction=fraction)
+            s = self._stats  # built directly, in half the time of dataclasses.replace
+            self._stats = GenerationStats(
+                self.evaluations, s.best_fog_utilization, s.best_availability, s.compromise_fog_utilization,
+                s.compromise_availability, s.hypervolume, _feasible_fraction(feasible),
+            )
         else:
             self._stats = generation_stats(self.archive, feasible, self.evaluations)
             self._stats_version = self.archive.version

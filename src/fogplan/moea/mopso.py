@@ -12,17 +12,19 @@ applies a one-gene reset mutation.  The swarm moves synchronously
 objective-space hypercubes depends on its members alone, so it is
 rebuilt only in a generation after the archive changed (its
 ``version`` moved); each generation then draws every guide's genotype
-from it, by roulette favoring sparsely populated cells.  The swarm
-moves as one block and is scored in one batch, and only then are the
-personal bests updated, by one mask over the rows.  Swarm and personal
-bests are rows (genotypes, objectives, total violation) updated in
-place, compared on their floats.  Its draws, in order, the same
-whether or not the grid was rebuilt: k guide cells, as
-``Generator.choice`` draws them, and a member of each; one uniform per
-gene, held against the cumulative move shares as ``Generator.choice``
-sums them (none if all move weights are 0); a mutation flag per
-particle; the mutants' genes, then their new ids; one block of
-personal-best coins, one per row where neither row dominates.
+from its block of two-byte ids (an int64 block made ``scaled16`` runs
+10% slower), by roulette favoring sparsely populated cells.  The swarm
+moves as one block and is scored in one batch; then one integer key per
+row compares each moved row with its personal best's, on their floats,
+and masked copies put the winners in place.  The swarm takes each
+scored block by reference; only a last, partial generation copies rows.
+Its draws, in order, the same whether or not the grid was rebuilt: k
+guide cells, as ``Generator.choice`` draws them, and a member of each;
+one block of uniforms, one per gene held against the cumulative move
+shares as ``Generator.choice`` sums them (none if all move weights are
+0), then a mutation flag per particle; the mutants' genes, then their
+new ids; one block of personal-best coins, one per row where neither
+row dominates.
 """
 
 from __future__ import annotations
@@ -61,8 +63,8 @@ def _grid(members: list[Solution], divisions: int) -> _Grid:
     cells = np.minimum(np.floor((objs - lo) / span * divisions), divisions - 1)
     by_cell = np.lexsort((cells[:, 1], cells[:, 0]))  # stable: each cell's members in order
     ordered = cells[by_cell]
-    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-    sizes = np.diff(starts, append=len(members))
+    bounds = np.flatnonzero(np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1), [True])))
+    starts, sizes = bounds[:-1], bounds[1:] - bounds[:-1]  # bounds: each cell's start, then the end
     p = 1.0 / sizes / (1.0 / sizes).sum()
     cdf = p.cumsum()
     cdf /= cdf[-1]
@@ -81,9 +83,12 @@ def _draw(grid: _Grid, rng: np.random.Generator, k: int) -> np.ndarray:
 def _improves(new: Scored, best: Scored, rng: np.random.Generator) -> np.ndarray:
     """Which rows of ``new`` take their personal best's place: those where
     ``constrained_dominates(new, best)``, and a coin where neither dominates."""
-    x, y, feasible = new.objectives, best.objectives, (new.total == 0) & (best.total == 0)
-    wins = np.where(feasible, (x >= y).all(axis=1) & (x > y).any(axis=1), new.total < best.total)
-    ties = ~wins & ~np.where(feasible, (y >= x).all(axis=1) & (y > x).any(axis=1), best.total < new.total)
+    # one key per row, > 0 where new dominates and 0 where neither does; the
+    # totals are compared, not subtracted, since inf - inf is NaN
+    lower = np.subtract(new.total < best.total, best.total < new.total, dtype=float)
+    d = np.sign(new.objectives - best.objectives)
+    key = np.where((new.total == 0) & (best.total == 0), d[:, 0] + d[:, 1], lower)
+    wins, ties = key > 0, key == 0
     wins[ties] = rng.random(np.count_nonzero(ties)) < 0.5
     return wins
 
@@ -110,16 +115,20 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         if grid_version != run.archive.version:
             grid, grid_version = _grid(run.archive.members, params.grid_divisions), run.archive.version
         guides = _draw(grid, rng, k)
-        u = rng.random((k, n)) if moving else 0.0
+        drawn = rng.random(k * n + k if moving else k)  # the genes' uniforms, then the mutation flags
+        u = drawn[: k * n].reshape(k, n) if moving else 0.0
         moves = np.where(u < shares[0], current.genotypes[:k], np.where(u < shares[1], pbest.genotypes[:k], guides))
-        mutants = np.flatnonzero(rng.random(k) < params.mutation_rate)
+        mutants = np.flatnonzero(drawn[-k:] < params.mutation_rate)
         where = rng.integers(0, n, size=mutants.size)
         moves[mutants, where] = rng.integers(0, prob.n_resources, size=mutants.size)
         scored = run.evaluate_many(moves)
-        won = _improves(scored, Scored(*(column[:k] for column in pbest)), rng)
-        for kept, best, moved in zip(current, pbest, scored):
-            kept[:k] = moved
-            best[:k][won] = moved[won]
+        best = pbest if k == swarm else Scored(*(column[:k] for column in pbest))
+        won = _improves(scored, best, rng)
+        for column, moved in zip(best, scored):
+            np.copyto(column.T, moved.T, where=won)  # transposed, so won spans the rows
+        if k < swarm:  # the last generation: its rows replace the first k
+            scored = Scored(*(np.concatenate((moved, kept[k:])) for kept, moved in zip(current, scored)))
+        current = scored  # a fresh block, so the swarm takes it by reference
         run.report(current.total == 0)
 
     return run.archive

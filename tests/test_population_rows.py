@@ -5,6 +5,7 @@ crowding against the row walks and its one-pass children against the
 against a run that builds the grid every generation and draws each
 guide's cell and gene's source by ``Generator.choice``."""
 
+import math
 from array import array
 
 import numpy as np
@@ -163,8 +164,9 @@ def test_one_pass_children_match_the_where_stack_assembly(k, n, crossover_prob):
             assert (got == np.stack([p1, p2], axis=1).reshape(2 * pairs, n)[:k]).all()
 
 
-# a row's objectives on a grid of quarters and its total equal, 0 or positive
-ROW = st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([0.0, 0.0, 0.5, 1.0]))
+# a row's objectives on a grid of quarters and its total equal, 0, positive
+# or infinite: a contest that subtracted two infinite totals would get NaN
+ROW = st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([0.0, 0.0, 0.5, 1.0, math.inf]))
 
 
 @settings(max_examples=500, deadline=None)
@@ -225,10 +227,22 @@ def choice_move_run(prob, params):
 
 # the default weights, each source alone, two sources, and a share near 0
 @pytest.mark.parametrize("weights", [(0.4, 1.5, 1.5), (1, 0, 0), (0, 1, 0), (0, 1, 1), (0, 0, 2), (1e-9, 1, 1)])
-def test_mopso_threshold_move_picks_what_choice_picks(weights):
+def test_mopso_threshold_move_picks_what_choice_picks(weights, monkeypatch):
+    """Both runs leave the same archive and the same generator state, so
+    the threshold move makes the same draws as ``choice_move_run``."""
+    runs, init = [], Search.__init__
+
+    def kept_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        runs.append(self)
+
+    monkeypatch.setattr(Search, "__init__", kept_init)
     inertia, cognitive, social = weights
     for seed in (0, 1):
         # 1013 evaluations end on a partial generation of 13
         params = AlgoParams(seed=seed, max_evaluations=1013, inertia=inertia, cognitive=cognitive, social=social)
         prob = paper_scenario(seed)
         assert mopso.mopso_run(prob, params).members == choice_move_run(prob, params).members
+        moved, chosen = runs[-2:]
+        assert moved.evaluations == chosen.evaluations == 1013
+        assert moved.rng.bit_generator.state == chosen.rng.bit_generator.state
