@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The installed `fogplan` entry point end to end: a small scenario file runs
 # each experiment (evolution with all three algorithms over two generations,
-# deadline, scaling at factors 1 and 2) and prints its CSV path; an unknown
+# deadline, scaling with all three at factors 1 and 2, which share each
+# factor's greedy anchors) and prints its CSV path; an unknown
 # key, at the top or nested in a section, a negative link latency, a
 # non-integer count given to --param, an odd population above 2**53 (which
 # a float would round to an even one) and a scaling factor of 10**9 each
@@ -31,7 +32,8 @@ prints_csv --algo all --evals 80
 grep -q "^moead," "$tmp/out/evolution.csv"
 grep -q "^mopso," "$tmp/out/evolution.csv"
 prints_csv --algo nsga2 --evals 40 --experiment deadline
-prints_csv --algo nsga2 --evals 40 --experiment scaling --factors 1,2
+prints_csv --algo all --evals 40 --experiment scaling --factors 1,2
+test "$(grep -c . "$tmp/out/scaling.csv")" -eq 7
 
 exits_2() {
   local status=0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
@@ -159,6 +160,24 @@ class ProblemInstance:
         bounds = sinks.searchsorted(offsets)
         first, count = bounds[:-1], bounds[1:] - bounds[:-1]
         self.sink_ranks = sinks[first + np.arange(count.max(initial=1))[:, None] % count]
+
+    @cached_property
+    def anchors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``moea.common.greedy_anchors`` of this instance as read-only
+        arrays, placed on first use: every run on the instance reads them,
+        and a pickled instance carries them."""
+        from .moea.common import greedy_anchors  # that module imports this one
+
+        anchors = greedy_anchors(self)
+        for anchor in anchors:
+            anchor.flags.writeable = False
+        return anchors
+
+    def __setstate__(self, state):
+        # numpy unpickles every array writeable
+        self.__dict__.update(state)
+        for anchor in state.get("anchors", ()):
+            anchor.flags.writeable = False
 
     def as_assignment(self, dep, rows: bool = False) -> np.ndarray:
         """One assignment as an (N,) array of int64 resource ids, checked;

@@ -294,11 +294,17 @@ def hypervolume_2d(front: list[ObjectiveVector], ref: ObjectiveVector) -> float:
         ((p.fog_utilization, p.availability) for p in front),
         key=lambda t: (-t[0], -t[1]),
     )
+    return _swept_area(pts, ref.fog_utilization, ref.availability)
+
+
+def _swept_area(points: Iterable[tuple[float, float]], ref_u: float, ref_a: float) -> float:
+    """The area above (ref_u, ref_a) that points given in descending
+    (u, a) order dominate, swept from the largest u down."""
     hv = 0.0
-    best_second = ref.availability
-    for f1, f2 in pts:
-        if f2 > best_second and f1 > ref.fog_utilization:
-            hv += (f1 - ref.fog_utilization) * (f2 - best_second)
+    best_second = ref_a
+    for f1, f2 in points:
+        if f2 > best_second and f1 > ref_u:
+            hv += (f1 - ref_u) * (f2 - best_second)
             best_second = f2
     return hv
 
@@ -386,18 +392,31 @@ class GenerationStats:
 
 def generation_stats(archive: ParetoArchive, feasible: Sequence[bool], evaluations: int) -> GenerationStats:
     """Quality of a run so far, given the population's feasibility flags;
-    the archive holds a member once anything was scored."""
-    objectives = [m.objectives for m in archive.members]
-    comp = select_compromise(archive).objectives
-    return GenerationStats(
-        evaluations=evaluations,
-        best_fog_utilization=max(o.fog_utilization for o in objectives),
-        best_availability=max(o.availability for o in objectives),
-        compromise_fog_utilization=comp.fog_utilization,
-        compromise_availability=comp.availability,
-        hypervolume=hypervolume_2d(objectives, ObjectiveVector(0.0, 0.0)),
-        feasible_fraction=_feasible_fraction(feasible),
-    )
+    the archive holds a member once anything was scored.
+
+    At violation 0 every field is read off the archive's staircase: its
+    points are distinct, u ascending and a descending, so the largest u
+    is the last, the largest a the first, and the hypervolume sweeps the
+    points in reverse.  The largest (min(u, a), max(u, a), a) names
+    ``select_compromise``'s point without its genotype tie-break; min(u,
+    a) rises up to the first point p with u >= a and falls from p on, so
+    that point is p - 1 or p.
+    """
+    if archive.violation:
+        objectives = [m.objectives for m in archive.members]
+        best_u = max(o.fog_utilization for o in objectives)
+        best_a = max(o.availability for o in objectives)
+        comp = select_compromise(archive).objectives
+        comp_u, comp_a = comp.fog_utilization, comp.availability
+        hv = hypervolume_2d(objectives, ObjectiveVector(0.0, 0.0))
+    else:
+        us, as_ = archive._us, archive._as
+        best_u, best_a = us[-1], as_[0]
+        p = bisect_left(range(len(us)), True, key=lambda i: us[i] >= as_[i])
+        near = slice(max(p - 1, 0), p + 1)
+        *_, comp_a, comp_u = max((min(u, a), max(u, a), a, u) for u, a in zip(us[near], as_[near]))
+        hv = _swept_area(zip(reversed(us), reversed(as_)), 0.0, 0.0)
+    return GenerationStats(evaluations, best_u, best_a, comp_u, comp_a, hv, _feasible_fraction(feasible))
 
 
 def _feasible_fraction(feasible: Sequence[bool]) -> float:
@@ -515,10 +534,11 @@ def initial_population(prob: ProblemInstance, size: int, rng: np.random.Generato
 
     The anchors are the all-cloud placement and the two
     ``greedy_anchors``, so that a short run starts with both ends of the
-    front in reach rather than only its low-fog end.
+    front in reach rather than only its low-fog end.  The greedy two are
+    placed once per instance (``ProblemInstance.anchors``).
     """
     drawn = rng.integers(0, prob.n_resources, size=(size - 3, prob.n_services))
-    return np.vstack([drawn, np.full(prob.n_services, prob.landscape.cloud), *greedy_anchors(prob)])
+    return np.vstack([drawn, np.full(prob.n_services, prob.landscape.cloud), *prob.anchors])
 
 
 def uniform_crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

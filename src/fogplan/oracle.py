@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import Saturated, SearchSpaceTooLarge
 from .fsdp import ProblemInstance
-from .moea.common import Solution, dominates, score_block
+from .moea.common import Solution, score_block
 from .moea.common import make_solution  # noqa: F401 - perfbench/tracer.py patches this binding
 
 #: assignments scored per ``evaluate_many`` call in ``exact_pareto``:
@@ -35,9 +35,10 @@ def exact_pareto(prob: ProblemInstance, cap: int = 10**6) -> ExactFront:
     """Exact Pareto front of all feasible assignments by enumeration.
 
     Assignments come in ``itertools.product`` order, scored in chunks
-    as arrays.  One mask per chunk drops the infeasible rows, dominance
-    is decided on the floats, and a Solution is built only for an
-    assignment that joins the front.
+    as arrays.  Each chunk's feasible rows join the front carried over
+    from earlier chunks, and one ``_nondominated`` mask over both keeps
+    the points that no other dominates, equal points all kept, in
+    product order.  A Solution is built only for a row the mask keeps.
     """
     r, n = prob.n_resources, prob.n_services
     size = r ** n
@@ -45,17 +46,34 @@ def exact_pareto(prob: ProblemInstance, cap: int = 10**6) -> ExactFront:
         raise SearchSpaceTooLarge(f"{size} assignments exceed cap {cap}")
     # assignment i holds the n digits of i in base r, the last varying fastest
     place = r ** np.arange(n - 1, -1, -1)
-    front: list[tuple[float, float, Solution]] = []  # (u, a) and Solution of each member
+    front: list[Solution] = []
+    points = np.empty((0, 2))  # (u, a) of each front member
     for start in range(0, size, ENUMERATION_CHUNK):
         block = np.arange(start, min(start + ENUMERATION_CHUNK, size))[:, None] // place % r
         scored = score_block(block, prob)
         rows = np.flatnonzero(scored.total == 0)
-        for i, (u, a) in zip(rows.tolist(), scored.objectives[rows].tolist()):
-            if any(dominates(fu, fa, u, a) for fu, fa, _ in front):
-                continue
-            front = [f for f in front if not dominates(u, a, f[0], f[1])]
-            front.append((u, a, scored.solution(i)))
-    return ExactFront(solutions=tuple(s for _, _, s in front), search_space_size=size)
+        points = np.concatenate((points, scored.objectives[rows]))
+        keep = _nondominated(points[:, 0], points[:, 1])
+        carried, joined = keep[:len(front)].tolist(), rows[keep[len(front):]].tolist()
+        front = [sol for sol, kept in zip(front, carried) if kept] + [scored.solution(i) for i in joined]
+        points = points[keep]
+    return ExactFront(solutions=tuple(front), search_space_size=size)
+
+
+def _nondominated(u: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Mask of the points (u[i], a[i]) that no other point dominates.
+
+    In descending (u, a) order a point is dominated by one with larger u
+    and no less a, so by the running maximum of a before its u group, or
+    by one with its u and larger a, the first of its group.
+    """
+    order = np.lexsort((-a, -u))
+    u, a = u[order], a[order]
+    first = np.searchsorted(-u, -u)  # the first row of each row's u group
+    above = np.concatenate(([-np.inf], np.maximum.accumulate(a)))[first]
+    keep = np.empty(len(order), dtype=bool)
+    keep[order] = (a == a[first]) & (a > above)
+    return keep
 
 
 def md1_simulate(arrival_rate: float, service_time: float, jobs: int = 10**6, seed: int = 0) -> float:

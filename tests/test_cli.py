@@ -293,8 +293,9 @@ def test_search_where_nothing_is_feasible(tmp_path, algo):
     ("scaling", ["--factors", "1,2"], 2, 0),
 ], ids=["evolution", "deadline", "scaling"])
 def test_each_instance_is_built_once(tmp_path, monkeypatch, experiment, extra, builds, reports):
-    # every (algorithm, seed) job runs on the experiment's one instance, and
-    # only the deadline rows read a response-time report
+    # every (algorithm, seed) job runs on the experiment's one instance, which
+    # places its greedy anchors once, and only the deadline rows read a
+    # response-time report
     calls = Counter()
 
     def counted(name, fn):
@@ -305,10 +306,28 @@ def test_each_instance_is_built_once(tmp_path, monkeypatch, experiment, extra, b
 
     monkeypatch.setattr(scenario, "build_instance", counted("build", scenario.build_instance))
     monkeypatch.setattr(cli, "response_time_report", counted("report", cli.response_time_report))
+    monkeypatch.setattr(common, "greedy_anchors", counted("anchors", common.greedy_anchors))
     monkeypatch.setenv("FOGPLAN_WORKERS", "1")
     assert main(["--experiment", experiment, "--algo", "all", "--evals", "80", *extra,
                  "--out", str(tmp_path)]) == 0
-    assert (calls["build"], calls["report"]) == (builds, reports)
+    assert (calls["build"], calls["report"], calls["anchors"]) == (builds, reports, builds)
+
+
+def test_pool_workers_receive_the_parents_anchors(tmp_path, monkeypatch):
+    # a forked worker inherits this stand-in, and a job that placed the
+    # anchors there would fail the run with exit 3
+    parent, placed = os.getpid(), []
+    place = common.greedy_anchors
+
+    def parent_only(prob):
+        assert os.getpid() == parent, "a pool worker placed the anchors"
+        placed.append(prob.n_services)
+        return place(prob)
+
+    monkeypatch.setattr(common, "greedy_anchors", parent_only)
+    monkeypatch.setenv("FOGPLAN_WORKERS", "2")
+    assert main(["--algo", "all", "--seeds", "0,1", "--evals", "40", "--out", str(tmp_path)]) == 0
+    assert placed == [25]
 
 
 def test_failed_run_leaves_the_old_csvs(tmp_path, capsys, monkeypatch):
@@ -338,6 +357,24 @@ class TestScalingExperiment:
         assert [r[1] for r in rows[1:]] == ["25", "50"]
         for row in rows[1:]:
             assert float(row[2]) > 0 and float(row[3]) > 0
+
+    def test_anchors_placed_before_any_timed_run(self, tmp_path, monkeypatch):
+        # the first algorithm on a factor would otherwise time the anchors of all
+        events = []
+        place = common.greedy_anchors
+        monkeypatch.setattr(common, "greedy_anchors", lambda prob: events.append(prob.n_services) or place(prob))
+
+        def timed(name, run):
+            def call(prob, params):
+                events.append(name)
+                return run(prob, params)
+            return call
+
+        for name, run in list(ALGORITHMS.items()):
+            monkeypatch.setitem(ALGORITHMS, name, timed(name, run))
+        assert main(["--experiment", "scaling", "--algo", "all", "--seeds", "0",
+                     "--evals", "40", "--factors", "1,2", "--out", str(tmp_path)]) == 0
+        assert events == [25, 50, *(name for name in ALGORITHMS for _ in range(2))]
 
     def test_empty_factors_exits_2(self, tmp_path):
         rc = main(["--experiment", "scaling", "--algo", "mopso", "--seeds", "0",

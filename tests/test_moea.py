@@ -15,6 +15,7 @@ from fogplan.fsdp import ObjectiveVector, ProblemInstance, ViolationVector, eval
 from fogplan.moea import (
     ALGORITHMS,
     AlgoParams,
+    GenerationStats,
     ParetoArchive,
     Solution,
     constrained_dominates,
@@ -30,6 +31,7 @@ from fogplan.moea import (
     simplex_lattice_weights,
     tchebycheff,
 )
+from fogplan.moea import common
 from fogplan.moea.common import (
     Scored,
     Search,
@@ -750,6 +752,67 @@ def test_reported_stats_are_never_stale(monkeypatch, name, run):
         assert set(levels) == {0.0}
 
 
+def reference_generation_stats(archive, feasible, evaluations):
+    """``generation_stats`` as a walk over the archive's members: the
+    largest of each objective, ``select_compromise``'s key with its
+    genotype tie-break, and ``hypervolume_2d``'s sweep over the points in
+    descending (u, a) order."""
+    points = [m.objectives.as_tuple() for m in archive.members]
+
+    def key(s):
+        u, a = s.objectives.as_tuple()
+        return (-min(u, a), -max(u, a), -a, s.genotype)
+
+    comp = min(archive.members, key=key).objectives
+    hv, best = 0.0, 0.0
+    for u, a in sorted(points, key=lambda p: (-p[0], -p[1])):
+        if a > best and u > 0.0:
+            hv += (u - 0.0) * (a - best)
+            best = a
+    return GenerationStats(evaluations, max(u for u, _ in points), max(a for _, a in points),
+                           comp.fog_utilization, comp.availability, hv, sum(feasible) / len(feasible))
+
+
+#: objective values: tenths, so that points tie and mirror exactly, or any float in [0, 1]
+OBJECTIVE_VALUES = st.sampled_from([k / 10 for k in range(11)]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def offered_archives(draw):
+    """An archive after random offers, each point maybe followed by its
+    mirror (a, u), which ties it on min(u, a) and max(u, a).  Every offer
+    is feasible, or every offer violates, or both kinds come, so the
+    archive ends at violation 0 or above it; a small capacity truncates."""
+    archive = ParetoArchive(capacity=draw(st.integers(1, 12)))
+    levels = draw(st.sampled_from([(0.0,), (0.5, 1.5), (0.0, 0.5)]))
+    offers = st.tuples(OBJECTIVE_VALUES, OBJECTIVE_VALUES, st.booleans(), st.sampled_from(levels),
+                       st.lists(st.integers(0, 3), min_size=2, max_size=2))
+    for u, a, mirrored, total, genotype in draw(st.lists(offers, min_size=1, max_size=40)):
+        for point in [(u, a), (a, u)][:1 + mirrored]:
+            archive.add(Solution(array("H", genotype), ObjectiveVector(*point), total))
+    return archive
+
+
+@settings(max_examples=400, deadline=None)
+@given(offered_archives(), st.lists(st.booleans(), min_size=1, max_size=8), st.integers(0, 10**6))
+def test_generation_stats_match_a_member_walk(archive, feasible, evaluations):
+    assert generation_stats(archive, feasible, evaluations) == reference_generation_stats(
+        archive, feasible, evaluations)
+
+
+@pytest.mark.parametrize("total", [0.0, 0.5])
+def test_generation_stats_mirrored_points(total):
+    # (0.4, 0.6) and (0.6, 0.4) tie on min(u, a) and max(u, a): the higher
+    # availability wins, whichever came first
+    for points in ([(0.6, 0.4), (0.4, 0.6), (0.1, 0.9)], [(0.4, 0.6), (0.6, 0.4), (0.95, 0.05)]):
+        archive = ParetoArchive(capacity=10)
+        for i, point in enumerate(points):
+            archive.add(Solution(array("H", [9 - i]), ObjectiveVector(*point), total))
+        stats = generation_stats(archive, [True, False], 40)
+        assert (stats.compromise_fog_utilization, stats.compromise_availability) == (0.4, 0.6)
+        assert stats == reference_generation_stats(archive, [True, False], 40)
+
+
 def test_nsga2_selection_ignores_member_order():
     from fogplan.moea.nsga2 import _environmental_selection
 
@@ -917,6 +980,31 @@ def test_greedy_anchors_match_reference(spec):
 def test_greedy_anchors_match_reference_at_scale(factor):
     for seed in range(10):
         assert_anchors_match_reference(scaled_scenario(ScenarioSpec(seed=seed), factor))
+
+
+def test_anchors_placed_once_per_instance(monkeypatch):
+    prob = tiny_instance(2)
+    assert "anchors" not in vars(prob)  # lazily, not in ProblemInstance.__init__
+    placed = []
+    place = common.greedy_anchors
+    monkeypatch.setattr(common, "greedy_anchors", lambda p: placed.append(p) or place(p))
+    for run in ALGORITHMS.values():
+        for seed in (0, 1):
+            run(prob, AlgoParams(seed=seed, max_evaluations=80))
+    assert placed == [prob]
+
+
+def test_cached_anchors_are_read_only_and_pickle():
+    prob = paper_scenario(3)
+    assert prob.anchors is prob.anchors
+    copy = pickle.loads(pickle.dumps(prob))
+    assert "anchors" in vars(copy)  # carried, not placed again
+    for anchors in (prob.anchors, copy.anchors):
+        for got, want in zip(anchors, reference_greedy_anchors(prob), strict=True):
+            assert got.tolist() == want.tolist()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0
 
 
 class TestInitialPopulation:

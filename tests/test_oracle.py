@@ -31,6 +31,20 @@ def cloud_fc_landscape(fc_cpu=100.0, fc_failure=0.20):
     return Landscape(resources, Latencies())
 
 
+def pairwise_front(prob):
+    """The exact front as a loop over every assignment in
+    ``itertools.product`` order: a feasible solution joins unless a
+    member dominates it, and drops the members it dominates."""
+    front = []
+    for assignment in itertools.product(range(prob.n_resources), repeat=prob.n_services):
+        sol = make_solution(assignment, prob)
+        if not sol.feasible or any(pareto_dominates(f.objectives, sol.objectives) for f in front):
+            continue
+        front = [f for f in front if not pareto_dominates(sol.objectives, f.objectives)]
+        front.append(sol)
+    return tuple(front)
+
+
 class TestExactPareto:
     def test_fog_infeasible_leaves_cloud_only(self):
         # one service too big for every fog resource
@@ -101,16 +115,20 @@ class TestExactPareto:
         # chunk holds all 4**6 assignments or the last one holds 96
         monkeypatch.setattr(oracle, "ENUMERATION_CHUNK", chunk)
         prob = tiny_instance(seed)
-        expected = []
-        for assignment in itertools.product(range(prob.n_resources), repeat=prob.n_services):
-            sol = make_solution(assignment, prob)
-            if not sol.feasible or any(pareto_dominates(f.objectives, sol.objectives) for f in expected):
-                continue
-            expected = [f for f in expected if not pareto_dominates(sol.objectives, f.objectives)]
-            expected.append(sol)
+        expected = pairwise_front(prob)
         front = exact_pareto(prob)
-        assert front.solutions == tuple(expected)
+        assert front.solutions == expected
         assert [s.genotype.typecode for s in front.solutions] == ["H"] * len(expected)
+
+    @pytest.mark.parametrize("chunk", [oracle.ENUMERATION_CHUNK, 1000])
+    @pytest.mark.parametrize("family", [tight_deadline_instance, rate_bound_instance])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_deadline_families_match_a_make_solution_loop(self, monkeypatch, seed, family, chunk):
+        # the deadline term shapes these fronts, and a chunk's rows can
+        # dominate members carried over from earlier chunks
+        monkeypatch.setattr(oracle, "ENUMERATION_CHUNK", chunk)
+        prob = family(seed)
+        assert exact_pareto(prob).solutions == pairwise_front(prob)
 
     def test_no_services_has_one_empty_assignment(self):
         prob = ProblemInstance(cloud_fc_landscape(), [])
