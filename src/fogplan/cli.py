@@ -226,7 +226,6 @@ def main(argv=None) -> int:
             # one check of every parameter, --evals too (max_evaluations >=
             # population_size >= 4), before one AlgoParams per seed is built
             first = AlgoParams(**overrides, seed=seeds[0], max_evaluations=args.evals)
-            params = [replace(first, seed=seed) for seed in seeds]
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         spec = scenario_mod.ScenarioSpec() if args.scenario == "paper" else scenario_mod.load(args.scenario)
@@ -235,12 +234,13 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"--out: {exc}") from exc
         if args.experiment in EXPERIMENTS:
+            params = [replace(first, seed=seed) for seed in seeds]  # each seed >= seeds[0], so valid
             path = run_experiment(args.experiment, algorithms, spec, params, args.out)
         else:
             factors = _parse_factors(args.factors)
             if len(seeds) > 1:
                 raise ConfigError(f"the scaling experiment takes one seed, got --seeds {args.seeds}")
-            path = run_scaling_experiment(algorithms, spec, params[0], factors, args.out)
+            path = run_scaling_experiment(algorithms, spec, first, factors, args.out)
     except FogplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

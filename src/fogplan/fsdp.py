@@ -162,22 +162,13 @@ class ProblemInstance:
         self.sink_ranks = sinks[first + np.arange(count.max(initial=1))[:, None] % count]
 
     @cached_property
-    def anchors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``moea.common.greedy_anchors`` of this instance as read-only
-        arrays, placed on first use: every run on the instance reads them,
-        and a pickled instance carries them."""
+    def anchors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``moea.common.greedy_anchors`` of this instance, placed on first
+        use: every run on the instance reads them, and a pickled instance
+        carries them."""
         from .moea.common import greedy_anchors  # that module imports this one
 
-        anchors = greedy_anchors(self)
-        for anchor in anchors:
-            anchor.flags.writeable = False
-        return anchors
-
-    def __setstate__(self, state):
-        # numpy unpickles every array writeable
-        self.__dict__.update(state)
-        for anchor in state.get("anchors", ()):
-            anchor.flags.writeable = False
+        return greedy_anchors(self)
 
     def as_assignment(self, dep, rows: bool = False) -> np.ndarray:
         """One assignment as an (N,) array of int64 resource ids, checked;

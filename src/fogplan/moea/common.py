@@ -72,15 +72,10 @@ def make_solution(assignment, prob: ProblemInstance) -> Solution:
     return score_block(np.asarray(assignment)[None], prob).solution(0)
 
 
-def dominates(au: float, aa: float, bu: float, ba: float) -> bool:
-    """Whether objectives (au, aa) dominate (bu, ba), both maximized:
-    >= on both, > on at least one."""
-    return au >= bu and aa >= ba and (au > bu or aa > ba)
-
-
 def pareto_dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
-    """``dominates`` on two objective vectors."""
-    return dominates(a.fog_utilization, a.availability, b.fog_utilization, b.availability)
+    """Whether a dominates b, both maximized: >= on both objectives, > on at least one."""
+    au, aa, bu, ba = a.fog_utilization, a.availability, b.fog_utilization, b.availability
+    return au >= bu and aa >= ba and (au > bu or aa > ba)
 
 
 def constrained_dominates(a: Solution, b: Solution) -> bool:
@@ -107,6 +102,8 @@ def nondominated_rows(u: np.ndarray, a: np.ndarray, total: np.ndarray) -> list[l
     in u and rise in a.  Then come the infeasible fronts, one group each,
     by total violation, least first.
     """
+    if not len(total):
+        return []
     order = np.lexsort((-a, -u, total))
     total, u, a = total[order], u[order], a[order]
     new = (total[1:] != total[:-1]) | (total[1:] == 0) & ((u[1:] != u[:-1]) | (a[1:] != a[:-1]))
@@ -486,7 +483,7 @@ class Search:
         self.trace_hook(self._stats)
 
 
-def greedy_anchors(prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
+def greedy_anchors(prob: ProblemInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Two greedy placements at the ends of the fog/availability front.
 
     Services are placed largest CPU demand first.  The first anchor puts
@@ -526,7 +523,7 @@ def greedy_anchors(prob: ProblemInstance) -> tuple[np.ndarray, np.ndarray]:
         if (i := place(fog_rich, svc, (k for _, k in free))) is not None:
             k = free.pop(i)[1]
             insort(free, (used[k][0] - capacity[k][0], k))
-    return np.array(available, dtype=np.int64), np.array(fog_rich, dtype=np.int64)
+    return tuple(available), tuple(fog_rich)
 
 
 def initial_population(prob: ProblemInstance, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -541,13 +538,12 @@ def initial_population(prob: ProblemInstance, size: int, rng: np.random.Generato
     return np.vstack([drawn, np.full(prob.n_services, prob.landscape.cloud), *prob.anchors])
 
 
-def uniform_crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Two children that take each gene from p1 or p2 by a fair coin,
-    the second child the other gene.  The pick is arithmetic: a select
-    on a random mask mispredicts a branch on every other gene, and with
-    ``np.where`` the call took 2.8x as long on a (40, 400) block."""
-    d = (p1 - p2) * (rng.random(p1.shape) < 0.5)
-    return p2 + d, p1 - d
+def uniform_crossover(p1: np.ndarray, p2: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A child that takes each gene from p1 or p2 by a fair coin.  The
+    pick is arithmetic: a select on a random mask mispredicts a branch on
+    every other gene, and with ``np.where`` the call took 2.8x as long on
+    a (40, 400) block."""
+    return p2 + (p1 - p2) * (rng.random(p1.shape) < 0.5)
 
 
 def reset_mutation(child: np.ndarray, rate: float, n_resources: int, rng: np.random.Generator) -> np.ndarray:

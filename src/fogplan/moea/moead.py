@@ -109,7 +109,7 @@ def moead_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         k = min(n_sub, run.left)
         # each child's two distinct mates: the subproblems with its two smallest keys
         first, second = _two_smallest(rng.random((k, n_sub)))
-        child, _ = uniform_crossover(genotypes[first], genotypes[second], rng)
+        child = uniform_crossover(genotypes[first], genotypes[second], rng)
         children = reset_mutation(child, run.mutation_prob, prob.n_resources, rng)
         brood = run.evaluate_many(children)
         holder, ideal = _replacement(weights, ideal, (objectives, violation), (brood.objectives, brood.total))

@@ -444,6 +444,21 @@ class TestParamOverrides:
         assert peak < 1 << 20
         assert _parse_seeds("0..1000000000") == range(10**9 + 1)
 
+    def test_scaling_seed_range_fails_before_building_it(self, tmp_path, capsys):
+        # the scaling experiment takes one seed: it refuses a range before
+        # one AlgoParams per seed is built
+        tracemalloc.start()
+        try:
+            rc = main(["--experiment", "scaling", "--algo", "nsga2", "--seeds", "0..100000",
+                       "--evals", "40", "--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "takes one seed" in capsys.readouterr().err
+        assert peak < 1 << 20
+        assert not (tmp_path / "scaling.csv").exists()
+
     @pytest.mark.parametrize("pair", [
         "population_size=3",
         "archive_capacity=0",

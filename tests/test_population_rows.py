@@ -23,7 +23,6 @@ from fogplan.moea.common import (
     initial_population,
     row_crowding,
     staircase_crowding,
-    uniform_crossover,
     value_walks,
 )
 from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
@@ -140,9 +139,10 @@ def test_staircase_crowding_is_row_crowding_over_the_value_walks(front):
 
 def where_stack_children(p1, p2, crossover_prob, rng):
     """NSGA-II's children as they were assembled before the one-pass
-    form: both ``uniform_crossover`` children, each kept by its pair's
-    crossover flag through ``np.where``, stacked pair by pair."""
-    c1, c2 = uniform_crossover(p1, p2, rng)
+    form: two children picked by ``np.where`` on one uniform gene mask,
+    each kept by its pair's crossover flag, stacked pair by pair."""
+    coins = rng.random(p1.shape) < 0.5
+    c1, c2 = np.where(coins, p1, p2), np.where(coins, p2, p1)
     cross = (rng.random(len(p1)) < crossover_prob)[:, None]
     return np.stack([np.where(cross, c1, p1), np.where(cross, c2, p2)], axis=1).reshape(2 * len(p1), -1)
 
