@@ -198,13 +198,13 @@ class ParetoArchive:
     violation.  No two members share an objective vector, and the first
     genotype found for a point is kept.
 
-    ``members`` keeps insertion order.  At 0 the members are also kept
-    as a staircase sorted by fog utilization, so by availability
-    descending (Fieldsend et al., IEEE TEC 2003): one bisect tests a
-    candidate, and the members it dominates form one contiguous run.
+    At 0 the members are a staircase sorted by fog utilization, so by
+    availability descending (Fieldsend et al., IEEE TEC 2003): one
+    bisect tests a candidate, and the members it dominates form one
+    contiguous run.  Above 0 they keep insertion order.
 
     Truncation beyond capacity drops the most crowded member (smallest
-    crowding distance), the earliest inserted of them on a tie.
+    crowding distance), the first of them in that order on a tie.
 
     ``add`` is the only path by which the members change, and ``version``
     counts the offers it let through ``admits``: whatever a caller
@@ -218,7 +218,7 @@ class ParetoArchive:
         self.members: list[Solution] = []
         self.violation = math.inf
         self.version = 0
-        # the staircase at violation 0, sorted by u; a member's u names it
+        # the members' objectives, the i-th point members[i]'s
         self._us: list[float] = []
         self._as: list[float] = []
 
@@ -235,7 +235,7 @@ class ParetoArchive:
         if total != self.violation:
             return total < self.violation
         if total:  # only a member with equal objectives rejects it
-            return (u, a) not in [m.objectives.as_tuple() for m in self.members]
+            return (u, a) not in zip(self._us, self._as)
         # of the members with u' >= u, the first has the largest a'; one
         # with a' >= a dominates the candidate or equals it
         p = bisect_left(self._us, u)
@@ -244,22 +244,18 @@ class ParetoArchive:
     def add(self, candidate: Solution) -> bool:
         """Offer a solution; returns True when it was retained.  ``admits``
         decides; a feasible candidate then drops the members it dominates."""
-        u, a = candidate.objectives.fog_utilization, candidate.objectives.availability
-        total = candidate.total_violation
+        (u, a), total = candidate.objectives.as_tuple(), candidate.total_violation
         if not self.admits(u, a, total):
             return False
         self.version += 1
         if total < self.violation:
             self.violation, self.members, self._us, self._as = total, [], [], []
+        k = j = len(self.members)
         if not total:
             # the dominated members: u' <= u, so below j, and a' <= a, so from k on
             j = bisect_right(self._us, u)
             k = bisect_left(self._as, -a, 0, j, key=neg)
-            if k < j:
-                gone = set(self._us[k:j])
-                self.members = [m for m in self.members if m.objectives.fog_utilization not in gone]
-            self._us[k:j], self._as[k:j] = [u], [a]
-        self.members.append(candidate)
+        self.members[k:j], self._us[k:j], self._as[k:j] = [candidate], [u], [a]
         if len(self.members) > self.capacity:
             return self._truncate() is not candidate
         return True
@@ -268,15 +264,11 @@ class ParetoArchive:
         """Drop the most crowded member, the first of them, and return it."""
         if self.violation:
             dist = crowding_distance(self.members)
-            return self.members.pop(min(range(len(dist)), key=dist.__getitem__))
-        us, as_ = self._us, self._as
-        dist, _ = staircase_crowding(us, as_)
-        least = min(dist)
-        tied = {u for u, d in zip(us, dist) if d == least}
-        victim = self.members.pop(next(i for i, m in enumerate(self.members) if m.objectives.fog_utilization in tied))
-        p = bisect_left(us, victim.objectives.fog_utilization)
-        del us[p], as_[p]
-        return victim
+        else:
+            dist, _ = staircase_crowding(self._us, self._as)
+        p = dist.index(min(dist))
+        del self._us[p], self._as[p]
+        return self.members.pop(p)
 
     def objective_set(self) -> set[tuple[float, float]]:
         return {m.objectives.as_tuple() for m in self.members}
@@ -287,11 +279,7 @@ def hypervolume_2d(front: list[ObjectiveVector], ref: ObjectiveVector) -> float:
     a point at or below ref in either objective adds nothing."""
     if not front:
         raise EmptyFront("hypervolume of an empty front")
-    pts = sorted(
-        ((p.fog_utilization, p.availability) for p in front),
-        key=lambda t: (-t[0], -t[1]),
-    )
-    return _swept_area(pts, ref.fog_utilization, ref.availability)
+    return _swept_area(sorted((p.as_tuple() for p in front), reverse=True), ref.fog_utilization, ref.availability)
 
 
 def _swept_area(points: Iterable[tuple[float, float]], ref_u: float, ref_a: float) -> float:
@@ -391,29 +379,23 @@ def generation_stats(archive: ParetoArchive, feasible: Sequence[bool], evaluatio
     """Quality of a run so far, given the population's feasibility flags;
     the archive holds a member once anything was scored.
 
-    At violation 0 every field is read off the archive's staircase: its
-    points are distinct, u ascending and a descending, so the largest u
-    is the last, the largest a the first, and the hypervolume sweeps the
-    points in reverse.  The largest (min(u, a), max(u, a), a) names
-    ``select_compromise``'s point without its genotype tie-break; min(u,
-    a) rises up to the first point p with u >= a and falls from p on, so
-    that point is p - 1 or p.
+    The archive's points are distinct, so sorted in reverse they come in
+    ``hypervolume_2d``'s order.  At violation 0 they are the staircase, u
+    ascending and a descending, and the largest (min(u, a), max(u, a), a)
+    names ``select_compromise``'s point without its genotype tie-break:
+    min(u, a) rises up to the first point p with u >= a and falls from p
+    on, so that point is p - 1 or p.  Above 0 ``select_compromise`` names it.
     """
+    us, as_ = archive._us, archive._as
     if archive.violation:
-        objectives = [m.objectives for m in archive.members]
-        best_u = max(o.fog_utilization for o in objectives)
-        best_a = max(o.availability for o in objectives)
         comp = select_compromise(archive).objectives
         comp_u, comp_a = comp.fog_utilization, comp.availability
-        hv = hypervolume_2d(objectives, ObjectiveVector(0.0, 0.0))
     else:
-        us, as_ = archive._us, archive._as
-        best_u, best_a = us[-1], as_[0]
         p = bisect_left(range(len(us)), True, key=lambda i: us[i] >= as_[i])
         near = slice(max(p - 1, 0), p + 1)
         *_, comp_a, comp_u = max((min(u, a), max(u, a), a, u) for u, a in zip(us[near], as_[near]))
-        hv = _swept_area(zip(reversed(us), reversed(as_)), 0.0, 0.0)
-    return GenerationStats(evaluations, best_u, best_a, comp_u, comp_a, hv, _feasible_fraction(feasible))
+    hv = _swept_area(sorted(zip(us, as_), reverse=True), 0.0, 0.0)
+    return GenerationStats(evaluations, max(us), max(as_), comp_u, comp_a, hv, _feasible_fraction(feasible))
 
 
 def _feasible_fraction(feasible: Sequence[bool]) -> float:

@@ -201,9 +201,16 @@ def scaled_scenario(base: ScenarioSpec, replication: int) -> ProblemInstance:
     return build_instance(scaled_spec(base, replication))
 
 
+class _Dumper(yaml.SafeDumper):
+    """``yaml.safe_dump``'s dumper, which writes a numpy scalar as the Python number it equals."""
+
+    def represent_data(self, data):
+        return super().represent_data(data.item() if isinstance(data, np.generic) else data)
+
+
 def save(spec: ScenarioSpec, path) -> None:
     with open(path, "w") as fh:
-        yaml.safe_dump({"schema_version": SCHEMA_VERSION, **asdict(spec)}, fh, sort_keys=False)
+        yaml.dump({"schema_version": SCHEMA_VERSION, **asdict(spec)}, fh, Dumper=_Dumper, sort_keys=False)
 
 
 def read_field(where: str, hint, value):

@@ -90,7 +90,7 @@ class TestEvolutionExperiment:
         assert main(["--experiment", "evolution", "--algo", "all", "--seeds", "0",
                      "--evals", "200", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
-        assert digest == "8a442a17e7811b6ac5d7dacf075a5f496b193378b6ad51bb4a486ca955c5e270"
+        assert digest == "2e249b90ab316f3e232f7d620ae7b2aba530c17d5f3ee3877f373e3b06edb47e"
 
     def test_truncated_archive_csv_bytes_pinned(self, tmp_path, monkeypatch):
         # paper fronts hold at most 17 points, so the default capacity of 50
@@ -99,7 +99,7 @@ class TestEvolutionExperiment:
         assert main(["--experiment", "evolution", "--algo", "all", "--seeds", "0..2", "--evals", "400",
                      "--param", "archive_capacity=5", "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "evolution.csv").read_bytes()).hexdigest()
-        assert digest == "6fc80c410fd7815463ffd5a86f1241980da416277067d9f5cdc2d01404c679f3"
+        assert digest == "ef325567c91b4642a3321d4484debf3d76c5f45055de39fc8c83e6e54591836e"
 
     @pytest.mark.parametrize(("extra", "expected"), [
         (["--seeds", "0..4"], "15cbbf40e2770f2a4ca3c249787f44f97d8397e59a71968aae7fff5f91bab09a"),
@@ -115,7 +115,7 @@ class TestEvolutionExperiment:
 
     @pytest.mark.parametrize(("algo", "expected"), [
         ("nsga2", "a7801110e2888b5b0116960b3e55034ae607c2282247b450efe4735fee7828cc"),
-        ("mopso", "9518a724f9cd40a508b1d64b7723018195c8a67adcef7e64c0e970c1681e573d"),
+        ("mopso", "c7d6479ba833752bef4b0d8c3bfed9549a518959827839e53df69597937e5b08"),
     ])
     def test_partial_generation_csv_bytes_pinned(self, tmp_path, monkeypatch, algo, expected):
         # as test_moead_csv_bytes_pinned: the last generation holds 13 of 40,
@@ -127,7 +127,7 @@ class TestEvolutionExperiment:
         assert digest == expected
 
     @pytest.mark.parametrize(("experiment", "expected"), [
-        ("evolution", "080bb04e30ee4565e97cd7b5b4beb0ef2ec54ab4651a7dd89cf8d9dd2a913173"),
+        ("evolution", "e031e1e5537110980cae2893be8d6f4c2af07e0a545e78f85f6646f48c729251"),
         ("deadline", "389769c9ad01622e7b610fdf614de6df6476b6c528e55b051a5e8692e1135f72"),
     ])
     def test_scaled16_csv_bytes_pinned(self, tmp_path, monkeypatch, experiment, expected):
@@ -142,14 +142,14 @@ class TestEvolutionExperiment:
         assert digest == expected
 
     @pytest.mark.parametrize(("algo", "expected"), [
-        ("nsga2", "7ea2fc736680e036ee386eb5f58d3f01c497fd0b6e29fd476a9537de0b5e1ee2"),
-        ("mopso", "9778532643c13c4d68f631ce80b44992623fc916be596e1be3f7ae8b8b28c983"),
-        ("moead", "601bd969d58d39f37461cc290e15dad76d745b229273e1d43320d4a5108c3633"),
+        ("nsga2", "8577ae510f8b266fe94d6b4d263bb80ad8a1ccbe0fb01475912317ac3480b127"),
+        ("mopso", "c9e3ca39d22086aaa7e6efc2ac79a4c6279650b21f78bbbebd34ad3a0501c078"),
+        ("moead", "5437c29123dd5969498d34ac9b334679e3b27dd7edf0c13d192826e25d80a9a4"),
     ])
     def test_scaled16_truncated_archive_pinned(self, monkeypatch, algo, expected):
         # a 400-service front outgrows the default capacity of 50, so this
         # run truncates 38-124 times: the final archive, member by member in
-        # insertion order, pins the truncation rule at scale
+        # archive order, pins the truncation rule at scale
         truncations = []
         truncate = ParetoArchive._truncate
         monkeypatch.setattr(ParetoArchive, "_truncate", lambda self: truncations.append(1) or truncate(self))
@@ -422,6 +422,22 @@ class TestParamOverrides:
     def test_bad_seeds_exits_2(self, tmp_path):
         for seeds in ("zero", "-1"):
             assert main(["--algo", "nsga2", f"--seeds={seeds}", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("workers, argv, message", [
+        pytest.param("abc", [], "FOGPLAN_WORKERS must be an integer, got 'abc'", id="workers-abc"),
+        pytest.param("1", ["--experiment", "scaling", "--factors", "1,x"], "bad --factors value '1,x'", id="factors-x"),
+        pytest.param("1", ["--param", "population_size"], "--param expects k=v, got 'population_size'",
+                     id="param-no-equals"),
+        pytest.param("1", ["--param", "population_size=abc"], "--param population_size: expected a number, got 'abc'",
+                     id="param-abc"),
+        pytest.param("1", ["--seeds", ","], "at least one seed is required", id="seeds-comma"),
+    ])
+    def test_rejected_input_named(self, tmp_path, capsys, monkeypatch, workers, argv, message):
+        # exit 2 is main's code for a FogplanError, ConfigError among them; any other exception exits 3
+        monkeypatch.setenv("FOGPLAN_WORKERS", workers)
+        assert main(["--algo", "nsga2", "--evals", "40", *argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("seeds", ["0,0", "3,1,3,1"])
     def test_repeated_seed_exits_2(self, tmp_path, capsys, seeds):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import chain_app, make_resource, make_service, tiny_instance
 from fogplan.errors import LengthMismatch
 from fogplan.fsdp import (
+    MAX_RESOURCES,
     ProblemInstance,
     availability_objective,
     capacity_violation,
@@ -355,3 +357,22 @@ def test_instance_tables_pinned(build, expected):
     for name, value in vars(prob).items():
         if isinstance(value, np.ndarray):
             assert value.flags.c_contiguous, name
+
+
+def one_colony(fcs):
+    """A cloud and one colony of an FCM and ``fcs`` cells."""
+    resources = [make_resource(0, ResourceKind.CLOUD), make_resource(1, ResourceKind.FCM, colony=0)]
+    resources += [make_resource(2 + i, ResourceKind.FC, colony=0) for i in range(fcs)]
+    return Landscape(tuple(resources), Latencies())
+
+
+@pytest.mark.parametrize("fcs, reserve_fraction, message", [
+    pytest.param(2, 1.0, "reserve_fraction must lie in [0, 1)", id="reserve-1.0"),
+    pytest.param(MAX_RESOURCES - 1, 0.1, f"{MAX_RESOURCES + 1} resources exceed MAX_RESOURCES = {MAX_RESOURCES}",
+                 id="resources-4097"),
+])
+def test_instance_input_rejected(fcs, reserve_fraction, message):
+    apps = [chain_app(0, [make_service(0, 0)])]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+        ProblemInstance(one_colony(fcs), apps, reserve_fraction=reserve_fraction)
+    assert caught.type is ValueError

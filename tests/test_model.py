@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -228,3 +229,18 @@ class TestFiniteNumbers:
     def test_non_finite_number_rejected(self, build, bad):
         with pytest.raises(ValueError, match="finite and positive"):
             build(bad)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: make_resource(0, ResourceKind.CLOUD, failure=1.5),
+                 "resource 0: failure probability outside [0, 1]", id="failure-1.5"),
+    pytest.param(lambda: Landscape((make_resource(0, ResourceKind.CLOUD), make_resource(2, ResourceKind.FCM, colony=0)),
+                                   Latencies()),
+                 "resource ids must be unique and contiguous from 0", id="ids-0-2"),
+    pytest.param(lambda: make_service(0, 0, avail=1.5),
+                 "service (0, 0): availability requirement outside [0, 1]", id="availability-1.5"),
+])
+def test_out_of_range_input_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+        build()
+    assert caught.type is ValueError

@@ -303,11 +303,11 @@ class TestParetoArchive:
                 archive.add(sol)
                 assert all(m.total_violation == archive.violation for m in archive)
                 regimes.add(archive.violation)
+                assert_staircase(archive)
                 if archive.violation == 0:
                     us, as_ = zip(*sorted(m.objectives.as_tuple() for m in archive))
                     assert len(set(us)) == len(us) and len(set(as_)) == len(as_)
                     assert all(x > y for x, y in zip(as_, as_[1:]))
-                    assert_staircase(archive)
         assert regimes == {0.0, 1.0, 2.0}
 
     def test_truncation_respects_capacity(self):
@@ -357,14 +357,19 @@ def test_admits_follows_the_add_rule(members, candidate):
 
 
 def assert_staircase(archive):
-    """At violation 0 the sorted lists hold the members' objectives, by u."""
-    assert list(zip(archive._us, archive._as)) == sorted(m.objectives.as_tuple() for m in archive)
+    """At every level the i-th point of the archive's lists is its i-th
+    member's; at violation 0 the members are sorted by u."""
+    points = [m.objectives.as_tuple() for m in archive]
+    assert points == list(zip(archive._us, archive._as))
+    if archive.violation == 0:
+        assert points == sorted(points)
 
 
 class ReferenceArchive:
     """``ParetoArchive``'s rule as member-by-member scans: the staircase's
-    reference.  Truncation drops the first member, in insertion order,
-    with the least ``crowding_distance``."""
+    reference.  At violation 0 a member goes in at its place by u, above
+    it at the end.  Truncation drops the first member, in that order,
+    with the least ``crowding_distance``: at 0 the lowest u of them."""
 
     def __init__(self, capacity):
         self.capacity, self.members, self.violation = capacity, [], math.inf
@@ -385,6 +390,8 @@ class ReferenceArchive:
         elif not total:
             self.members = [m for m in self.members if not pareto_dominates(o, m.objectives)]
         self.members.append(candidate)
+        if not total:  # stable, and u is distinct at 0
+            self.members.sort(key=lambda m: m.objectives.fog_utilization)
         if len(self.members) <= self.capacity:
             return True
         dist = crowding_distance(self.members)
@@ -414,8 +421,7 @@ def test_archive_matches_the_reference(capacity, offers):
         assert archive.violation == reference.violation
         assert len(archive.members) == len(reference.members)
         assert all(m is r for m, r in zip(archive.members, reference.members))
-        if archive.violation == 0:
-            assert_staircase(archive)
+        assert_staircase(archive)
 
 
 # feasible on a grid of thirteenths, so that the staircase is truncated
@@ -1131,3 +1137,21 @@ class TestMopsoFrozenDynamics:
             candidates = np.flatnonzero(keys == cell)
             want = members[candidates[expect.integers(0, len(candidates))]]
             assert guides(members, divisions, np.random.default_rng(seed), 1).tolist() == [list(want.genotype)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=30)
+       .flatmap(lambda points: st.tuples(st.just(points), st.permutations(range(len(points))))),
+       st.integers(1, 9))
+def test_guide_grid_ignores_member_order(drawn, divisions):
+    # the cells, their roulette and each cell's members depend on the
+    # members alone, so a new archive order only relabels a cell's draws;
+    # points on a grid of eighths share cells, and each genotype names its member
+    points, order = drawn
+    members = [Solution(array("H", [i]), ObjectiveVector(u / 8, a / 8), 0.0) for i, (u, a) in enumerate(points)]
+    grid, permuted = (_grid(ms, divisions) for ms in (members, [members[i] for i in order]))
+    assert grid.starts.tolist() == permuted.starts.tolist() and grid.sizes.tolist() == permuted.sizes.tolist()
+    assert grid.cdf.tolist() == permuted.cdf.tolist()
+    for start, size in zip(grid.starts.tolist(), grid.sizes.tolist()):
+        cell = slice(start, start + size)
+        assert sorted(grid.genotypes[cell].ravel().tolist()) == sorted(permuted.genotypes[cell].ravel().tolist())

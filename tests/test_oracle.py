@@ -198,6 +198,11 @@ class TestMd1Simulate:
         with pytest.raises(ValueError):
             md1_simulate(rate, service, jobs=jobs)
 
+    def test_too_few_jobs_rejected(self):
+        with pytest.raises(ValueError, match=r"^need at least 1e5 jobs for a stable estimate$") as caught:
+            md1_simulate(0.5, 1.0, jobs=10)
+        assert caught.type is ValueError
+
     def test_closed_form_agreement_sweep(self):
         for rho in (0.2, 0.5, 0.8):
             sim = md1_simulate(rho, 1.0, jobs=10**6, seed=int(rho * 10))

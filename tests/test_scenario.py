@@ -228,6 +228,22 @@ class TestSerialization:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             load(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda doc: doc["service_templates"][0].update(availability_lo=0.99) or doc,
+                     "service_templates[0]: availability_lo: must satisfy 0 <= availability_lo <= availability_hi <= 1",
+                     id="availability_lo-above-hi"),
+        pytest.param(lambda doc: doc.update(apps=0) or doc, "apps: count must be >= 1", id="apps-0"),
+        pytest.param(lambda doc: doc.update(deadlines=60) or doc, "deadlines: expected a list, got 60",
+                     id="deadlines-scalar"),
+        pytest.param(lambda doc: [doc], "<document>: scenario file must be a mapping", id="document-list"),
+    ])
+    def test_rejected_document_named(self, tmp_path, edit, message):
+        path = tmp_path / "scenario.yaml"
+        save(ScenarioSpec(), path)
+        path.write_text(yaml.safe_dump(edit(yaml.safe_load(path.read_text()))))
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load(path)
+
     @pytest.mark.parametrize("spec, digest", [
         pytest.param(ScenarioSpec(), "3155db5a24dd44f58a768f71f2d8b1b3d8118d4040f4036e6449f5059ca63407", id="paper"),
         pytest.param(ScenarioSpec(colonies=1, cells_per_colony=2, apps=2, services_per_app=3),
@@ -237,6 +253,19 @@ class TestSerialization:
         path = tmp_path / "scenario.yaml"
         save(spec, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("numpy_spec, spec", [
+        pytest.param(ScenarioSpec(seed=np.int64(3)), ScenarioSpec(seed=3), id="seed"),
+        pytest.param(scaled_spec(ScenarioSpec(), np.int64(2)), scaled_spec(ScenarioSpec(), 2), id="scaled"),
+        pytest.param(ScenarioSpec(deadlines=(np.float64(300.0),)), ScenarioSpec(deadlines=(300.0,)), id="deadline"),
+    ])
+    def test_numpy_numbers_saved_as_python_numbers(self, tmp_path, numpy_spec, spec):
+        # the counts take numpy integers and the float fields any number, so save writes them too
+        saved, plain = tmp_path / "numpy.yaml", tmp_path / "plain.yaml"
+        save(numpy_spec, saved)
+        save(spec, plain)
+        assert saved.read_bytes() == plain.read_bytes()
+        assert load(saved) == spec
 
     def test_unknown_version(self, tmp_path):
         spec = ScenarioSpec()
