@@ -14,10 +14,10 @@ object; ``evaluate`` is one row of it as an ``ObjectiveVector`` and a
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 
 import numpy as np
 
@@ -103,11 +103,10 @@ class ProblemInstance:
         sizes = [len(app.services) for app in self.apps]
         offsets = list(accumulate(sizes, initial=0))
         self.n_services = offsets[-1]
-        preds, by_level = [[] for _ in range(self.n_services)], {}
+        preds, by_level = [[] for _ in range(self.n_services)], defaultdict(list)
         for offset, app in zip(offsets, self.apps):
             for v, level in enumerate(service_levels(app), offset):
-                if level:
-                    by_level.setdefault(level, []).append(v)
+                by_level[level].append(v)
             for u, v in app.edges:
                 preds[offset + v].append(offset + u)
         self.app_deadline = np.array([app.deadline for app in self.apps])
@@ -140,26 +139,37 @@ class ProblemInstance:
             [self.availability_lcm // k for k in sizes for _ in range(k)], dtype=np.int64
         )
 
-        # critical-path DP by global topological level: per level, its k
-        # services, a (fan-in, k) table of their predecessors (a service with
-        # fewer in-edges repeats its first; a max ignores repeats) and the
-        # slice of level_links holding the same links row by row
+        # critical-path DP in level order: the sources, then depth 1, 2 and
+        # so on, so that each level's services are one slice of positions.
+        # Per level, that slice, a (fan-in, k) table of their predecessors'
+        # positions (a service with fewer in-edges repeats its first; a max
+        # ignores repeats) and the slice of level_links holding the same
+        # links row by row, as (source, target) services
+        order = [v for level in range(len(by_level)) for v in by_level[level]]
+        position = [0] * self.n_services
+        for i, v in enumerate(order):
+            position[v] = i
         src, dst, self.level_steps = [], [], []
-        for level in range(1, len(by_level) + 1):
-            nodes = by_level[level]
-            fan_in = max(len(preds[v]) for v in nodes)
-            table = [preds[v][min(j, len(preds[v]) - 1)] for j in range(fan_in) for v in nodes]
+        hi = len(by_level[0])
+        for level in range(1, len(by_level)):
+            nodes, lo = by_level[level], hi
+            hi += len(nodes)
+            rows = [preds[v] for v in nodes]
+            fan_in = max(map(len, rows))
+            table = [p[j] if j < len(p) else p[0] for j in range(fan_in) for p in rows]
             links = slice(len(src), len(src) + len(table))
-            self.level_steps.append((np.array(nodes), np.array(table).reshape(fan_in, -1), links))
+            self.level_steps.append((slice(lo, hi), np.array([position[u] for u in table]).reshape(fan_in, -1), links))
             src += table
             dst += nodes * fan_in
-        self.level_links = src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
-        # (K, m) sinks, the services that precede none: row k holds sink
-        # k mod c of every app with c sinks (a max ignores repeats)
-        sinks = (np.bincount(src, minlength=self.n_services) == 0).nonzero()[0]
-        bounds = sinks.searchsorted(offsets)
-        first, count = bounds[:-1], bounds[1:] - bounds[:-1]
-        self.sink_ranks = sinks[first + np.arange(count.max(initial=1))[:, None] % count]
+        self.level_order = np.array(order, dtype=np.int64)
+        self.level_links = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+        # (K, m) positions of the sinks, the services that precede none: row
+        # k holds sink k mod c of every app with c sinks (a max ignores repeats)
+        tails = set(src)
+        sinks = [[position[v] for v in range(lo, hi) if v not in tails] for lo, hi in pairwise(offsets)]
+        self.sink_ranks = np.array(
+            [[s[k % len(s)] for s in sinks] for k in range(max(map(len, sinks), default=1))], dtype=np.int64
+        )
 
     @cached_property
     def anchors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -237,13 +247,15 @@ def _scores(block: np.ndarray, prob: ProblemInstance) -> tuple[np.ndarray, np.nd
     objectives[:, 1] = (met @ prob.service_avail_weight) / scale
     # the (5, P, R) loads keep resources on their last, contiguous axis, so
     # every row sums its capacity overshoot in the same pairwise order
-    overshoot = np.maximum(0.0, load[:3] - prob.effective_capacity[:, None]).sum(axis=-1)
-    violations[:, :3] = (overshoot / prob.capacity_total[:, None]).T
-    rt = timing.app_response_times(block.T, prob, load).T
-    excess = np.maximum(0.0, rt - prob.app_deadline) / prob.app_deadline
+    overshoot = load[:3] - prob.effective_capacity[:, None]
+    violations[:, :3] = (np.maximum(0.0, overshoot, out=overshoot).sum(axis=-1) / prob.capacity_total[:, None]).T
+    rt = timing.app_response_times(block.T, prob, load)
+    deadline = prob.app_deadline[:, None]
+    excess = np.maximum(0.0, rt - deadline) / deadline
     excess[rt == np.inf] = SATURATION_PENALTY
-    # a left fold in app order: np.sum's pairwise order would move the last bit
-    violations[:, 3] = np.add.accumulate(excess, axis=1)[:, -1]
+    # a left fold in app order, down the (m, P) rows: np.sum's pairwise
+    # order would move the last bit
+    violations[:, 3] = np.add.accumulate(excess, axis=0)[-1]
     return objectives, violations
 
 

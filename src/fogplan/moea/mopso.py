@@ -104,6 +104,7 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     # keeps its host, below the second takes its personal best's, else its guide's
     shares = (pull / pull.sum()).cumsum() if moving else np.ones(3)
     shares /= shares[-1]
+    mutation_rate = params.mutation_rate if n else 0.0  # a row with no genes has none to mutate
 
     current = run.evaluate_many(initial_population(prob, swarm, rng))
     pbest = Scored(*(column.copy() for column in current))
@@ -118,7 +119,7 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         drawn = rng.random(k * n + k if moving else k)  # the genes' uniforms, then the mutation flags
         u = drawn[: k * n].reshape(k, n) if moving else 0.0
         moves = np.where(u < shares[0], current.genotypes[:k], np.where(u < shares[1], pbest.genotypes[:k], guides))
-        mutants = np.flatnonzero(drawn[-k:] < params.mutation_rate)
+        mutants = np.flatnonzero(drawn[-k:] < mutation_rate)
         where = rng.integers(0, n, size=mutants.size)
         moves[mutants, where] = rng.integers(0, prob.n_resources, size=mutants.size)
         scored = run.evaluate_many(moves)

@@ -82,7 +82,9 @@ def _environmental_selection(combined: Scored, pop_size: int) -> tuple[Scored, n
     crowding, so ties keep their order in the front.
     """
     u, a = combined.objectives.T.tolist()
-    genotype = combined.genotypes.astype(">u2").view(f"V{2 * combined.genotypes.shape[1]}")[:, 0].tolist()
+    n = combined.genotypes.shape[1]
+    # numpy has no zero-byte void view: with no services every genotype is b""
+    genotype = combined.genotypes.astype(">u2").view(f"V{2 * n}")[:, 0].tolist() if n else [b""] * len(u)
     dist = [0.0] * len(u)
     standing, kept = [], []
     for level, front in enumerate(nondominated_rows(*combined.objectives.T, combined.total)):

@@ -75,21 +75,23 @@ def app_response_times(a: np.ndarray, prob, load: np.ndarray) -> np.ndarray:
     with their loads (5, P, R); the result is (m, P).  With the
     population last, the DP below indexes services on the first axis.
 
-    A DP over global topological levels: a service's distance is its
-    host's sojourn plus the largest predecessor distance plus link
-    latency.  Latencies are non-negative (the model rejects others), so
-    a source's distance is its sojourn alone, and no distance falls along
-    an edge: an app's max lies at a sink, where a saturated host's inf
-    sojourn reaches too.  Row p of the (P, R) sojourns starts at pR.
+    A DP over global topological levels, run in ``prob.level_order``:
+    a service's distance is its host's sojourn plus the largest
+    predecessor distance plus link latency, and each level adds into
+    its own contiguous slice of the distances.  Latencies are
+    non-negative (the model rejects others), so a source's distance is
+    its sojourn alone, and no distance falls along an edge: an app's max
+    lies at a sink, where a saturated host's inf sojourn reaches too.
+    Row p of the (P, R) sojourns starts at pR.
     """
     r = prob.n_resources
-    dist = sojourn_times(prob, load).ravel().take(a + np.arange(0, a.shape[1] * r, r))
+    dist = sojourn_times(prob, load).ravel().take(a.take(prob.level_order, axis=0) + np.arange(0, a.shape[1] * r, r))
     src, dst = prob.level_links
-    lat = prob.latency_s.ravel().take(a[src] * r + a[dst])
+    lat = prob.latency_s.ravel().take(a.take(src, axis=0) * r + a.take(dst, axis=0))
     for nodes, preds, links in prob.level_steps:
         best = dist.take(preds, axis=0) + lat[links].reshape(preds.shape + lat.shape[1:])
         dist[nodes] += best[0] if len(best) == 1 else best.max(axis=0)
-    return dist[prob.sink_ranks].max(axis=0)
+    return dist.take(prob.sink_ranks, axis=0).max(axis=0)
 
 
 def response_time_report(dep, prob) -> ResponseTimeReport:

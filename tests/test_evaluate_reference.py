@@ -196,7 +196,10 @@ latency_choices = st.sampled_from([0.0, 0.1, 0.3, 2.0, 7.7, 10.0, 100.0, 123.456
 @st.composite
 def problems(draw):
     """A random landscape with random DAG apps: chains, forks, joins,
-    diamonds, several sources and single services all occur."""
+    diamonds, several sources and single services all occur.  Each app's
+    edges run forward in a random order of its services, so an edge may
+    run from a higher index to a lower one and the level order of the
+    services differs from their index order."""
     spec = ScenarioSpec(
         colonies=draw(st.integers(1, 3)),
         cells_per_colony=draw(st.integers(1, 3)),
@@ -206,7 +209,8 @@ def problems(draw):
     apps = []
     for i in range(draw(st.integers(1, 10))):
         k = draw(st.integers(1, 6))
-        pairs = [(u, v) for v in range(k) for u in range(v)]
+        order = draw(st.permutations(range(k)))
+        pairs = [(order[u], order[v]) for v in range(k) for u in range(v)]
         edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
         services = tuple(
             Service(
@@ -317,6 +321,85 @@ def test_each_app_reads_its_maximum_from_every_sink():
     assert np.count_nonzero(violations[:, 3] >= SATURATION_PENALTY) >= 5
     objectives, violations = evaluate_many(np.zeros((0, n), dtype=int), prob)
     assert objectives.shape == (0, 2) and violations.shape == (0, 4)
+
+
+def test_backward_edges_match_reference():
+    # edges from a higher index to a lower one: app 0 joins services 1 and
+    # 2 into 0, app 1 is the chain 3 -> 2 -> 1 -> 0, so each app's service
+    # 0 comes last in the level order.  At 0.5/s, seven services on one FC
+    # saturate it, and most rows miss a 0.5 s deadline by a fraction.
+    def app(i, k, edges):
+        services = tuple(Service((i, j), 40.0 + 30 * j, 10.0, 10.0, 0.5) for j in range(k))
+        return Application(i, services, tuple(edges), deadline=0.5, request_rate=0.5)
+
+    landscape = build_landscape(ScenarioSpec(colonies=2, cells_per_colony=2))
+    prob = ProblemInstance(landscape, [app(0, 3, [(2, 0), (1, 0)]), app(1, 4, [(3, 2), (2, 1), (1, 0)])])
+    assert prob.level_order.tolist() == [1, 2, 6, 0, 5, 4, 3]
+    assert prob.sink_ranks.tolist() == [[3, 6]]
+    rng = np.random.default_rng(10)
+    n, r = prob.n_services, prob.n_resources
+    block = np.array([rng.choice(rng.integers(1, r, k), n) for k in (1, 2, 3) * 10]
+                     + [rng.integers(0, r, n) for _ in range(30)])
+    for genotype in block:
+        report = response_time_report(genotype, prob)
+        assert [report.app_rt[a.id] for a in prob.apps] == reference_response_times(genotype, prob)
+    violations = assert_rows_match(block, prob)
+    late = np.count_nonzero((0 < violations[:, 3]) & (violations[:, 3] < SATURATION_PENALTY))
+    assert np.count_nonzero(violations[:, 3] >= SATURATION_PENALTY) >= 5 and late >= 5
+
+
+def reference_depths(prob):
+    """Depth of every service, the most edges on a path from a source,
+    by recursion over its predecessors."""
+    preds = [[] for _ in range(prob.n_services)]
+    for offset, app in zip(app_offsets(prob), prob.apps):
+        for u, v in app.edges:
+            preds[offset + v].append(offset + u)
+    depth = {}
+
+    def walk(v):
+        if v not in depth:
+            depth[v] = max((walk(u) + 1 for u in preds[v]), default=0)
+        return depth[v]
+
+    return [walk(v) for v in range(prob.n_services)], preds
+
+
+def reference_sinks(prob):
+    """The (K, m) sinks of the services' index order: row k holds sink
+    k mod c of every app with c sinks, the sinks in index order."""
+    sinks = []
+    for offset, app in zip(app_offsets(prob), prob.apps):
+        tails = {u for u, _ in app.edges}
+        sinks.append([offset + v for v in range(len(app.services)) if v not in tails])
+    return [[s[k % len(s)] for s in sinks] for k in range(max(map(len, sinks), default=1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems())
+def test_level_order_tables(prob):
+    # the level order is a permutation of the services; the sources come
+    # first, then each level's step covers exactly the services of its
+    # depth, in index order, right after the level before; each column of
+    # its table holds the predecessors of one service, level_links holds
+    # the same links as services, and the sink positions name the sinks in
+    # index order
+    n = prob.n_services
+    order = prob.level_order.tolist()
+    assert sorted(order) == list(range(n)) and prob.level_order.dtype == np.int64
+    depth, preds = reference_depths(prob)
+    starts = [step[0].start for step in prob.level_steps] + [n]
+    assert order[:starts[0]] == [v for v in range(n) if depth[v] == 0]
+    src, dst = prob.level_links
+    for level, (nodes, table, links) in enumerate(prob.level_steps, 1):
+        assert nodes == slice(starts[level - 1], starts[level])
+        assert order[nodes] == [v for v in range(n) if depth[v] == level]
+        for column, v in zip(table.T.tolist(), order[nodes]):
+            assert {order[p] for p in column} == set(preds[v])
+        assert src[links].tolist() == prob.level_order[table].ravel().tolist()
+        assert dst[links].tolist() == order[nodes] * len(table)
+    assert src.size == dst.size == sum(table.size for _, table, _ in prob.level_steps)
+    assert prob.level_order[prob.sink_ranks].tolist() == reference_sinks(prob)
 
 
 def assert_rows_match(block, prob):

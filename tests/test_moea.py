@@ -548,6 +548,13 @@ class TestAlgorithms:
         ALGORITHMS[name](prob, AlgoParams(max_evaluations=250), trace_hook=lambda g: evals.append(g.evaluations))
         assert max(evals) <= 250
 
+    def test_no_services_give_the_one_empty_assignment(self, name, two_colony_landscape):
+        # every genotype is the empty one, feasible and scoring (0, 0)
+        prob = ProblemInstance(two_colony_landscape, [])
+        archive = ALGORITHMS[name](prob, AlgoParams(seed=0, max_evaluations=200))
+        assert [m.genotype for m in archive] == [array("H")]
+        assert [(m.objectives, m.total_violation) for m in archive] == [(ObjectiveVector(0.0, 0.0), 0.0)]
+
     def test_budget_too_small(self, name):
         prob = tiny_instance(1)
         with pytest.raises(BudgetTooSmall):
