@@ -14,8 +14,10 @@ import math
 import sys
 from array import array
 from bisect import bisect_left, bisect_right, insort
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cache
+from itertools import chain, groupby
 from operator import neg
 from typing import NamedTuple
 
@@ -87,39 +89,38 @@ def constrained_dominates(a: Solution, b: Solution) -> bool:
     return not a.total_violation and pareto_dominates(a.objectives, b.objectives)
 
 
-def nondominated_rows(u: np.ndarray, a: np.ndarray, total: np.ndarray) -> list[list[list[int]]]:
+def nondominated_rows(u: np.ndarray, a: np.ndarray, total: np.ndarray) -> tuple[list, list, Iterator[list[list[int]]]]:
     """Constrained-dominance fronts of rows (objectives u[i], a[i], total
-    violation total[i] >= 0, as arrays), each front a list of row groups.
+    violation total[i] >= 0, as arrays): u and a as the float lists that
+    the rows index, and the fronts, best first, each a list of row groups.
 
-    One stable lexsort by (total, -u, -a) orders the rows, and a group
-    starts at each row whose point (if feasible) or total (if not)
-    differs from the row before it.  Two objectives let one pass find the
-    feasible fronts (Jensen, IEEE TEC 2003): in order of decreasing
-    (u, a), each point joins the first front whose latest point has less
+    One stable lexsort orders the rows by (total, u, a), and one pass
+    back over the feasible rows groups equal points and finds their
+    fronts (Jensen, IEEE TEC 2003): in order of decreasing (u, a), each
+    point joins the first front whose latest point has less
     availability, so does not dominate it.  Those availabilities never
     rise from front to front, so one bisect on their negations finds the
     front, and a feasible front is a staircase of point groups that fall
-    in u and rise in a.  Then come the infeasible fronts, one group each,
-    by total violation, least first.
+    in u and rise in a.  The infeasible fronts follow, one group each, by
+    total violation, least first; they are grouped only as they are read.
     """
-    if not len(total):
-        return []
-    order = np.lexsort((-a, -u, total))
-    total, u, a = total[order], u[order], a[order]
-    new = (total[1:] != total[:-1]) | (total[1:] == 0) & ((u[1:] != u[:-1]) | (a[1:] != a[:-1]))
-    starts = np.flatnonzero(np.concatenate(([True], new)))
-    rows, bounds = order.tolist(), [*starts.tolist(), len(order)]
-    feasible = bisect_right(total[starts].tolist(), 0.0)
+    order = np.lexsort((a, u, total)).tolist()
+    u, a = u.tolist(), a.tolist()
+    feasible = bisect_right(order, 0.0, key=total.item)  # the rows of total 0 come first
     fronts, tails = [], []  # tails[k]: minus the availability of front k's latest point
-    for pa, lo, hi in zip(a[starts[:feasible]].tolist(), bounds, bounds[1:]):
-        k = bisect_right(tails, -pa)
-        if k == len(fronts):
-            fronts.append([rows[lo:hi]])
-            tails.append(-pa)
+    pu = pa = None
+    for i in reversed(order[:feasible]):
+        if u[i] == pu and a[i] == pa:
+            group.append(i)
         else:
-            fronts[k].append(rows[lo:hi])
+            pu, pa, group = u[i], a[i], [i]
+            k = bisect_right(tails, -pa)
+            if k == len(fronts):
+                fronts.append([])
+                tails.append(-pa)
+            fronts[k].append(group)
             tails[k] = -pa
-    return fronts + [[rows[lo:hi]] for lo, hi in zip(bounds[feasible:], bounds[feasible + 1:])]
+    return u, a, chain(fronts, ([list(rows)] for _, rows in groupby(order[feasible:], total.item)))
 
 
 def value_walks(rows: Sequence[int], u: list[float], a: list[float], genotype: Sequence) -> list[list[int]]:
@@ -143,23 +144,36 @@ def row_crowding(dist: list[float], walks: Sequence[list[int]], u: list[float], 
             dist[row] += (objective[after] - objective[before]) / span
 
 
-def staircase_crowding(u: list[float], a: list[float], several: Iterable[int] = ()) -> tuple[list[float], list[float]]:
-    """``row_crowding`` of a feasible front, point by point: the distance
-    of each point's first and last row in genotype order.  The points
-    come in ascending u; ``several`` lists those with more than one row.
-    A lone row gets the gaps between its neighbour points, the first of
-    several the gaps to the neighbour below in each objective and the
-    last those above (the rows between keep 0.0), the end points inf:
-    each the u term plus the a term, as ``row_crowding`` sums them."""
-    su, sa = u[-1] - u[0], a[0] - a[-1]
-    inner = [(un - up) / su + (ap - an) / sa for up, un, ap, an in zip(u, u[2:], a, a[2:])]
-    first = [math.inf, *inner, math.inf][:len(u)]  # a lone point is both ends
-    last = first.copy()
-    for j in several:
-        if 0 < j < len(u) - 1:
-            first[j] = (u[j] - u[j - 1]) / su + (a[j] - a[j + 1]) / sa
-            last[j] = (u[j + 1] - u[j]) / su + (a[j - 1] - a[j]) / sa
-    return first, last
+def staircase_crowding(dist: list[float], groups: Sequence, u: list[float], a: list[float], genotype=()) -> None:
+    """NSGA-II's crowding distance of a feasible front's rows, point by
+    point, written into ``dist``, which holds 0.0 for them.  ``groups``
+    are the front's points in ascending u, each the list of its rows
+    (indices into u, a, ``dist`` and ``genotype``); a point's several
+    rows are sorted by genotype in place.  A lone row gets the gaps
+    between its neighbour points, the first of several the gaps to the
+    neighbour below in each objective and the last those above (the rows
+    between keep 0.0), the end points inf: each the u term plus the a
+    term, the floats that ``row_crowding`` gives on the value walks."""
+    lo, hi = groups[0][0], groups[-1][0]
+    su, sa = u[hi] - u[lo], a[lo] - a[hi]
+    for before, group, after in zip(groups, groups[1:], groups[2:]):
+        p, r, q = before[0], group[0], after[0]
+        if len(group) == 1:
+            dist[r] = (u[q] - u[p]) / su + (a[p] - a[q]) / sa
+        else:
+            group.sort(key=genotype.__getitem__)
+            dist[group[0]] = (u[r] - u[p]) / su + (a[r] - a[q]) / sa
+            dist[group[-1]] = (u[q] - u[r]) / su + (a[p] - a[r]) / sa
+    for group in groups[0], groups[-1]:  # a lone point is both ends
+        if len(group) > 1:
+            group.sort(key=genotype.__getitem__)
+        dist[group[0]] = dist[group[-1]] = math.inf
+
+
+@cache
+def _lone_rows(n: int) -> tuple[tuple[int], ...]:
+    """The groups of a staircase of n distinct points: row j alone at the j-th."""
+    return tuple(zip(range(n)))
 
 
 def _columns(population: Sequence[Solution]) -> list[list[float]]:
@@ -170,7 +184,7 @@ def _columns(population: Sequence[Solution]) -> list[list[float]]:
 
 def fast_nondominated_sort(population: list[Solution]) -> list[list[Solution]]:
     """``nondominated_rows`` of a list of solutions: fronts of solutions."""
-    fronts = nondominated_rows(*map(np.array, _columns(population)))
+    *_, fronts = nondominated_rows(*map(np.array, _columns(population)))
     return [[population[i] for group in front for i in group] for front in fronts]
 
 
@@ -265,7 +279,8 @@ class ParetoArchive:
         if self.violation:
             dist = crowding_distance(self.members)
         else:
-            dist, _ = staircase_crowding(self._us, self._as)
+            dist = [0.0] * len(self.members)
+            staircase_crowding(dist, _lone_rows(len(dist)), self._us, self._as)
         p = dist.index(min(dist))
         del self._us[p], self._as[p]
         return self.members.pop(p)

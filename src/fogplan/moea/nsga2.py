@@ -6,7 +6,7 @@ not depend on one another, so they are bred as one block and scored in
 one batch.  Its draws, in order: both entrants of 2·ceil(k/2)
 tournaments, one crossover mask, one crossover flag per pair, one reset
 mutation.  The population is kept as rows (genotypes, objectives, total
-violation) in rank order, feasible fronts crowded by staircase point.
+violation) in rank order, each feasible front crowded point by point.
 An external archive collects every non-dominated feasible solution.
 """
 
@@ -77,30 +77,25 @@ def _environmental_selection(combined: Scored, pop_size: int) -> tuple[Scored, n
     taken on its whole front (Deb et al., IEEE TEC 2002), so the result
     depends on the rows' values and not on their order in ``combined``.
     A genotype compares as its big-endian two-byte ids, like their tuple.
-    A feasible front is crowded by its staircase points, an infeasible
-    one row by row; each front is then sorted stably by genotype and by
-    crowding, so ties keep their order in the front.
+    A feasible front is crowded in one loop over its points, an
+    infeasible one row by row; each front is then sorted stably by
+    genotype and by crowding, so ties keep their order in the front.
+    Infeasible fronts are grouped only while the population has room.
     """
-    u, a = combined.objectives.T.tolist()
-    n = combined.genotypes.shape[1]
+    genotypes, objectives, total = combined
+    u, a, fronts = nondominated_rows(*objectives.T, total)
+    n = genotypes.shape[1]
     # numpy has no zero-byte void view: with no services every genotype is b""
-    genotype = combined.genotypes.astype(">u2").view(f"V{2 * n}")[:, 0].tolist() if n else [b""] * len(u)
+    genotype = genotypes.astype(">u2").view(f"V{2 * n}")[:, 0].tolist() if n else [b""] * len(u)
     dist = [0.0] * len(u)
     standing, kept = [], []
-    for level, front in enumerate(nondominated_rows(*combined.objectives.T, combined.total)):
-        if combined.total[front[0][0]]:
+    for level, front in enumerate(fronts):
+        if total[front[0][0]]:
             rows = front[0]  # one or two rows are all ends, in either order
             row_crowding(dist, value_walks(rows, u, a, genotype) if len(rows) > 2 else (rows, rows), u, a)
         else:
-            for group in front:
-                if len(group) > 1:
-                    group.sort(key=genotype.__getitem__)
+            staircase_crowding(dist, front[::-1], u, a, genotype)  # its points in ascending u
             rows = [i for group in front for i in group]
-            front.reverse()  # ascending u
-            several = [j for j, group in enumerate(front) if len(group) > 1]
-            first, last = staircase_crowding([u[g[0]] for g in front], [a[g[0]] for g in front], several)
-            for group, df, dl in zip(front, first, last):
-                dist[group[0]], dist[group[-1]] = df, dl
         rows.sort(key=genotype.__getitem__)
         rows.sort(key=dist.__getitem__, reverse=True)
         del rows[pop_size - len(kept):]
@@ -109,5 +104,5 @@ def _environmental_selection(combined: Scored, pop_size: int) -> tuple[Scored, n
         if len(kept) >= pop_size:
             break
     rank = np.fromiter(accumulate(map(ne, standing[1:], standing), initial=0), np.intp, len(standing))
-    kept = np.array(kept)
-    return Scored(*(column.take(kept, 0) for column in combined)), rank, standing
+    kept = np.fromiter(kept, np.intp, len(kept))
+    return Scored(genotypes.take(kept, 0), objectives.take(kept, 0), total.take(kept)), rank, standing

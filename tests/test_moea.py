@@ -173,7 +173,8 @@ class TestNondominatedSort:
 
     def test_no_rows_no_fronts(self):
         empty = np.array([])
-        assert common.nondominated_rows(empty, empty, empty) == []
+        u, a, fronts = common.nondominated_rows(empty, empty, empty)
+        assert u == a == list(fronts) == []
         assert fast_nondominated_sort([]) == [] and crowding_distance([]) == []
 
     def test_matches_bruteforce_audit(self):

@@ -1,5 +1,6 @@
 """NSGA-II's row selection and MOPSO's personal-best mask, each against
-its reference on packed ``Solution`` objects; NSGA-II's point-by-point
+its reference on packed ``Solution`` objects, the selection at every
+population size of drawn blocks; NSGA-II's point-by-point
 crowding against the row walks and its one-pass children against the
 ``np.where`` assembly; and MOPSO's cached guide grid and threshold move
 against a run that builds the grid every generation and draws each
@@ -10,7 +11,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_rank, random_solutions, scored_rows, tiny_instance
@@ -101,6 +102,64 @@ def test_row_selection_matches_the_reference_on_drawn_blocks(seed):
     assert_selects_like_the_reference(Scored(genotypes, objectives, total))
 
 
+def block_of(rows):
+    """The Scored block of (genotype, u, a, total) rows."""
+    genotypes, u, a, total = zip(*rows)
+    return Scored(np.array(genotypes, dtype=np.int64), np.column_stack([u, a]).astype(float), np.array(total, float))
+
+
+# ids that repeat, and 255 < 256 < 65535, which only big-endian bytes order like the ids
+IDS = st.sampled_from([0, 1, 255, 256, 65535])
+
+
+@st.composite
+def selection_blocks(draw):
+    """Blocks of 1-30 rows: a staircase of 1-6 points, each repeated up to
+    three times, and up to 12 more points, all on a lattice whose steps
+    are not all exact in binary.  Totals come from a few levels, so that
+    infeasible rows share them; a block is all feasible, all infeasible
+    or mixed.  A genotype is 1-3 drawn ids, so genotypes repeat, some
+    with other points or totals."""
+    step, genes = draw(st.sampled_from([4, 7, 25])), draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5 if step == 4 else 6))
+    ticks = st.lists(st.integers(0, step), min_size=m, max_size=m, unique=True)
+    us, as_ = sorted(draw(ticks)), sorted(draw(ticks), reverse=True)
+    points = [p for p in zip(us, as_) for _ in range(draw(st.integers(1, 3)))]
+    points += draw(st.lists(st.tuples(st.integers(0, step), st.integers(0, step)), max_size=12))
+    totals = draw(st.sampled_from([[0.0], [0.5, 1.0, 2.5], [0.0, 0.0, 0.5, 1.0]]))
+    rows = [(draw(st.lists(IDS, min_size=genes, max_size=genes)), u / step, a / step, draw(st.sampled_from(totals)))
+            for u, a in draw(st.permutations(points))]
+    return block_of(rows)
+
+
+# a feasible staircase of three points, two of them repeated, on two fronts, with repeated genotypes
+STAIRCASE = block_of([([0, 256], 0.5, 0.5, 0.0), ([0, 255], 0.5, 0.5, 0.0), ([0, 256], 0.5, 0.5, 0.0),
+                      ([1, 1], 1.0, 0.0, 0.0), ([65535, 0], 0.0, 1.0, 0.0), ([0, 0], 0.0, 1.0, 0.0),
+                      ([1, 0], 0.0, 0.5, 0.0), ([0, 1], 0.5, 0.0, 0.0)])
+# infeasible rows only, sharing totals, with equal and differing objectives
+INFEASIBLE = block_of([([1, 256], 0.5, 0.5, 1.0), ([1, 255], 0.0, 1.0, 1.0), ([0, 1], 1.0, 0.0, 2.0),
+                       ([1, 256], 0.5, 0.5, 1.0), ([65535, 0], 0.25, 0.25, 2.0), ([0, 0], 0.5, 0.75, 0.5)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(selection_blocks())
+@example(STAIRCASE)
+@example(INFEASIBLE)
+@example(Scored(*(np.concatenate(pair) for pair in zip(STAIRCASE, INFEASIBLE))))
+def test_row_selection_matches_the_reference_at_every_population_size(block):
+    """Every population size from 1 to the block's rows, so the population
+    fills inside a front and exactly at each front's last row, and the
+    infeasible fronts are reached whenever the block has any."""
+    rows = len(block.total)
+    expected, expected_standing = reference_selection(block, rows)
+    packed = [(list(s.genotype), list(s.objectives.as_tuple()), s.total_violation) for s in expected]
+    for pop_size in range(1, rows + 1):
+        survivors, rank, standing = nsga2._environmental_selection(block, pop_size)
+        assert standing == expected_standing[:pop_size]
+        assert rank.tolist() == dense_rank(standing)
+        assert list(zip(*(column.tolist() for column in survivors), strict=True)) == packed[:pop_size]
+
+
 @st.composite
 def staircase_rows(draw):
     """Rows on a feasible staircase of 1-6 points, as (u, a, genotype)
@@ -123,14 +182,13 @@ def test_staircase_crowding_is_row_crowding_over_the_value_walks(front):
     u, a, genotype = front
     walked = [0.0] * len(u)
     row_crowding(walked, value_walks(range(len(u)), u, a, genotype), u, a)
-    # the front's point groups in ascending u, each group's rows by genotype, ties by row
+    # the front's point groups in ascending u, each group's rows in row order
     points = sorted(set(zip(u, a)))
-    groups = [sorted((i for i in range(len(u)) if (u[i], a[i]) == p), key=genotype.__getitem__) for p in points]
-    several = [j for j, group in enumerate(groups) if len(group) > 1]
-    first, last = staircase_crowding([p[0] for p in points], [p[1] for p in points], several)
+    groups = [[i for i in range(len(u)) if (u[i], a[i]) == p] for p in points]
     pointwise = [0.0] * len(u)
-    for group, df, dl in zip(groups, first, last):
-        pointwise[group[0]], pointwise[group[-1]] = df, dl
+    staircase_crowding(pointwise, groups, u, a, genotype)
+    # each group is left sorted by genotype, ties by row
+    assert groups == [sorted(group, key=genotype.__getitem__) for group in groups]
     assert pointwise == walked
     # a front of one or two points is all ends
     if len(points) <= 2:
