@@ -3,7 +3,7 @@ run object that scores each generation.
 
 A generation is scored into arrays (``Scored``), and every optimizer
 keeps its population as such rows.  The rows are offered to the archive
-on their floats (``ParetoArchive.admits``), and a ``Solution`` is built
+on their floats (``ParetoArchive.place``), and a ``Solution`` is built
 only for a row the archive admits.  The non-dominated sort runs on
 arrays and crowding on float lists, by row index; ``Solution`` forms adapt.
 """
@@ -170,6 +170,12 @@ def staircase_crowding(dist: list[float], groups: Sequence, u: list[float], a: l
         dist[group[0]] = dist[group[-1]] = math.inf
 
 
+def _lone_crowding(pu: float, pa: float, qu: float, qa: float, su: float, sa: float) -> float:
+    """The crowding distance of a lone staircase point between the points
+    (pu, pa) and (qu, qa), on spans su, sa: ``staircase_crowding``'s formula."""
+    return (qu - pu) / su + (pa - qa) / sa
+
+
 @cache
 def _lone_rows(n: int) -> tuple[tuple[int], ...]:
     """The groups of a staircase of n distinct points: row j alone at the j-th."""
@@ -218,11 +224,15 @@ class ParetoArchive:
     contiguous run.  Above 0 they keep insertion order.
 
     Truncation beyond capacity drops the most crowded member (smallest
-    crowding distance), the first of them in that order on a tie.
+    crowding distance), the first of them in that order on a tie.  At 0
+    the full archive keeps each member's crowding distance, so ``place``
+    decides truncation on floats too: a candidate that would be the
+    victim never goes in.  Above 0 crowding ties fall to genotypes, so a
+    candidate goes in and may be dropped at once.
 
     ``add`` is the only path by which the members change, and ``version``
-    counts the offers it let through ``admits``: whatever a caller
-    computed from the members still holds while ``version`` stands.
+    counts the changes: whatever a caller computed from the members
+    still holds while ``version`` stands.
     """
 
     def __init__(self, capacity: int):
@@ -235,6 +245,10 @@ class ParetoArchive:
         # the members' objectives, the i-th point members[i]'s
         self._us: list[float] = []
         self._as: list[float] = []
+        # at 0, the members' staircase crowding distances: built when a full
+        # archive first needs them, refreshed around each change, and dropped
+        # when an end of the staircase, so a span, changes
+        self._dist: list[float] | None = None
 
     def __len__(self):
         return len(self.members)
@@ -244,45 +258,95 @@ class ParetoArchive:
 
     def admits(self, u: float, a: float, total: float) -> bool:
         """Whether a candidate with objectives (u, a) and total violation
-        joins the archive.  Decided on floats, so a scored row is tested
-        before it is packed."""
+        joins the archive: at violation 0, whether it is a member after
+        ``add``; above it truncation may still drop it."""
+        return self.place(u, a, total) is not None
+
+    def place(self, u: float, a: float, total: float) -> tuple[int, int] | None:
+        """Where a candidate with objectives (u, a) and total violation
+        goes: the slice of the members it replaces, or None when it stays
+        out.  Decided on floats, so a scored row is tested before it is
+        packed."""
+        us, as_ = self._us, self._as
+        n = len(us)
         if total != self.violation:
-            return total < self.violation
+            return (0, n) if total < self.violation else None
         if total:  # only a member with equal objectives rejects it
-            return (u, a) not in zip(self._us, self._as)
+            return None if (u, a) in zip(us, as_) else (n, n)
         # of the members with u' >= u, the first has the largest a'; one
         # with a' >= a dominates the candidate or equals it
-        p = bisect_left(self._us, u)
-        return p == len(self._us) or self._as[p] < a
+        p = bisect_left(us, u)
+        if p < n and as_[p] >= a:
+            return None
+        # the dominated members: u' <= u, so below j, and a' <= a, so from k on
+        j = bisect_right(us, u, p)
+        k = bisect_left(as_, -a, 0, j, key=neg)
+        return (k, j) if k < j or n < self.capacity or self._outlasts(u, a, j) else None
 
-    def add(self, candidate: Solution) -> bool:
-        """Offer a solution; returns True when it was retained.  ``admits``
-        decides; a feasible candidate then drops the members it dominates."""
+    def _outlasts(self, u: float, a: float, j: int) -> bool:
+        """Whether a candidate at (u, a) that goes in at position j of the
+        full staircase, dominating no member, leaves another member the
+        first most crowded one, so that truncation drops that member."""
+        us, as_, n = self._us, self._as, len(self._us)
+        if not 0 < j < n:  # a new end, at inf: the victim only when every point is an end
+            return j > 0 or n > 1
+        dist = self._crowding()
+        su, sa = us[-1] - us[0], as_[0] - as_[-1]
+        mine = _lone_crowding(us[j - 1], as_[j - 1], us[j], as_[j], su, sa)
+        # its neighbours' new distances; the other members keep theirs
+        below = _lone_crowding(us[j - 2], as_[j - 2], u, a, su, sa) if j > 1 else math.inf
+        above = _lone_crowding(u, a, us[j + 1], as_[j + 1], su, sa) if j < n - 1 else math.inf
+        left, right = min(dist[:j - 1], default=math.inf), min(dist[j + 1:], default=math.inf)
+        return mine >= min(left, below) or mine > min(right, above)
+
+    def add(self, candidate: Solution, at: tuple[int, int] | None = None) -> bool:
+        """Offer a solution; returns True when it joined the archive.
+        ``place`` decides, unless the caller passes ``at``, what ``place``
+        gave for the candidate's floats with the members as they stand; a
+        feasible candidate drops the members it dominates."""
         (u, a), total = candidate.objectives.as_tuple(), candidate.total_violation
-        if not self.admits(u, a, total):
+        if at is None and (at := self.place(u, a, total)) is None:
+            return False
+        k, j = at
+        if total != self.violation:
+            self.violation, self._dist = total, None
+        self.members[k:j], self._us[k:j], self._as[k:j] = [candidate], [u], [a]
+        if self._dist is not None:
+            if 0 < k < len(self._us) - 1:
+                self._dist[k:j] = [0.0]
+                self._recrowd(k - 1, k, k + 1)
+            else:
+                self._dist = None
+        if len(self.members) > self.capacity and self._truncate() is candidate:
             return False
         self.version += 1
-        if total < self.violation:
-            self.violation, self.members, self._us, self._as = total, [], [], []
-        k = j = len(self.members)
-        if not total:
-            # the dominated members: u' <= u, so below j, and a' <= a, so from k on
-            j = bisect_right(self._us, u)
-            k = bisect_left(self._as, -a, 0, j, key=neg)
-        self.members[k:j], self._us[k:j], self._as[k:j] = [candidate], [u], [a]
-        if len(self.members) > self.capacity:
-            return self._truncate() is not candidate
         return True
+
+    def _crowding(self) -> list[float]:
+        """The kept staircase crowding distances, rebuilt in full if they were dropped."""
+        if self._dist is None:
+            self._dist = [0.0] * len(self._us)
+            staircase_crowding(self._dist, _lone_rows(len(self._dist)), self._us, self._as)
+        return self._dist
+
+    def _recrowd(self, *rows: int) -> None:
+        """Refresh the kept distances of ``rows`` after their neighbours
+        changed and the ends did not; an end keeps inf."""
+        us, as_, dist = self._us, self._as, self._dist
+        su, sa = us[-1] - us[0], as_[0] - as_[-1]
+        for i in rows:
+            if 0 < i < len(us) - 1:
+                dist[i] = _lone_crowding(us[i - 1], as_[i - 1], us[i + 1], as_[i + 1], su, sa)
 
     def _truncate(self) -> Solution:
         """Drop the most crowded member, the first of them, and return it."""
-        if self.violation:
-            dist = crowding_distance(self.members)
-        else:
-            dist = [0.0] * len(self.members)
-            staircase_crowding(dist, _lone_rows(len(dist)), self._us, self._as)
+        dist = crowding_distance(self.members) if self.violation else self._crowding()
         p = dist.index(min(dist))
-        del self._us[p], self._as[p]
+        del self._us[p], self._as[p], dist[p]
+        if not self.violation:
+            # p was inside: the ends are at inf, and the inner points of 3 or
+            # more are finite; of 2 points the one left is both ends, at inf
+            self._recrowd(p - 1, p)
         return self.members.pop(p)
 
     def objective_set(self) -> set[tuple[float, float]]:
@@ -451,14 +515,14 @@ class Search:
         offer them to the archive in order.
 
         Only a row that the archive admits becomes a Solution, and it
-        goes through ``ParetoArchive.add``.
+        goes through ``ParetoArchive.add`` with the place already found.
         """
         scored = score_block(genomes, self.prob)
         self.evaluations += len(scored.genotypes)
         archive = self.archive
         for i, ((u, a), total) in enumerate(zip(scored.objectives.tolist(), scored.total.tolist())):
-            if archive.admits(u, a, total):
-                archive.add(scored.solution(i))
+            if (at := archive.place(u, a, total)) is not None:
+                archive.add(scored.solution(i), at)
         return scored
 
     def report(self, feasible: Sequence[bool]) -> None:

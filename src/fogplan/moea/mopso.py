@@ -54,8 +54,10 @@ class _Grid(NamedTuple):
     cdf: np.ndarray  # (C,) the roulette's cdf, sparse cells favored, as Generator.choice sums it
 
 
-def _grid(members: list[Solution], divisions: int) -> _Grid:
-    objs = np.array([[m.objectives.fog_utilization, m.objectives.availability] for m in members])
+def _grid(members: list[Solution], us: list[float], as_: list[float], divisions: int) -> _Grid:
+    """The grid of ``members``, whose objectives are ``us`` and ``as_``
+    (the archive's point lists, the i-th point members[i]'s)."""
+    objs = np.array((us, as_)).T
     lo = objs.min(axis=0)
     hi = objs.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
@@ -110,11 +112,12 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
     pbest = Scored(*(column.copy() for column in current))
     run.report(current.total == 0)
 
-    grid, grid_version = None, -1
+    archive, grid, grid_version = run.archive, None, -1
     while run.left:
         k = min(swarm, run.left)
-        if grid_version != run.archive.version:
-            grid, grid_version = _grid(run.archive.members, params.grid_divisions), run.archive.version
+        if grid_version != archive.version:
+            grid_version = archive.version
+            grid = _grid(archive.members, archive._us, archive._as, params.grid_divisions)
         guides = _draw(grid, rng, k)
         drawn = rng.random(k * n + k if moving else k)  # the genes' uniforms, then the mutation flags
         u = drawn[: k * n].reshape(k, n) if moving else 0.0
@@ -132,4 +135,4 @@ def mopso_run(prob: ProblemInstance, params: AlgoParams, trace_hook=None) -> Par
         current = scored  # a fresh block, so the swarm takes it by reference
         run.report(current.total == 0)
 
-    return run.archive
+    return archive

@@ -148,16 +148,26 @@ class TestEvolutionExperiment:
     ])
     def test_scaled16_truncated_archive_pinned(self, monkeypatch, algo, expected):
         # a 400-service front outgrows the default capacity of 50, so this
-        # run truncates 38-124 times: the final archive, member by member in
-        # archive order, pins the truncation rule at scale
-        truncations = []
-        truncate = ParetoArchive._truncate
-        monkeypatch.setattr(ParetoArchive, "_truncate", lambda self: truncations.append(1) or truncate(self))
+        # run decides truncation 38-244 times: the final archive, member by
+        # member in archive order, pins the truncation rule at scale.  Each
+        # decision refuses an offer that no member dominates or drops a member
+        decisions = []
+        place, truncate = ParetoArchive.place, ParetoArchive._truncate
+
+        def counting_place(self, u, a, total):
+            at = place(self, u, a, total)
+            if at is None and total == self.violation == 0 and not any(
+                    pu >= u and pa >= a for pu, pa in zip(self._us, self._as)):
+                decisions.append("refused")
+            return at
+
+        monkeypatch.setattr(ParetoArchive, "place", counting_place)
+        monkeypatch.setattr(ParetoArchive, "_truncate", lambda self: decisions.append("dropped") or truncate(self))
         archive = ALGORITHMS[algo](scaled_scenario(ScenarioSpec(), 16), AlgoParams(seed=0, max_evaluations=1000))
         digest = hashlib.sha256()
         for m in archive:
             digest.update(repr((m.genotype.tolist(), m.objectives.as_tuple(), m.total_violation)).encode())
-        assert len(truncations) >= 38
+        assert len(decisions) >= 38
         assert digest.hexdigest() == expected
 
     @pytest.mark.parametrize("workers", ["0", "-2"])

@@ -6,7 +6,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_rank, random_solutions, scored_rows, solution, tiny_instance
@@ -39,6 +39,7 @@ from fogplan.moea.common import (
     greedy_anchors,
     initial_population,
     reset_mutation,
+    staircase_crowding,
     uniform_crossover,
 )
 from fogplan.moea.mopso import _draw, _grid
@@ -314,12 +315,15 @@ class TestParetoArchive:
     def test_truncation_respects_capacity(self):
         rng = np.random.default_rng(41)
         archive = ParetoArchive(capacity=5)
-        dropped = 0  # admitted, then truncated at once
+        refused = 0  # at capacity: the candidate would be the most crowded, so it never goes in
         for u in rng.random(50):
-            version, admitted = archive.version, archive.admits(float(u), 1.0 - float(u), 0.0)
-            dropped += admitted and not archive.add(feas(float(u), 1.0 - float(u), genotype=(int(u * 1e6),)))
+            full, version = len(archive) == 5, archive.version
+            admitted = archive.admits(float(u), 1.0 - float(u), 0.0)
+            assert admitted == archive.add(feas(float(u), 1.0 - float(u), genotype=(int(u * 1e6),)))
             assert archive.version == version + admitted
-        assert len(archive) <= 5 and dropped
+            refused += full and not admitted
+        # the points lie on one line, so none dominates another and the archive stays full
+        assert len(archive) == 5 and refused
 
 
 # objectives on a grid of quarters and a few violation vectors, two of
@@ -414,11 +418,11 @@ OFFERED = st.builds(
 def test_archive_matches_the_reference(capacity, offers):
     archive, reference = ParetoArchive(capacity), ReferenceArchive(capacity)
     for candidate in offers:
-        # the version moves on every admitted offer, truncated or not, and on no rejected one
-        version, o = archive.version, candidate.objectives
-        admitted = reference.admits(o.fog_utilization, o.availability, candidate.total_violation)
-        assert archive.add(candidate) == reference.add(candidate)
-        assert archive.version == version + admitted
+        # the version moves exactly when the reference keeps the candidate, so when the members change
+        version = archive.version
+        kept = reference.add(candidate)
+        assert archive.add(candidate) == kept
+        assert archive.version == version + kept
         assert archive.violation == reference.violation
         assert len(archive.members) == len(reference.members)
         assert all(m is r for m, r in zip(archive.members, reference.members))
@@ -443,6 +447,44 @@ def test_staircase_truncation_drops_the_reference_victims(capacity, offers):
         assert len(archive.members) == len(reference.members)
         assert all(m is r for m, r in zip(archive.members, reference.members))
         assert_staircase(archive)
+
+
+# feasible near the line u + a = 1 on a grid of thirteenths, so that most
+# offers join the staircase: inside it, at a new end, or over members
+NEAR_LINE_OFFERED = st.builds(
+    lambda u, d: Solution(array("H", [0]), ObjectiveVector(u / 13, (13 - u + d) / 13), 0.0),
+    st.integers(0, 13),
+    st.integers(-2, 2),
+)
+
+
+def fresh_staircase_crowding(archive):
+    """``staircase_crowding`` of the archive's members afresh, each alone at its point."""
+    dist = [0.0] * len(archive)
+    if dist:
+        us, as_ = zip(*(m.objectives.as_tuple() for m in archive))
+        staircase_crowding(dist, [[i] for i in range(len(dist))], us, as_)
+    return dist
+
+
+# a full archive admits an interior offer, one that dominates a member and
+# refuses one; a new end drops the kept distances, and the next offer rebuilds them
+@example(4, [Solution(array("H", [0]), ObjectiveVector(u / 13, (13 - u + d) / 13), 0.0)
+             for u, d in [(0, 0), (13, 0), (6, 0), (3, 0), (10, 0), (6, 1), (8, 0), (13, 2), (8, 1), (2, 0)]])
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.lists(NEAR_LINE_OFFERED, max_size=60))
+def test_admits_decides_truncation_on_kept_crowding(capacity, offers):
+    """At violation 0 ``admits`` is the reference's whole decision, the
+    truncation of a full archive included, and the crowding distances the
+    archive keeps are those of its members afresh."""
+    archive, reference = ParetoArchive(capacity), ReferenceArchive(capacity)
+    for candidate in offers:
+        u, a = candidate.objectives.as_tuple()
+        admitted = archive.admits(u, a, 0.0)
+        assert admitted == reference.add(candidate) == archive.add(candidate)
+        assert all(m is r for m, r in zip(archive.members, reference.members, strict=True))
+        if archive._dist is not None:
+            assert archive._dist == fresh_staircase_crowding(archive)
 
 
 class TestHypervolume:
@@ -623,9 +665,9 @@ def test_search_evaluate_many_matches_a_loop_of_evaluate(monkeypatch):
     offered = []
     add = ParetoArchive.add
 
-    def counting_add(archive, candidate):
+    def counting_add(archive, candidate, at=None):
         offered.append(candidate)
-        return add(archive, candidate)
+        return add(archive, candidate, at)
 
     monkeypatch.setattr(ParetoArchive, "add", counting_add)
     scored = batched.evaluate_many(genomes)
@@ -680,11 +722,17 @@ def test_nsga2_sorts_once_per_generation(monkeypatch):
     assert sorts == [40] + [80] * 4
 
 
+def grid_of(members, divisions):
+    """``_grid`` of a list of members, their point lists read off their objectives."""
+    us, as_ = ([m.objectives.as_tuple()[i] for m in members] for i in (0, 1))
+    return _grid(members, us, as_, divisions)
+
+
 def guides(members, divisions, rng, k):
     """The guides of one draw from a grid built on ``members``, their
     genotypes packed as array('H'), as a scored block packs them."""
     packed = [dataclasses.replace(m, genotype=array("H", m.genotype)) for m in members]
-    return _draw(_grid(packed, divisions), rng, k)
+    return _draw(grid_of(packed, divisions), rng, k)
 
 
 def test_mopso_rebuilds_its_guide_grid_only_after_an_admission(monkeypatch):
@@ -692,17 +740,17 @@ def test_mopso_rebuilds_its_guide_grid_only_after_an_admission(monkeypatch):
 
     events, add = [], ParetoArchive.add
 
-    def counting_grid(members, divisions):
+    def counting_grid(*args):
         events.append("grid")
-        return _grid(members, divisions)
+        return _grid(*args)
 
     def counting_draw(grid, rng, k):
         events.append(k)
         return _draw(grid, rng, k)
 
-    def counting_add(archive, candidate):
+    def counting_add(archive, candidate, at=None):
         events.append("add")
-        return add(archive, candidate)
+        return add(archive, candidate, at)
 
     monkeypatch.setattr(mopso, "_grid", counting_grid)
     monkeypatch.setattr(mopso, "_draw", counting_draw)
@@ -1157,7 +1205,7 @@ def test_guide_grid_ignores_member_order(drawn, divisions):
     # points on a grid of eighths share cells, and each genotype names its member
     points, order = drawn
     members = [Solution(array("H", [i]), ObjectiveVector(u / 8, a / 8), 0.0) for i, (u, a) in enumerate(points)]
-    grid, permuted = (_grid(ms, divisions) for ms in (members, [members[i] for i in order]))
+    grid, permuted = (grid_of(ms, divisions) for ms in (members, [members[i] for i in order]))
     assert grid.starts.tolist() == permuted.starts.tolist() and grid.sizes.tolist() == permuted.sizes.tolist()
     assert grid.cdf.tolist() == permuted.cdf.tolist()
     for start, size in zip(grid.starts.tolist(), grid.sizes.tolist()):

@@ -8,6 +8,7 @@ guide's cell and gene's source by ``Generator.choice``."""
 
 import math
 from array import array
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_rank, random_solutions, scored_rows, tiny_instance
 from fogplan.fsdp import ObjectiveVector
-from fogplan.moea import AlgoParams, Solution, constrained_dominates, crowding_distance, fast_nondominated_sort
+from fogplan.moea import AlgoParams, Solution, constrained_dominates, crowding_distance
 from fogplan.moea import mopso, nsga2
 from fogplan.moea.common import (
     Scored,
@@ -31,12 +32,40 @@ from fogplan.scenario import ScenarioSpec, paper_scenario, scaled_scenario
 POP = 40
 
 
+def dominance_fronts(solutions: list[Solution]) -> list[list[Solution]]:
+    """Constrained-dominance fronts by brute force (Deb et al., IEEE TEC
+    2002): every ordered pair compared once, and each front the solutions
+    that only earlier fronts dominate.  A feasible front lists its points
+    in descending (u, a), an infeasible one in ascending (u, a), each
+    point's solutions in list order.  Solutions tied on (front, crowding,
+    genotype) keep that order, which is ``nondominated_rows``' order of
+    their points."""
+    beaten = [[j for j, t in enumerate(solutions) if constrained_dominates(s, t)] for s in solutions]
+    dominators = [0] * len(solutions)
+    for j in chain.from_iterable(beaten):
+        dominators[j] += 1
+    front, fronts = [i for i, d in enumerate(dominators) if not d], []
+    while front:
+        fronts.append(front)
+        front = []
+        for j in chain.from_iterable(beaten[i] for i in fronts[-1]):
+            dominators[j] -= 1
+            if not dominators[j]:
+                front.append(j)
+
+    def order(i):
+        (u, a), sign = solutions[i].objectives.as_tuple(), -1 if solutions[i].feasible else 1
+        return sign * u, sign * a
+
+    return [[solutions[i] for i in sorted(front, key=order)] for front in fronts]
+
+
 def reference_selection(block: Scored, pop_size: int):
     """The ``pop_size`` best packed rows by (front, -crowding, genotype),
     every front ranked, and their (front, -crowding) standings."""
     solutions = [block.solution(i) for i in range(len(block.total))]
     ranked = []
-    for level, front in enumerate(fast_nondominated_sort(solutions)):
+    for level, front in enumerate(dominance_fronts(solutions)):
         ranked.extend(((level, -d), s.genotype, s) for s, d in zip(front, crowding_distance(front)))
     ranked.sort(key=lambda r: r[:2])
     return [s for _, _, s in ranked[:pop_size]], [key for key, _, _ in ranked[:pop_size]]
